@@ -35,7 +35,6 @@ from .model import (
     ThermistorProblem,
     bounds_estimate,
     evaluate_g,
-    nonlocal_denominator,
 )
 from .solver import (
     ConvergenceError,
@@ -84,7 +83,6 @@ __all__ = [
     "exp_weight",
     "linear_residual",
     "membership",
-    "nonlocal_denominator",
     "ode_residual",
     "oracle_solve",
     "parse_expr",

@@ -29,7 +29,7 @@ from .config import ConfigError, LoadedConfig, load_config
 from .conformable import Alpha, Grid, conformable_derivative
 from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, identity_table, table_passes
 from .model import SourcePositivityError, ThermistorProblem, evaluate_g
-from .solver import ConvergenceError, SolveOptions, SolveReport, picard_solve
+from .solver import SolveOptions, SolveReport, picard_solve
 from .tube import Tube, iter_margin_lines, verify_tube
 
 __all__ = ["entry", "main"]
@@ -261,7 +261,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # the declared (lambda, alpha) product order however work lands
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(run, tasks))
-    except (ConfigError, SourcePositivityError, ConvergenceError, ValueError) as err:
+    except (ConfigError, SourcePositivityError, ValueError) as err:
         return _fail(str(err))
 
     out = Path(args.out)

@@ -26,6 +26,7 @@ __all__ = [
     "conformable_derivative_limit",
     "conformable_integral",
     "exp_weight",
+    "trapezoid",
     "weight_exponent",
 ]
 
@@ -191,6 +192,11 @@ def _node_index(grid: Grid, t: float, what: str) -> int:
     return idx
 
 
+def trapezoid(values: np.ndarray, h: float) -> float:
+    """Trapezoidal rule for nodal ``values`` at uniform spacing ``h``."""
+    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
+
+
 def _weighted_values(u: GridFunction, a: float) -> np.ndarray:
     return u.values * np.power(u.grid.nodes, a - 1.0)
 
@@ -212,8 +218,7 @@ def conformable_integral(
         raise ValueError(f"integration range is reversed: t_lo={t_lo!r} > t_hi={t_hi!r}")
     if i == j:
         return 0.0
-    w = _weighted_values(u, a)[i : j + 1]
-    return float(u.grid.h * (w.sum() - 0.5 * (w[0] + w[-1])))
+    return trapezoid(_weighted_values(u, a)[i : j + 1], u.grid.h)
 
 
 def conformable_cumulative_integral(u: GridFunction, alpha: Alpha | float) -> GridFunction:

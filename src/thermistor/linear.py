@@ -14,17 +14,12 @@ import math
 
 import numpy as np
 
-from .conformable import Alpha, Grid, GridFunction, _alpha_value, conformable_derivative, weight_exponent
+from .conformable import Alpha, GridFunction, _alpha_value, conformable_derivative, weight_exponent
 
 __all__ = ["solve_linear", "linear_residual"]
 
 
-def solve_linear(
-    g: GridFunction,
-    x0: float,
-    alpha: Alpha | float,
-    grid: Grid | None = None,
-) -> GridFunction:
+def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFunction:
     """Solve ``x^(alpha) + x / a**alpha = g`` with ``x(a) = x0`` on the grid.
 
     The weight ratio between any two nodes is formed as a single
@@ -40,17 +35,14 @@ def solve_linear(
         g: right-hand side sampled on the grid.
         x0: initial value at ``t = a``; returned bit-for-bit at node 0.
         alpha: derivative order.
-        grid: optional, must match ``g.grid`` when given.
 
     Returns:
         The solution as a GridFunction on the same grid.
 
     Raises:
-        ValueError: on grid mismatch, or if the accumulated solution
-            stops being finite (the offending node is named).
+        ValueError: if the accumulated solution stops being finite (the
+            offending node is named).
     """
-    if grid is not None and grid != g.grid:
-        raise ValueError("solve_linear: grid argument does not match g.grid")
     grid = g.grid
     al = _alpha_value(alpha)
     a = grid.a

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .conformable import Alpha, Grid, GridFunction
+from .conformable import Alpha, Grid, GridFunction, trapezoid
 
 __all__ = [
     "SOURCE_REGISTRY",
@@ -28,10 +28,9 @@ __all__ = [
     "ThermistorProblem",
     "bounds_estimate",
     "evaluate_g",
-    "nonlocal_denominator",
+    "nonlocal_rhs",
     "resolve_source",
     "sample_source",
-    "source_integral",
 ]
 
 SourceFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -99,35 +98,24 @@ def sample_source(problem: ThermistorProblem, u: GridFunction) -> np.ndarray:
     return fv
 
 
-def _plain_trapezoid(values: np.ndarray, h: float) -> float:
-    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
+def nonlocal_rhs(lam: float, fv: np.ndarray, integral: float | np.ndarray) -> np.ndarray:
+    """The quotient ``lam * fv / integral**2``.
 
-
-def source_integral(problem: ThermistorProblem, u: GridFunction) -> float:
-    """Trapezoidal integral of ``f(x, u(x))`` over [a, T] (unsquared)."""
-    return _plain_trapezoid(sample_source(problem, u), u.grid.h)
-
-
-def nonlocal_denominator(problem: ThermistorProblem, u: GridFunction) -> float:
-    """Square of the trapezoidal integral of ``f(x, u(x))`` over [a, T].
-
-    The quadrature carries no conformable weight; it is the plain integral
-    from the model.  Raises SourcePositivityError ("H1 violated") if any
-    sampled value of ``f`` is nonpositive or non-finite.
+    ``integral`` is the unsquared integral of ``f`` over [a, T]: a scalar,
+    or one value per node when each node sees its own trajectory.
     """
-    integral = source_integral(problem, u)
-    return integral * integral
+    return lam * fv / (integral * integral)
 
 
 def evaluate_g(problem: ThermistorProblem, u: GridFunction) -> GridFunction:
-    """Right-hand side ``lambda * f(t, u) / denominator`` along ``u``.
+    """Right-hand side ``lambda * f(t, u) / (integral_a^T f)**2`` along ``u``.
 
+    The integral is the plain trapezoidal one, with no conformable weight.
     Scaling ``f`` by a constant ``c`` scales the output by ``1/c``: the
     numerator gains ``c`` and the squared integral gains ``c**2``.
     """
     fv = sample_source(problem, u)
-    integral = _plain_trapezoid(fv, u.grid.h)
-    return GridFunction(u.grid, problem.lam * fv / (integral * integral))
+    return GridFunction(u.grid, nonlocal_rhs(problem.lam, fv, trapezoid(fv, u.grid.h)))
 
 
 class SourceBounds(NamedTuple):
@@ -135,35 +123,33 @@ class SourceBounds(NamedTuple):
 
     f_min: float  # A: smallest sampled f
     f_max: float  # B: largest sampled f
-    g_sup: float  # G = lambda * B / (A**2 * (T - a)**2)
+    g_sup: float  # G = lambda * B / (A**2 * (T - a)**2), inf unless A > 0
 
 
-def bounds_estimate(problem: ThermistorProblem, radius: float, samples: int = 64) -> SourceBounds:
-    """Bounds of ``f`` on the lattice [a, T] x [-radius, radius].
+_BAND_SAMPLES = 64
 
-    Returns (A, B, G) with ``G = lambda * B / (A**2 * (T - a)**2)``, the
-    crude sup bound on the right-hand side for trajectories inside the
-    radius.  Diagnostics only; nothing in the solver consumes it.
+
+def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction) -> SourceBounds:
+    """Bounds of ``f`` on a lattice of the tube band ``|u - v| <= M``.
+
+    Samples 64 evenly picked grid nodes times 64 offsets ``s * M`` with
+    ``s`` in [-1, 1], and returns (A, B, G) with
+    ``G = lambda * B / (A**2 * (T - a)**2)``, the crude sup bound on the
+    right-hand side for trajectories inside the band.  A diagnostic only:
+    it never raises.  G is infinite unless A > 0, and if ``f`` fails to
+    evaluate on the lattice every sample counts as NaN.
     """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError(f"bounds_estimate needs radius > 0, got {radius!r}")
-    if samples < 2:
-        raise ValueError(f"bounds_estimate needs at least 2 samples per axis, got {samples!r}")
-    ts = np.linspace(problem.a, problem.T, samples)
-    us = np.linspace(-radius, radius, samples)
-    tt, uu = np.meshgrid(ts, us)
-    fv = np.asarray(problem.f(tt, uu), dtype=float) * np.ones_like(tt)
-    flat = fv.ravel()
-    bad = np.flatnonzero(~(flat > 0.0) | ~np.isfinite(flat))
-    if bad.size:
-        j = int(bad[0])
-        raise SourcePositivityError(
-            f"H1 violated on the sampling lattice: f = {float(flat[j])!r} at "
-            f"(t={float(tt.ravel()[j])!r}, u={float(uu.ravel()[j])!r})",
-            node=j,
-        )
-    f_min = float(flat.min())
-    f_max = float(flat.max())
+    idx = np.linspace(0, v.grid.n - 1, _BAND_SAMPLES).round().astype(int)
+    tt, ss = np.meshgrid(v.grid.nodes[idx], np.linspace(-1.0, 1.0, _BAND_SAMPLES))
+    uu = v.values[idx] + ss * M.values[idx]
+    try:
+        fv = np.asarray(problem.f(tt, uu), dtype=float) * np.ones_like(uu)
+    except ValueError:
+        fv = np.full_like(uu, math.nan)
+    f_min = float(fv.min())
+    f_max = float(fv.max())
+    if not f_min > 0.0:
+        return SourceBounds(f_min, f_max, math.inf)
     g_sup = problem.lam * f_max / (f_min * f_min * (problem.T - problem.a) ** 2)
     return SourceBounds(f_min, f_max, g_sup)
 

@@ -51,11 +51,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the fixed-point iteration.
+    """Knobs for the fixed-point iteration and the oracle.
 
     damping is the fraction of the new operator value mixed into the
-    iterate (1.0 is the undamped map); grid_n is consumed by callers that
-    build grids from configuration and does not override a tube's grid.
+    iterate (1.0 is the undamped map).  grid_n sets the size of
+    ``oracle_solve``'s grid and of the grids the CLI builds;
+    ``picard_solve`` always runs on the tube's grid.
     """
 
     damping: float = 1.0
@@ -128,8 +129,9 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     ``u <- (1 - damping) * u + damping * K(u)`` until the sup-norm update
     drops to ``tol_fp`` or the budget runs out, then reports the final
     equation residual, tube membership (with the discretisation slack),
-    and the lattice bounds diagnostics.  An invalid tube downgrades to a
-    warning: the iteration still runs, the report carries the verdict.
+    and the bounds of ``f`` over the tube band (a diagnostic that never
+    raises).  An invalid tube downgrades to a warning: the iteration
+    still runs, the report carries the verdict.
 
     Raises SourcePositivityError if the source turns nonpositive along
     any truncated iterate; the error names the iteration and node.
@@ -163,9 +165,6 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
             break
 
     slack = default_condition_tol(grid)
-    reach = float(np.max(np.abs(tube.v.values) + tube.M.values))
-    radius = max(reach, abs(problem.u_a), 1.0)
-    bounds = bounds_estimate(problem, radius)
     return SolveReport(
         u=u,
         iterations=len(residuals),
@@ -173,7 +172,7 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
         converged=converged,
         ode_residual=ode_residual(u, problem),
         member_of_tube=membership(u, tube, slack),
-        bounds=bounds,
+        bounds=bounds_estimate(problem, tube.v, tube.M),
         tube_report=tube_report,
     )
 

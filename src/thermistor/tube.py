@@ -15,8 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .conformable import Alpha, Grid, GridFunction, _alpha_value, conformable_cumulative_integral, conformable_derivative
-from .model import ThermistorProblem, evaluate_g, sample_source, source_integral
+from .conformable import Alpha, Grid, GridFunction, conformable_cumulative_integral, conformable_derivative, trapezoid
+from .model import ThermistorProblem, evaluate_g, nonlocal_rhs, sample_source
 
 __all__ = [
     "DecayCheck",
@@ -115,25 +115,8 @@ class TubeReport:
     initial_ok: bool
     initial_margin: float
 
-    def as_dict(self) -> dict[str, object]:
-        """Flat record, in a stable order, for reports and CSV output."""
-        return {
-            "valid": self.valid,
-            "tol": self.tol,
-            "boundary_ok": self.boundary_ok,
-            "boundary_margin": self.boundary_margin,
-            "boundary_node": self.boundary_node,
-            "boundary_side": self.boundary_side,
-            "boundary_margin_frozen": self.boundary_margin_frozen,
-            "pinch_ok": self.pinch_ok,
-            "pinch_margin": self.pinch_margin,
-            "pinch_node": self.pinch_node,
-            "initial_ok": self.initial_ok,
-            "initial_margin": self.initial_margin,
-        }
 
-
-def verify_tube(tube: Tube, problem: ThermistorProblem, tol: float | None = None) -> TubeReport:
+def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
     """Check the three tube conditions on the grid.
 
     Boundary condition: at every node and both boundary values
@@ -144,6 +127,8 @@ def verify_tube(tube: Tube, problem: ThermistorProblem, tol: float | None = None
     center with the single node under test moved to ``y`` (the integral
     updates in O(1) since the trapezoidal rule is linear in nodal
     values).  The frozen-denominator alternative is reported alongside.
+
+    Every condition is checked at ``tol = default_condition_tol(grid)``.
 
     Pinch condition: wherever ``M <= tol`` the center must satisfy the
     equation (``|v^(alpha) - g(t, v)| <= tol``) and the radius must be
@@ -157,10 +142,7 @@ def verify_tube(tube: Tube, problem: ThermistorProblem, tol: float | None = None
     if tube.grid.a != problem.a or tube.grid.T != problem.T:
         raise ValueError("tube grid does not span the problem interval")
     grid = tube.grid
-    if tol is None:
-        tol = default_condition_tol(grid)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"verify_tube tol must be nonnegative, got {tol!r}")
+    tol = default_condition_tol(grid)
 
     al = problem.alpha
     v = tube.v
@@ -169,8 +151,8 @@ def verify_tube(tube: Tube, problem: ThermistorProblem, tol: float | None = None
     dm = conformable_derivative(m, al).values
 
     f_center = sample_source(problem, v)
-    base = source_integral(problem, v)
-    g_center = problem.lam * f_center / (base * base)
+    base = trapezoid(f_center, grid.h)
+    g_center = nonlocal_rhs(problem.lam, f_center, base)
 
     weights = np.full(grid.n, grid.h)
     weights[0] = weights[-1] = 0.5 * grid.h
@@ -183,8 +165,8 @@ def verify_tube(tube: Tube, problem: ThermistorProblem, tol: float | None = None
         y = GridFunction(grid, v.values + side * m.values)
         f_side = sample_source(problem, y)
         perturbed = base + weights * (f_side - f_center)
-        g_side = problem.lam * f_side / (perturbed * perturbed)
-        g_frozen = problem.lam * f_side / (base * base)
+        g_side = nonlocal_rhs(problem.lam, f_side, perturbed)
+        g_frozen = nonlocal_rhs(problem.lam, f_side, base)
         lhs = side * m.values * (g_side - dv)
         lhs_frozen = side * m.values * (g_frozen - dv)
         rhs = m.values * dm
@@ -213,7 +195,7 @@ def verify_tube(tube: Tube, problem: ThermistorProblem, tol: float | None = None
     initial_ok = initial_margin <= tol
     return TubeReport(
         valid=bool(boundary_ok and pinch_ok and initial_ok),
-        tol=float(tol),
+        tol=tol,
         boundary_ok=bool(boundary_ok),
         boundary_margin=boundary_margin,
         boundary_node=boundary_node,
@@ -282,12 +264,11 @@ def closed_form_center(problem: ThermistorProblem, grid: Grid) -> GridFunction:
 
 def iter_margin_lines(report: TubeReport) -> Iterator[str]:
     """Human-readable lines for a tube report."""
-    d = report.as_dict()
-    yield f"tube valid: {str(d['valid']).lower()} (tol={d['tol']!r})"
+    yield f"tube valid: {str(report.valid).lower()} (tol={report.tol!r})"
     yield (
-        f"  boundary: ok={str(d['boundary_ok']).lower()} margin={d['boundary_margin']!r} "
-        f"node={d['boundary_node']} side={d['boundary_side']:+d} "
-        f"frozen-denominator margin={d['boundary_margin_frozen']!r}"
+        f"  boundary: ok={str(report.boundary_ok).lower()} margin={report.boundary_margin!r} "
+        f"node={report.boundary_node} side={report.boundary_side:+d} "
+        f"frozen-denominator margin={report.boundary_margin_frozen!r}"
     )
-    yield f"  pinch:    ok={str(d['pinch_ok']).lower()} margin={d['pinch_margin']!r} node={d['pinch_node']}"
-    yield f"  initial:  ok={str(d['initial_ok']).lower()} margin={d['initial_margin']!r}"
+    yield f"  pinch:    ok={str(report.pinch_ok).lower()} margin={report.pinch_margin!r} node={report.pinch_node}"
+    yield f"  initial:  ok={str(report.initial_ok).lower()} margin={report.initial_margin!r}"

@@ -203,6 +203,33 @@ class TestSolveCommand:
         cfg = write_cfg(tmp_path, TestLoadConfig.PROBLEM)
         assert run_quiet(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
+    def test_bounds_cover_the_tube_band_only(self, tmp_path):
+        # f = u + 0.5 is nonpositive for u <= -0.5, far outside the tube
+        # 1 + (t - 1)/3 +/- 0.3*t; the diagnostic must not fail the solve
+        cfg = write_cfg(tmp_path, """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 0.5
+alpha = 1.0
+u_a = 1.0
+f = u + 0.5
+
+[tube]
+generator = closed_form_center
+M = 0.3*t
+
+[solve]
+grid_n = 201
+""")
+        assert run_quiet(["verify-tube", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = tmp_path / "run"
+        assert run_quiet(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "converged: true" in report
+        assert "member of tube: true" in report
+        assert "bounds: A=1.2 " in report
+
 
 class TestVerifyTubeCommand:
     def test_valid_tube_exits_zero(self, tmp_path):

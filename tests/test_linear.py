@@ -95,16 +95,6 @@ def test_overflow_is_reported_with_node():
         th.solve_linear(th.GridFunction(grid, vals), 0.0, 0.5)
 
 
-def test_grid_argument_must_match():
-    grid = th.Grid(1.0, 2.0, 11)
-    other = th.Grid(1.0, 2.0, 21)
-    g = th.GridFunction.constant(grid, 1.0)
-    with pytest.raises(ValueError):
-        th.solve_linear(g, 0.0, 0.5, grid=other)
-    x = th.solve_linear(g, 0.0, 0.5, grid=grid)
-    assert x.grid == grid
-
-
 def test_residual_rejects_mismatched_grids():
     x = th.GridFunction.constant(th.Grid(1.0, 2.0, 11), 1.0)
     g = th.GridFunction.constant(th.Grid(1.0, 2.0, 21), 1.0)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import thermistor as th
-from thermistor.model import SOURCE_REGISTRY, resolve_source, sample_source, source_integral
+from thermistor.conformable import trapezoid
+from thermistor.model import SOURCE_REGISTRY, nonlocal_rhs, resolve_source, sample_source
 
-from conftest import constant_problem, ramp_problem, sin_problem
+from conftest import constant_problem, ramp_problem, sin_problem, u_star
 
 
 class TestProblemValidation:
@@ -72,14 +73,17 @@ class TestDenominator:
         # trapezoid is exact on linear data: integral of t over [1, 3] is 4
         p = ramp_problem()
         u = th.GridFunction.constant(p.grid(101), 1.0)
-        assert source_integral(p, u) == pytest.approx(4.0, rel=1e-13)
-        assert th.nonlocal_denominator(p, u) == pytest.approx(16.0, rel=1e-13)
+        assert trapezoid(sample_source(p, u), u.grid.h) == pytest.approx(4.0, rel=1e-13)
 
     def test_denominator_is_square_of_integral(self):
         p = sin_problem()
         u = th.GridFunction.constant(p.grid(101), 0.1)
-        integral = source_integral(p, u)
-        assert th.nonlocal_denominator(p, u) == integral * integral
+        fv = sample_source(p, u)
+        integral = trapezoid(fv, u.grid.h)
+        g = th.evaluate_g(p, u).values
+        assert np.array_equal(g, p.lam * fv / (integral * integral))
+        # one integral per node gives the same quotient as the shared scalar
+        assert np.array_equal(nonlocal_rhs(p.lam, fv, np.full(fv.size, integral)), g)
 
 
 class TestEvaluateG:
@@ -110,37 +114,46 @@ class TestEvaluateG:
         assert np.all(g.values > 0.0)
 
 
+def band(grid, v_value, m_value):
+    return th.GridFunction.constant(grid, v_value), th.GridFunction.constant(grid, m_value)
+
+
 class TestBoundsEstimate:
     def test_constant_source_bounds(self):
         p = constant_problem()
-        b = th.bounds_estimate(p, radius=2.0)
+        grid = p.grid(101)
+        b = th.bounds_estimate(p, u_star(grid), th.GridFunction.constant(grid, 0.5))
         assert b == (1.0, 1.0, 1.0)
 
     def test_formula_consistency_on_monotone_source(self):
         p = ramp_problem()
-        b = th.bounds_estimate(p, radius=1.0)
+        b = th.bounds_estimate(p, *band(p.grid(101), 0.0, 1.0))
         assert b.f_min == 1.0
         assert b.f_max == 3.0
         assert b.g_sup == p.lam * b.f_max / (b.f_min**2 * (p.T - p.a) ** 2)
 
     def test_doubling_lambda_doubles_the_sup_bound(self):
         p = sin_problem()
-        b1 = th.bounds_estimate(p, radius=1.0)
-        b2 = th.bounds_estimate(replace(p, lam=2.0 * p.lam), radius=1.0)
+        v, m = band(p.grid(101), 0.0, 1.0)
+        b1 = th.bounds_estimate(p, v, m)
+        b2 = th.bounds_estimate(replace(p, lam=2.0 * p.lam), v, m)
         assert b2.g_sup == 2.0 * b1.g_sup
 
-    def test_lattice_violation_raises(self):
-        f = th.parse_expr("u + 0.5")
-        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 1.0, f)
-        with pytest.raises(th.SourcePositivityError, match="sampling lattice"):
-            th.bounds_estimate(p, radius=1.0)
-
-    def test_parameter_validation(self):
-        p = constant_problem()
-        with pytest.raises(ValueError):
-            th.bounds_estimate(p, radius=0.0)
-        with pytest.raises(ValueError):
-            th.bounds_estimate(p, radius=1.0, samples=1)
+    def test_band_reaching_nonpositive_source_reports_infinite_sup(self):
+        # f = u + 0.5 is positive on the band 1 +/- 0.3 but not on 0 +/- 1
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 1.0, th.parse_expr("u + 0.5"))
+        grid = p.grid(101)
+        inside = th.bounds_estimate(p, *band(grid, 1.0, 0.3))
+        assert inside.f_min == pytest.approx(1.2, rel=1e-15)
+        assert math.isfinite(inside.g_sup)
+        crossing = th.bounds_estimate(p, *band(grid, 0.0, 1.0))
+        assert crossing.f_min == -0.5
+        assert crossing.g_sup == math.inf
+        # a source that cannot be evaluated on the band is not an error either
+        p_sqrt = replace(p, f=th.parse_expr("sqrt(u)"))
+        failed = th.bounds_estimate(p_sqrt, *band(grid, 0.0, 1.0))
+        assert math.isnan(failed.f_min)
+        assert failed.g_sup == math.inf
 
 
 class TestRegistry:
