@@ -3,7 +3,8 @@
 Exit codes, in order of precedence:
 
 * 4 - configuration or input error (unreadable config, bad expression,
-      positivity violation while sampling the source, bad flags);
+      positivity violation while sampling the source, bad flags, an
+      output directory that cannot be written);
 * 3 - the tube failed verification (solve still runs and writes output);
 * 2 - the iteration did not converge to a tube member, or the identity
       suite missed its thresholds;
@@ -11,21 +12,19 @@ Exit codes, in order of precedence:
 
 All CSV output is written with LF newlines and round-trip-exact decimal
 formatting, so repeated runs of the same configuration are byte
-identical.  THERMISTOR_THREADS caps sweep parallelism.
+identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, LoadedConfig, load_config
+from .config import ConfigError, LoadedConfig, float_list, load_config, whole_number
 from .conformable import Alpha, Grid, conformable_derivative
 from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, identity_table, table_passes
 from .model import SourcePositivityError, ThermistorProblem, evaluate_g
@@ -65,8 +64,9 @@ def _fail(message: str) -> int:
     return EXIT_CONFIG
 
 
-def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem, SolveOptions, Grid, Tube]:
-    """Shared setup for solve and verify-tube."""
+def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem, SolveOptions, Grid]:
+    """Shared setup for solve, verify-tube and sweep: the config with the
+    --alpha and --grid-n overrides applied, and the grid to solve on."""
     cfg = load_config(args.config)
     problem = cfg.problem
     options = cfg.options
@@ -77,8 +77,7 @@ def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem,
     if cfg.tube is None:
         raise ConfigError(f"{args.config}: this command needs a [tube] section")
     grid = Grid(problem.a, problem.T, options.grid_n)
-    tube = cfg.tube.build(problem, grid)
-    return cfg, problem, options, grid, tube
+    return cfg, problem, options, grid
 
 
 def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) -> list[tuple]:
@@ -127,7 +126,8 @@ def _report_lines(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
-        cfg, problem, options, grid, tube = _prepare(args)
+        cfg, problem, options, grid = _prepare(args)
+        tube = cfg.tube.build(problem, grid)
         report = picard_solve(problem, tube, options)
     except (ConfigError, SourcePositivityError, ValueError) as err:
         return _fail(str(err))
@@ -149,8 +149,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify_tube(args: argparse.Namespace) -> int:
     try:
-        cfg, problem, options, grid, tube = _prepare(args)
-        report = verify_tube(tube, problem)
+        cfg, problem, options, grid = _prepare(args)
+        report = verify_tube(cfg.tube.build(problem, grid), problem)
     except (ConfigError, SourcePositivityError, ValueError) as err:
         return _fail(str(err))
 
@@ -169,22 +169,12 @@ def cmd_verify_tube(args: argparse.Namespace) -> int:
     return EXIT_OK if report.valid else EXIT_TUBE_INVALID
 
 
-def _parse_float_list(raw: str | None, default: tuple[float, ...], what: str) -> list[float]:
-    if raw is None:
-        return list(default)
-    try:
-        return [float(piece) for piece in raw.split(",") if piece.strip()]
-    except ValueError as err:
-        raise ConfigError(f"--{what}: {err}") from err
-
-
 def cmd_identities(args: argparse.Namespace) -> int:
     try:
-        alphas = _parse_float_list(args.alpha, DEFAULT_ALPHAS, "alpha")
-        sizes_f = _parse_float_list(args.grid_n, DEFAULT_SIZES, "grid-n")
-        sizes = [int(n) for n in sizes_f]
-        if not alphas or len(sizes) < 2:
-            raise ConfigError("identities needs at least one alpha and two grid sizes")
+        alphas = DEFAULT_ALPHAS if args.alpha is None else float_list(args.alpha, "--alpha")
+        sizes = DEFAULT_SIZES
+        if args.grid_n is not None:
+            sizes = [whole_number(n, "--grid-n") for n in float_list(args.grid_n, "--grid-n")]
         for al in alphas:
             Alpha(al)
         rows = identity_table(tuple(alphas), tuple(sizes))
@@ -211,56 +201,29 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
-def _sweep_threads(n_tasks: int) -> int:
-    raw = os.environ.get("THERMISTOR_THREADS")
-    if raw is None:
-        return max(1, min(n_tasks, os.cpu_count() or 1))
-    try:
-        threads = int(raw)
-    except ValueError as err:
-        raise ConfigError(f"THERMISTOR_THREADS={raw!r} is not an integer") from err
-    if threads < 1:
-        raise ConfigError(f"THERMISTOR_THREADS must be at least 1, got {threads}")
-    return threads
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        cfg = load_config(args.config)
-        if cfg.tube is None:
-            raise ConfigError(f"{args.config}: sweep needs a [tube] section")
-        options = cfg.options
-        if args.grid_n is not None:
-            options = replace(options, grid_n=args.grid_n)
-        lambdas = cfg.sweep_lambdas if cfg.sweep_lambdas is not None else [cfg.problem.lam]
-        if args.alpha is not None:
-            alphas = [args.alpha]
-        elif cfg.sweep_alphas is not None:
+        cfg, problem, options, grid = _prepare(args)
+        lambdas = cfg.sweep_lambdas if cfg.sweep_lambdas is not None else [problem.lam]
+        if args.alpha is None and cfg.sweep_alphas is not None:
             alphas = cfg.sweep_alphas
         else:
-            alphas = [cfg.problem.alpha.value]
-        tasks = [(lam, al) for lam in lambdas for al in alphas]
-        threads = _sweep_threads(len(tasks))
-
-        def run(task: tuple[float, float]) -> tuple:
-            lam, al = task
-            problem = replace(cfg.problem, lam=lam, alpha=Alpha(al))
-            grid = Grid(problem.a, problem.T, options.grid_n)
-            tube = cfg.tube.build(problem, grid)
-            report = picard_solve(problem, tube, options)
-            return (
-                lam,
-                al,
-                report.converged,
-                report.iterations,
-                report.ode_residual,
-                report.member_of_tube,
-            )
-
-        # executor.map preserves task order, so the CSV rows come out in
-        # the declared (lambda, alpha) product order however work lands
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, tasks))
+            alphas = [problem.alpha.value]
+        rows = []
+        for lam in lambdas:
+            for al in alphas:
+                point = replace(problem, lam=lam, alpha=Alpha(al))
+                report = picard_solve(point, cfg.tube.build(point, grid), options)
+                rows.append(
+                    (
+                        lam,
+                        al,
+                        report.converged,
+                        report.iterations,
+                        report.ode_residual,
+                        report.member_of_tube,
+                    )
+                )
     except (ConfigError, SourcePositivityError, ValueError) as err:
         return _fail(str(err))
 
@@ -327,7 +290,11 @@ def main(argv: list[str] | None = None) -> int:
         "identities": cmd_identities,
         "sweep": cmd_sweep,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as err:
+        # configs are read inside load_config, so this is the output side
+        return _fail(f"cannot write output to {args.out}: {err}")
 
 
 def entry() -> None:

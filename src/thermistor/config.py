@@ -42,7 +42,7 @@ from .model import SOURCE_REGISTRY, ThermistorProblem, resolve_source
 from .solver import SolveOptions
 from .tube import Tube, closed_form_center
 
-__all__ = ["ConfigError", "LoadedConfig", "TubeSpec", "load_config"]
+__all__ = ["ConfigError", "LoadedConfig", "TubeSpec", "float_list", "load_config", "whole_number"]
 
 _GENERATORS = ("closed_form_center",)
 
@@ -122,21 +122,27 @@ def _get_expr(raw: str, name: str, key: str, path: str, allow_u: bool) -> Expr:
     return expr
 
 
-def _float_list(raw: str, name: str, key: str, path: str) -> list[float]:
+def float_list(raw: str, what: str) -> list[float]:
+    """Parse a comma list of numbers; ``what`` names the key or flag in errors."""
     items = [piece.strip() for piece in raw.split(",")]
     if items == [""]:
-        raise ConfigError(f"{path}: [{name}] {key} is an empty list")
+        raise ConfigError(f"{what} is an empty list")
     out = []
     for piece in items:
         if not piece:
-            raise ConfigError(f"{path}: [{name}] {key} has an empty entry")
+            raise ConfigError(f"{what} has an empty entry")
         try:
             out.append(float(piece))
         except ValueError as err:
-            raise ConfigError(
-                f"{path}: [{name}] {key} entry {piece!r} is not a number"
-            ) from err
+            raise ConfigError(f"{what} entry {piece!r} is not a number") from err
     return out
+
+
+def whole_number(value: float, what: str) -> int:
+    """Convert a count to int, refusing fractions rather than truncating them."""
+    if not value.is_integer():
+        raise ConfigError(f"{what}: {value!r} is not a whole number")
+    return int(value)
 
 
 def load_config(path: str | Path) -> LoadedConfig:
@@ -218,9 +224,13 @@ def load_config(path: str | Path) -> LoadedConfig:
         if "tol_fp" in sect:
             tol_fp = _get_float(sect, "solve", "tol_fp", str(path))
         if "max_iter" in sect:
-            max_iter = int(_get_float(sect, "solve", "max_iter", str(path)))
+            max_iter = whole_number(
+                _get_float(sect, "solve", "max_iter", str(path)), f"{path}: [solve] max_iter"
+            )
         if "grid_n" in sect:
-            grid_n = int(_get_float(sect, "solve", "grid_n", str(path)))
+            grid_n = whole_number(
+                _get_float(sect, "solve", "grid_n", str(path)), f"{path}: [solve] grid_n"
+            )
     try:
         options = SolveOptions(damping=damping, tol_fp=tol_fp, max_iter=max_iter, grid_n=grid_n)
     except ValueError as err:
@@ -231,9 +241,9 @@ def load_config(path: str | Path) -> LoadedConfig:
         sect = parser["sweep"]
         _known_keys(sect, "sweep", {"lambda", "alpha"}, str(path))
         if "lambda" in sect:
-            sweep_lambdas = _float_list(sect["lambda"], "sweep", "lambda", str(path))
+            sweep_lambdas = float_list(sect["lambda"], f"{path}: [sweep] lambda")
         if "alpha" in sect:
-            sweep_alphas = _float_list(sect["alpha"], "sweep", "alpha", str(path))
+            sweep_alphas = float_list(sect["alpha"], f"{path}: [sweep] alpha")
 
     return LoadedConfig(
         problem=problem,

@@ -78,6 +78,9 @@ def identity_table(
     """
     if len(sizes) < 2:
         raise ValueError("identity table needs at least two grid sizes for orders")
+    if len(set(sizes)) != len(sizes):
+        # a repeated rung adds nothing, and next to its twin the order's log(h/h) is 0
+        raise ValueError(f"identity table grid sizes must be distinct, got {tuple(sizes)}")
     rows: list[dict[str, object]] = []
     for alpha in alphas:
         prev: dict[str, float] | None = None

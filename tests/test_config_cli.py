@@ -1,8 +1,10 @@
 """Configuration loading and the command-line contract (exit codes, files)."""
 
+import itertools
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -268,6 +270,15 @@ class TestIdentitiesCommand:
     def test_single_size_exits_four(self, tmp_path):
         assert main(["identities", "--out", str(tmp_path), "--grid-n", "101"]) == 4
 
+    def test_repeated_size_exits_four(self, tmp_path, capsys):
+        assert main(["identities", "--out", str(tmp_path), "--grid-n", "101,101", "--alpha", "1.0"]) == 4
+        assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "0.5,,1.0"), ("--grid-n", "51,,101")])
+    def test_empty_list_entry_exits_four(self, tmp_path, capsys, flag, value):
+        assert main(["identities", "--out", str(tmp_path), flag, value]) == 4
+        assert f"{flag} has an empty entry" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_product_order_and_schema(self, tmp_path):
@@ -301,10 +312,32 @@ class TestSweepCommand:
         assert outs["1"] == outs["2"]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_env_exits_four(self, tmp_path, monkeypatch, value):
+    def test_thread_env_is_ignored(self, tmp_path, monkeypatch, value):
+        monkeypatch.delenv("THERMISTOR_THREADS", raising=False)
+        plain, with_env = tmp_path / "plain", tmp_path / "env"
+        assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(plain)]) == 0
         monkeypatch.setenv("THERMISTOR_THREADS", value)
-        code = run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(tmp_path)])
-        assert code == 4
+        assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(with_env)]) == 0
+        assert (plain / "sweep.csv").read_bytes() == (with_env / "sweep.csv").read_bytes()
+
+    def test_rows_match_standalone_solves(self, tmp_path):
+        assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        cfg = load_config(CONFIGS / "sweep_ramp.cfg")
+        points = list(itertools.product(cfg.sweep_lambdas, cfg.sweep_alphas))
+        assert len(rows) == len(points)
+        for row, (lam, al) in zip(rows, points):
+            problem = replace(cfg.problem, lam=lam, alpha=th.Alpha(al))
+            tube = cfg.tube.build(problem, problem.grid(cfg.options.grid_n))
+            report = th.picard_solve(problem, tube, cfg.options)
+            assert row == [
+                repr(lam),
+                repr(al),
+                str(report.converged).lower(),
+                str(report.iterations),
+                repr(report.ode_residual),
+                str(report.member_of_tube).lower(),
+            ]
 
     def test_defaults_to_single_tuple_without_sweep_section(self, tmp_path):
         out = tmp_path / "run"
@@ -322,6 +355,42 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4  # 3 lambdas x 1 alpha
         assert all(line.split(",")[1] == "0.8" for line in lines[1:])
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "name, value, code",
+        [
+            ("--grid-n", "51.9,101", 4),
+            ("--grid-n", "51.0,101", 0),
+            ("grid_n", "41.5", 4),
+            ("grid_n", "inf", 4),
+            ("grid_n", "41.0", 0),
+            ("max_iter", "2.7", 4),
+            ("max_iter", "50.0", 0),
+        ],
+    )
+    def test_counts_must_be_whole_numbers(self, tmp_path, capsys, name, value, code):
+        if name == "--grid-n":
+            argv = ["identities", "--grid-n", value, "--alpha", "1.0"]
+        else:
+            text = (CONFIGS / "solve_constant.cfg").read_text().replace("grid_n = 201", f"{name} = {value}")
+            argv = ["solve", "--config", str(write_cfg(tmp_path, text))]
+        assert run_quiet(argv + ["--out", str(tmp_path / "out")]) == code
+        if code == 4:
+            first = value.split(",")[0]
+            assert f"{name}: {float(first)!r} is not a whole number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "verify-tube", "identities", "sweep"])
+    def test_output_path_errors_exit_four(self, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the output directory should go\n")
+        if command == "identities":
+            argv = ["identities", "--grid-n", "11,21", "--alpha", "1.0"]
+        else:
+            argv = [command, "--config", str(CONFIGS / "solve_constant.cfg")]
+        assert run_quiet(argv + ["--out", str(blocker)]) == 4
+        assert capsys.readouterr().err.startswith(f"thermistor: error: cannot write output to {blocker}")
 
 
 class TestUsage:
