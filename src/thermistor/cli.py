@@ -64,6 +64,14 @@ def _fail(message: str) -> int:
     return EXIT_CONFIG
 
 
+def _flagged(flag: str, build, value):
+    """``build(value)``, with a range error prefixed by the flag it came from."""
+    try:
+        return build(value)
+    except ValueError as err:
+        raise ConfigError(f"{flag}: {err}") from err
+
+
 def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem, SolveOptions, Grid]:
     """Shared setup for solve, verify-tube and sweep: the config with the
     --alpha and --grid-n overrides applied, and the grid to solve on."""
@@ -71,9 +79,9 @@ def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem,
     problem = cfg.problem
     options = cfg.options
     if args.alpha is not None:
-        problem = replace(problem, alpha=Alpha(args.alpha))
+        problem = replace(problem, alpha=_flagged("--alpha", Alpha, args.alpha))
     if args.grid_n is not None:
-        options = replace(options, grid_n=args.grid_n)
+        options = _flagged("--grid-n", lambda n: replace(options, grid_n=n), args.grid_n)
     if cfg.tube is None:
         raise ConfigError(f"{args.config}: this command needs a [tube] section")
     grid = Grid(problem.a, problem.T, options.grid_n)
@@ -176,7 +184,10 @@ def cmd_identities(args: argparse.Namespace) -> int:
         if args.grid_n is not None:
             sizes = [whole_number(n, "--grid-n") for n in float_list(args.grid_n, "--grid-n")]
         for al in alphas:
-            Alpha(al)
+            _flagged("--alpha", Alpha, al)
+        for n in sizes:
+            # the identities run on grids of these sizes; building one checks n
+            _flagged("--grid-n", lambda n: Grid(1.0, 2.0, n), n)
         rows = identity_table(tuple(alphas), tuple(sizes))
     except (ConfigError, ValueError) as err:
         return _fail(str(err))

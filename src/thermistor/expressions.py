@@ -14,12 +14,15 @@ Grammar (EBNF, whitespace between tokens ignored):
 Numbers accept decimal and scientific notation.  Parse errors are
 positioned by byte offset; evaluation errors (division by zero, sqrt of a
 negative, overflow) carry the source span of the offending subexpression
-instead of leaking NaNs.
+instead of leaking NaNs.  A tree is compiled on its first call in each
+evaluation mode (Python floats or numpy arrays) into one closure per node,
+and each closure raises its node's error itself.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 
@@ -64,13 +67,17 @@ class EvalError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    t: object
-    u: object
-    source: str
-    scalar: bool
-
+# Each node compiles to a closure ``(t, u) -> value`` for one evaluation
+# mode: Python floats through ``math`` (scalar) or numpy ufuncs (array).
+_OPS_MATH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
+_OPS_NUMPY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": np.power}
+_OP_DETAILS = {
+    "+": "addition overflowed",
+    "-": "subtraction overflowed",
+    "*": "multiplication overflowed",
+    "/": "division by zero or overflow",
+    "^": "power left the real domain or overflowed",
+}
 
 # precedence levels used for minimal re-parenthesisation
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
@@ -81,15 +88,39 @@ class Expr:
 
     span: tuple[int, int]
     source: str
+    # closures compiled on the first call in each mode; see __getstate__
+    _scalar_fn = None
+    _array_fn = None
 
     def __call__(self, t, u):
         """Evaluate at scalars or broadcastable numpy arrays."""
-        scalar = not (isinstance(t, np.ndarray) or isinstance(u, np.ndarray))
-        out = self._eval(_Ctx(t, u, self.source, scalar))
-        return float(out) if scalar else out
+        if isinstance(t, np.ndarray) or isinstance(u, np.ndarray):
+            fn = self._array_fn or self._compile_root(scalar=False)
+            with np.errstate(all="ignore"):
+                return fn(t, u)
+        fn = self._scalar_fn or self._compile_root(scalar=True)
+        return float(fn(t, u))
 
-    def _eval(self, ctx: _Ctx):
+    def _compile_root(self, scalar: bool):
+        # error snippets slice the source of the expression being called
+        fn = self._compile(self.source, scalar)
+        object.__setattr__(self, "_scalar_fn" if scalar else "_array_fn", fn)
+        return fn
+
+    def __getstate__(self):
+        # the compiled closures are a cache, and closures do not pickle
+        state = dict(self.__dict__)
+        state.pop("_scalar_fn", None)
+        state.pop("_array_fn", None)
+        return state
+
+    def _compile(self, source: str, scalar: bool):
+        """Closure computing this node's value, raising its own EvalError."""
         raise NotImplementedError
+
+    def _error_args(self, source: str, detail: str) -> tuple:
+        lo, hi = self.span
+        return (lo, hi), source[lo:hi], detail
 
     def _level(self) -> int:
         raise NotImplementedError
@@ -105,16 +136,6 @@ class Expr:
     def _walk(self):
         yield self
 
-    def _check(self, ctx: _Ctx, value, detail: str):
-        if ctx.scalar:
-            ok = isinstance(value, float) and math.isfinite(value)
-        else:
-            ok = bool(np.all(np.isfinite(value)))
-        if not ok:
-            lo, hi = self.span
-            raise EvalError((lo, hi), ctx.source[lo:hi], detail)
-        return value
-
     def _wrap(self, child: "Expr", min_level: int) -> str:
         text = child.to_source()
         return f"({text})" if child._level() < min_level else text
@@ -126,8 +147,9 @@ class Num(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _eval(self, ctx: _Ctx):
-        return self.value if ctx.scalar else np.float64(self.value)
+    def _compile(self, source: str, scalar: bool):
+        value = self.value if scalar else np.float64(self.value)
+        return lambda t, u: value
 
     def _level(self) -> int:
         return _LEVEL_ATOM if self.value >= 0 else _LEVEL_NEG
@@ -142,9 +164,10 @@ class Var(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _eval(self, ctx: _Ctx):
-        val = ctx.t if self.name == "t" else ctx.u
-        return float(val) if ctx.scalar else val
+    def _compile(self, source: str, scalar: bool):
+        if self.name == "t":
+            return (lambda t, u: float(t)) if scalar else (lambda t, u: t)
+        return (lambda t, u: float(u)) if scalar else (lambda t, u: u)
 
     def _level(self) -> int:
         return _LEVEL_ATOM
@@ -159,8 +182,22 @@ class Neg(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _eval(self, ctx: _Ctx):
-        return self._check(ctx, -self.operand._eval(ctx), "negation overflowed")
+    def _compile(self, source: str, scalar: bool):
+        operand = self.operand._compile(source, scalar)
+        error = self._error_args(source, "negation overflowed")
+        if scalar:
+            def neg(t, u):
+                out = -operand(t, u)
+                if isinstance(out, float) and math.isfinite(out):
+                    return out
+                raise EvalError(*error)
+        else:
+            def neg(t, u):
+                out = -operand(t, u)
+                if np.all(np.isfinite(out)):
+                    return out
+                raise EvalError(*error)
+        return neg
 
     def _level(self) -> int:
         return _LEVEL_NEG
@@ -181,46 +218,35 @@ class BinOp(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _eval(self, ctx: _Ctx):
-        lv = self.left._eval(ctx)
-        rv = self.right._eval(ctx)
-        if ctx.scalar:
-            try:
-                if self.op == "+":
-                    out = lv + rv
-                elif self.op == "-":
-                    out = lv - rv
-                elif self.op == "*":
-                    out = lv * rv
-                elif self.op == "/":
-                    out = lv / rv
-                else:
-                    out = math.pow(lv, rv)
-            except ZeroDivisionError:
-                out = math.nan
-            except (ValueError, OverflowError):
-                out = math.nan
-            out = float(out)
+    def _compile(self, source: str, scalar: bool):
+        left = self.left._compile(source, scalar)
+        right = self.right._compile(source, scalar)
+        error = self._error_args(source, _OP_DETAILS[self.op])
+        if scalar:
+            apply = _OPS_MATH[self.op]
+
+            def binop(t, u):
+                # both children run outside the try: their EvalErrors are
+                # ValueErrors and must not be taken for this node's own
+                lv = left(t, u)
+                rv = right(t, u)
+                try:
+                    out = apply(lv, rv)
+                except (ZeroDivisionError, ValueError, OverflowError):
+                    out = math.nan
+                out = float(out)
+                if math.isfinite(out):
+                    return out
+                raise EvalError(*error)
         else:
-            with np.errstate(all="ignore"):
-                if self.op == "+":
-                    out = lv + rv
-                elif self.op == "-":
-                    out = lv - rv
-                elif self.op == "*":
-                    out = lv * rv
-                elif self.op == "/":
-                    out = np.divide(lv, rv)
-                else:
-                    out = np.power(lv, rv)
-        detail = {
-            "+": "addition overflowed",
-            "-": "subtraction overflowed",
-            "*": "multiplication overflowed",
-            "/": "division by zero or overflow",
-            "^": "power left the real domain or overflowed",
-        }[self.op]
-        return self._check(ctx, out, detail)
+            apply = _OPS_NUMPY[self.op]
+
+            def binop(t, u):
+                out = apply(left(t, u), right(t, u))
+                if np.all(np.isfinite(out)):
+                    return out
+                raise EvalError(*error)
+        return binop
 
     def _level(self) -> int:
         if self.op in "+-":
@@ -250,17 +276,30 @@ class Call(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _eval(self, ctx: _Ctx):
-        av = self.arg._eval(ctx)
-        if ctx.scalar:
-            try:
-                out = float(_FUNCS_MATH[self.func](av))
-            except (ValueError, OverflowError):
-                out = math.nan
+    def _compile(self, source: str, scalar: bool):
+        arg = self.arg._compile(source, scalar)
+        error = self._error_args(source, f"{self.func} left its domain or overflowed")
+        if scalar:
+            fn = _FUNCS_MATH[self.func]
+
+            def call(t, u):
+                av = arg(t, u)
+                try:
+                    out = float(fn(av))
+                except (ValueError, OverflowError):
+                    out = math.nan
+                if math.isfinite(out):
+                    return out
+                raise EvalError(*error)
         else:
-            with np.errstate(all="ignore"):
-                out = _FUNCS_NUMPY[self.func](av)
-        return self._check(ctx, out, f"{self.func} left its domain or overflowed")
+            fn = _FUNCS_NUMPY[self.func]
+
+            def call(t, u):
+                out = fn(arg(t, u))
+                if np.all(np.isfinite(out)):
+                    return out
+                raise EvalError(*error)
+        return call
 
     def _level(self) -> int:
         return _LEVEL_ATOM

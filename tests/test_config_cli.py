@@ -381,6 +381,31 @@ class TestInputErrors:
             first = value.split(",")[0]
             assert f"{name}: {float(first)!r} is not a whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("identities", "--alpha", "1.5"),
+            ("identities", "--grid-n", "2,5"),
+            ("solve", "--alpha", "1.5"),
+            ("verify-tube", "--alpha", "1.5"),
+            ("sweep", "--alpha", "1.5"),
+            ("solve", "--grid-n", "2"),
+            ("verify-tube", "--grid-n", "2"),
+            ("sweep", "--grid-n", "2"),
+        ],
+    )
+    def test_range_errors_name_the_flag(self, tmp_path, capsys, command, flag, value):
+        argv = [command, flag, value, "--out", str(tmp_path)]
+        if command == "identities":
+            detail = "grid needs at least 3 nodes, got n=2"
+        else:
+            argv += ["--config", str(CONFIGS / "sweep_ramp.cfg")]
+            detail = "grid_n must be at least 3, got 2"
+        if flag == "--alpha":
+            detail = "derivative order must lie in (0, 1], got 1.5"
+        assert run_quiet(argv) == 4
+        assert capsys.readouterr().err == f"thermistor: error: {flag}: {detail}\n"
+
     @pytest.mark.parametrize("command", ["solve", "verify-tube", "identities", "sweep"])
     def test_output_path_errors_exit_four(self, tmp_path, capsys, command):
         blocker = tmp_path / "blocker"

@@ -1,14 +1,20 @@
 """Expression language: precedence, errors with positions, and round-trips."""
 
+import copy
+import dataclasses
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from thermistor.expressions import (
     BinOp,
     Call,
     EvalError,
+    Expr,
     Neg,
     Num,
     ParseError,
@@ -16,6 +22,101 @@ from thermistor.expressions import (
     eval_expr,
     parse_expr,
 )
+
+# the reference's own function tables, so that it shares no code with the
+# compiled path it checks
+_REFERENCE_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "abs": abs}
+_REFERENCE_NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+
+
+@dataclass(frozen=True)
+class _Ctx:
+    t: object
+    u: object
+    source: str
+    scalar: bool
+
+
+def _reference_eval(e, t, u):
+    """Walk the tree node by node: the evaluator the compiled closures replaced.
+
+    The compiled path must return bit-identical values, or raise the same
+    error with the same span and message.
+    """
+    scalar = not (isinstance(t, np.ndarray) or isinstance(u, np.ndarray))
+    out = _reference_node(e, _Ctx(t, u, e.source, scalar))
+    return float(out) if scalar else out
+
+
+def _reference_check(node, ctx, value, detail):
+    if ctx.scalar:
+        ok = isinstance(value, float) and math.isfinite(value)
+    else:
+        ok = bool(np.all(np.isfinite(value)))
+    if not ok:
+        lo, hi = node.span
+        raise EvalError((lo, hi), ctx.source[lo:hi], detail)
+    return value
+
+
+def _reference_node(node, ctx):
+    if isinstance(node, Num):
+        return node.value if ctx.scalar else np.float64(node.value)
+    if isinstance(node, Var):
+        val = ctx.t if node.name == "t" else ctx.u
+        return float(val) if ctx.scalar else val
+    if isinstance(node, Neg):
+        return _reference_check(node, ctx, -_reference_node(node.operand, ctx), "negation overflowed")
+    if isinstance(node, Call):
+        av = _reference_node(node.arg, ctx)
+        if ctx.scalar:
+            try:
+                out = float(_REFERENCE_MATH[node.func](av))
+            except (ValueError, OverflowError):
+                out = math.nan
+        else:
+            with np.errstate(all="ignore"):
+                out = _REFERENCE_NUMPY[node.func](av)
+        return _reference_check(node, ctx, out, f"{node.func} left its domain or overflowed")
+    lv = _reference_node(node.left, ctx)
+    rv = _reference_node(node.right, ctx)
+    if ctx.scalar:
+        try:
+            if node.op == "+":
+                out = lv + rv
+            elif node.op == "-":
+                out = lv - rv
+            elif node.op == "*":
+                out = lv * rv
+            elif node.op == "/":
+                out = lv / rv
+            else:
+                out = math.pow(lv, rv)
+        except ZeroDivisionError:
+            out = math.nan
+        except (ValueError, OverflowError):
+            out = math.nan
+        out = float(out)
+    else:
+        with np.errstate(all="ignore"):
+            if node.op == "+":
+                out = lv + rv
+            elif node.op == "-":
+                out = lv - rv
+            elif node.op == "*":
+                out = lv * rv
+            elif node.op == "/":
+                out = np.divide(lv, rv)
+            else:
+                out = np.power(lv, rv)
+    detail = {
+        "+": "addition overflowed",
+        "-": "subtraction overflowed",
+        "*": "multiplication overflowed",
+        "/": "division by zero or overflow",
+        "^": "power left the real domain or overflowed",
+    }[node.op]
+    return _reference_check(node, ctx, out, detail)
 
 # (source, t, u, expected) evaluated exactly unless noted
 PRECEDENCE_CASES = [
@@ -192,3 +293,131 @@ class TestStructure:
         assert parse_expr("1+2*3").to_source() == "1.0 + 2.0*3.0"
         assert parse_expr("(2^3)^2").to_source() == "(2.0^3.0)^2.0"
         assert parse_expr("2^(3^2)").to_source() == "2.0^3.0^2.0"
+
+
+# literals near the edges: subnormal, overflow-scale, the largest double,
+# and exp's overflow threshold
+_LITERALS = ["0", "1", "2", "0.5", "3", "1e-320", "1e-300", "1e300", "1.7976931348623157e308", "709.8"]
+_POINTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 2.0, 1e-300, -1e300, 1e300, 710.0]
+
+
+def _binop_text(parts):
+    op, left, right, parens = parts
+    # parentheses make negative bases and other-precedence operands reachable
+    return f"({left}) {op} ({right})" if parens else f"{left}{op}{right}"
+
+
+_SOURCES = st.recursive(
+    st.one_of(
+        st.sampled_from(["t", "u"]),
+        st.sampled_from(_LITERALS),
+        st.floats(0.0, 100.0).map(repr),
+    ),
+    lambda children: st.one_of(
+        # binary operators listed twice: they are half the draws
+        st.tuples(st.sampled_from("+-*/^"), children, children, st.booleans()).map(_binop_text),
+        st.tuples(st.sampled_from("+-*/^"), children, children, st.booleans()).map(_binop_text),
+        st.tuples(st.sampled_from(sorted(_REFERENCE_MATH)), children).map(lambda c: f"{c[0]}({c[1]})"),
+        children.map(lambda c: f"-{c}"),
+    ),
+    max_leaves=10,
+)
+_SCALARS = st.one_of(st.sampled_from(_POINTS), st.floats(-10.0, 10.0))
+_ARRAYS = st.lists(_SCALARS, min_size=3, max_size=3).map(np.array)
+_INPUTS = st.one_of(
+    st.tuples(_SCALARS, _SCALARS),
+    st.tuples(_ARRAYS, _ARRAYS),
+    st.tuples(_ARRAYS, _SCALARS),
+    st.tuples(_SCALARS, _ARRAYS),
+)
+
+
+def _outcome(evaluate, e, t, u):
+    try:
+        return evaluate(e, t, u), None
+    except Exception as err:  # compared below, type and message
+        return None, err
+
+
+class TestCompiledMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(src=_SOURCES, inputs=_INPUTS)
+    @example(src="(-2)^0.5", inputs=(0.0, 0.0))
+    @example(src="(0 - 8)^(1/3) + u", inputs=(np.zeros(3), np.ones(3)))
+    @example(src="1/(t - 1) + sqrt(u)", inputs=(1.0, 4.0))
+    @example(src="1/(t - 1) + sqrt(u)", inputs=(np.array([1.0, 2.0, 3.0]), -1.0))
+    @example(src="1 + sqrt(t - 2)", inputs=(0.0, 0.0))
+    @example(src="-(1.7976931348623157e308*2)", inputs=(0.0, 0.0))
+    @example(src="exp(t)*abs(cos(sin(u)))", inputs=(710.0, np.ones(3)))
+    @example(src="-u", inputs=(np.zeros(3), 0.0))
+    def test_values_and_errors_match(self, src, inputs):
+        e = parse_expr(src)
+        t, u = inputs
+        want, want_err = _outcome(_reference_eval, e, t, u)
+        got, got_err = _outcome(lambda e, t, u: e(t, u), e, t, u)
+        if want_err is not None:
+            assert type(got_err) is type(want_err)
+            assert str(got_err) == str(want_err)
+            if isinstance(want_err, EvalError):
+                assert (got_err.span, got_err.snippet) == (want_err.span, want_err.snippet)
+            return
+        assert got_err is None, got_err
+        assert type(got) is type(want)
+        got_arr, want_arr = np.asarray(got), np.asarray(want)
+        assert got_arr.dtype == want_arr.dtype and got_arr.shape == want_arr.shape
+        assert got_arr.tobytes() == want_arr.tobytes()
+
+
+class TestCompiledCache:
+    SRC = "t*(2 + sin(u)) / (1 + u^2)"
+    TS = np.linspace(1.0, 2.0, 5)
+    US = np.linspace(-1.0, 1.0, 5)
+
+    def test_value_semantics_survive_evaluation(self):
+        e = parse_expr(self.SRC)
+        scalar = e(1.5, 0.25)
+        array = e(self.TS, self.US)
+        fresh = parse_expr(self.SRC)
+        assert e == fresh
+        assert hash(e) == hash(fresh)
+        assert repr(e) == repr(fresh)
+        same = dataclasses.replace(e)
+        assert same == e and repr(same) == repr(e)
+        for other in (same, copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert other == e and repr(other) == repr(e)
+            assert (other.span, other.source) == (e.span, e.source)
+            assert other(1.5, 0.25) == scalar
+            assert other(self.TS, self.US).tobytes() == array.tobytes()
+
+    def test_round_trip_keeps_error_spans(self):
+        e = parse_expr("1 + 1/(t - 1)")
+        with pytest.raises(EvalError) as before:
+            e(1.0, 0.0)
+        copied = pickle.loads(pickle.dumps(e))
+        with pytest.raises(EvalError) as after:
+            copied(np.ones(2), np.zeros(2))
+        assert (after.value.span, str(after.value)) == (before.value.span, str(before.value))
+
+    @pytest.mark.parametrize("first", ["scalar", "array"])
+    def test_modes_do_not_disturb_each_other(self, first):
+        e = parse_expr(self.SRC)
+        scalar_ref = _reference_eval(e, 1.5, 0.25)
+        array_ref = _reference_eval(e, self.TS, self.US)
+        calls = [lambda: e(1.5, 0.25), lambda: e(self.TS, self.US)]
+        if first == "array":
+            calls.reverse()
+        for _ in range(2):
+            for call in calls:
+                call()
+        assert e(1.5, 0.25) == scalar_ref
+        assert e(self.TS, self.US).tobytes() == array_ref.tobytes()
+
+    def test_call_is_defined_once_on_the_base_class(self):
+        # the benchmark's trace counts expression calls by wrapping Expr.__call__
+        assert "__call__" in Expr.__dict__
+        pending = list(Expr.__subclasses__())
+        assert {Num, Var, Neg, BinOp, Call} <= set(pending)
+        while pending:
+            cls = pending.pop()
+            assert "__call__" not in cls.__dict__, cls
+            pending.extend(cls.__subclasses__())

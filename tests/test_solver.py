@@ -1,14 +1,57 @@
 """Fixed-point solver, equation residual, and the RK4 reference path."""
 
+import functools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import thermistor as th
+from thermistor.expressions import Expr
+from thermistor.model import SOURCE_REGISTRY, sample_source
 
 from conftest import constant_problem, ramp_problem, sin_problem, u_star
+from test_expressions import _reference_eval
+
+
+def _reference_oracle(problem, opts):
+    """The RK4 passes of ``oracle_solve`` written out, with expression
+    sources evaluated by the reference tree walk instead of compiled."""
+    f = problem.f
+    if isinstance(f, Expr):
+        f = functools.partial(_reference_eval, f)
+    grid = problem.grid(opts.grid_n)
+    t, h = grid.nodes, grid.h
+    al = problem.alpha.value
+    sampled = replace(problem, f=f)
+    u = np.full(grid.n, problem.u_a)
+    d_sq = None
+    for _ in range(opts.max_iter):
+        integral = np.trapezoid(sample_source(sampled, th.GridFunction(grid, u)), dx=h)
+        new_d = float(integral * integral)
+        if d_sq is not None and abs(new_d - d_sq) <= opts.tol_fp:
+            return u
+        d_sq = new_d
+        scale = problem.lam / d_sq
+
+        def rate(ti, yi):
+            return scale * ti ** (al - 1.0) * float(f(ti, yi))
+
+        nxt = np.empty(grid.n)
+        nxt[0] = problem.u_a
+        yi = float(problem.u_a)
+        for i in range(grid.n - 1):
+            ti = float(t[i])
+            k1 = rate(ti, yi)
+            k2 = rate(ti + 0.5 * h, yi + 0.5 * h * k1)
+            k3 = rate(ti + 0.5 * h, yi + 0.5 * h * k2)
+            k4 = rate(ti + h, yi + h * k3)
+            yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            nxt[i + 1] = yi
+        u = nxt
+    raise AssertionError("reference oracle did not settle")
 
 
 class TestSolveOptions:
@@ -199,6 +242,14 @@ class TestOracle:
             report = th.picard_solve(p, tube, opts)
         assert report.converged
         assert np.max(np.abs(report.u.values - reference.values)) <= 1e-6
+
+    @pytest.mark.parametrize("source", ["t*(2 + sin(u))", "sin_offset"])
+    def test_bit_identical_to_reference_loop(self, source):
+        f = SOURCE_REGISTRY.get(source) or th.parse_expr(source)
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, f)
+        opts = th.SolveOptions(grid_n=401)
+        out = th.oracle_solve(p, opts)
+        assert out.values.tobytes() == _reference_oracle(p, opts).tobytes()
 
     def test_exhausted_outer_loop_raises(self):
         p = sin_problem()
