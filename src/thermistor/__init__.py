@@ -20,14 +20,10 @@ from .conformable import (
     Alpha,
     Grid,
     GridFunction,
-    abs_alpha_derivative,
     conformable_cumulative_integral,
     conformable_derivative,
-    conformable_derivative_limit,
-    conformable_integral,
-    exp_weight,
 )
-from .expressions import EvalError, ParseError, eval_expr, parse_expr
+from .expressions import EvalError, ParseError, parse_expr
 from .linear import linear_residual, solve_linear
 from .model import (
     SourceBounds,
@@ -48,7 +44,6 @@ from .solver import (
 from .tube import (
     Tube,
     TubeReport,
-    check_decay_lemma,
     closed_form_center,
     membership,
     truncate,
@@ -69,18 +64,12 @@ __all__ = [
     "ThermistorProblem",
     "Tube",
     "TubeReport",
-    "abs_alpha_derivative",
     "apply_k",
     "bounds_estimate",
-    "check_decay_lemma",
     "closed_form_center",
     "conformable_cumulative_integral",
     "conformable_derivative",
-    "conformable_derivative_limit",
-    "conformable_integral",
-    "eval_expr",
     "evaluate_g",
-    "exp_weight",
     "linear_residual",
     "membership",
     "ode_residual",

@@ -188,7 +188,8 @@ def cmd_identities(args: argparse.Namespace) -> int:
         for n in sizes:
             # the identities run on grids of these sizes; building one checks n
             _flagged("--grid-n", lambda n: Grid(1.0, 2.0, n), n)
-        rows = identity_table(tuple(alphas), tuple(sizes))
+        # alphas and single sizes are checked above; what is left is the size list
+        rows = _flagged("--grid-n", lambda s: identity_table(tuple(alphas), s), tuple(sizes))
     except (ConfigError, ValueError) as err:
         return _fail(str(err))
 

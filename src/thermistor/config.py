@@ -31,14 +31,14 @@ configuration errors.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .conformable import Alpha, Grid, GridFunction
 from .expressions import Expr, ParseError, parse_expr
-from .model import SOURCE_REGISTRY, ThermistorProblem, resolve_source
+from .model import ThermistorProblem
 from .solver import SolveOptions
 from .tube import Tube, closed_form_center
 
@@ -145,12 +145,25 @@ def whole_number(value: float, what: str) -> int:
     return int(value)
 
 
+def _sweep_list(raw: str, what: str, check) -> list[float]:
+    """``float_list``, with every entry passed through ``check`` so that a
+    value out of range fails here, before any sweep point is solved."""
+    values = float_list(raw, what)
+    for value in values:
+        try:
+            check(value)
+        except ValueError as err:
+            raise ConfigError(f"{what}: {err}") from err
+    return values
+
+
 def load_config(path: str | Path) -> LoadedConfig:
     """Read and validate a configuration file.
 
     Raises ConfigError on anything unreadable: missing sections or keys,
     unknown keys, malformed numbers or expressions, tube profiles that
-    depend on u, or empty sweep lists.
+    depend on u, or sweep lists that are empty or hold an out-of-range
+    lambda or alpha.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -172,9 +185,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     if "f" not in prob:
         raise ConfigError(f"{path}: missing required key 'f' in [problem]")
     source_text = prob["f"].strip()
-    if source_text not in SOURCE_REGISTRY:
-        # parse errors surface now, with positions, rather than mid-solve
-        _get_expr(source_text, "problem", "f", str(path), allow_u=True)
+    source = _get_expr(source_text, "problem", "f", str(path), allow_u=True)
     try:
         problem = ThermistorProblem(
             a=_get_float(prob, "problem", "a", str(path)),
@@ -182,7 +193,7 @@ def load_config(path: str | Path) -> LoadedConfig:
             lam=_get_float(prob, "problem", "lambda", str(path)),
             alpha=Alpha(_get_float(prob, "problem", "alpha", str(path))),
             u_a=_get_float(prob, "problem", "u_a", str(path)),
-            f=resolve_source(source_text),
+            f=source,
         )
     except ValueError as err:
         if isinstance(err, ConfigError):
@@ -241,9 +252,11 @@ def load_config(path: str | Path) -> LoadedConfig:
         sect = parser["sweep"]
         _known_keys(sect, "sweep", {"lambda", "alpha"}, str(path))
         if "lambda" in sect:
-            sweep_lambdas = float_list(sect["lambda"], f"{path}: [sweep] lambda")
+            sweep_lambdas = _sweep_list(
+                sect["lambda"], f"{path}: [sweep] lambda", lambda lam: replace(problem, lam=lam)
+            )
         if "alpha" in sect:
-            sweep_alphas = float_list(sect["alpha"], f"{path}: [sweep] alpha")
+            sweep_alphas = _sweep_list(sect["alpha"], f"{path}: [sweep] alpha", Alpha)
 
     return LoadedConfig(
         problem=problem,

@@ -37,7 +37,6 @@ __all__ = [
     "Num",
     "ParseError",
     "Var",
-    "eval_expr",
     "parse_expr",
 ]
 
@@ -458,8 +457,3 @@ def parse_expr(src: str) -> Expr:
     Raises ParseError with the byte offset of the first offending token.
     """
     return _Parser(src).parse()
-
-
-def eval_expr(e: Expr, t: float, u: float) -> float:
-    """Evaluate a parsed expression at scalar (t, u)."""
-    return float(e(float(t), float(u)))

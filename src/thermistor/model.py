@@ -22,14 +22,12 @@ import numpy as np
 from .conformable import Alpha, Grid, GridFunction, trapezoid
 
 __all__ = [
-    "SOURCE_REGISTRY",
     "SourceBounds",
     "SourcePositivityError",
     "ThermistorProblem",
     "bounds_estimate",
     "evaluate_g",
     "nonlocal_rhs",
-    "resolve_source",
     "sample_source",
 ]
 
@@ -56,8 +54,7 @@ class ThermistorProblem:
         alpha: conformable derivative order in (0, 1].
         u_a: initial value at ``t = a``.
         f: source term; called with (t, u) arrays of equal shape and
-            expected to broadcast (expression trees and the registry
-            entries below both qualify).
+            expected to broadcast (expression trees qualify).
     """
 
     a: float
@@ -152,26 +149,3 @@ def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction
         return SourceBounds(f_min, f_max, math.inf)
     g_sup = problem.lam * f_max / (f_min * f_min * (problem.T - problem.a) ** 2)
     return SourceBounds(f_min, f_max, g_sup)
-
-
-def _ones_source(t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.ones_like(np.asarray(t, dtype=float) + np.asarray(u, dtype=float))
-
-
-SOURCE_REGISTRY: dict[str, SourceFn] = {
-    # u-independent sources keep the problem explicitly integrable
-    "one": _ones_source,
-    "ramp": lambda t, u: np.asarray(t, dtype=float) + 0.0 * np.asarray(u, dtype=float),
-    # bounded u-dependent source, positive for every real u
-    "sin_offset": lambda t, u: 2.0 + np.sin(np.asarray(u, dtype=float)) + 0.0 * np.asarray(t, dtype=float),
-}
-
-
-def resolve_source(text: str) -> SourceFn:
-    """Look up a registry source by name, else parse ``text`` as an expression."""
-    key = text.strip()
-    if key in SOURCE_REGISTRY:
-        return SOURCE_REGISTRY[key]
-    from .expressions import parse_expr
-
-    return parse_expr(text)

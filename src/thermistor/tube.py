@@ -15,14 +15,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .conformable import Alpha, Grid, GridFunction, conformable_cumulative_integral, conformable_derivative, trapezoid
+from .conformable import Grid, GridFunction, conformable_cumulative_integral, conformable_derivative, trapezoid
 from .model import ThermistorProblem, evaluate_g, nonlocal_rhs, sample_source
 
 __all__ = [
-    "DecayCheck",
     "Tube",
     "TubeReport",
-    "check_decay_lemma",
     "closed_form_center",
     "default_condition_tol",
     "membership",
@@ -206,42 +204,6 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
         pinch_node=pinch_node,
         initial_ok=bool(initial_ok),
         initial_margin=float(initial_margin),
-    )
-
-
-@dataclass(frozen=True)
-class DecayCheck:
-    """Outcome of the sign-based decay argument on a grid function.
-
-    The argument: if r(a) <= tol and the conformable derivative of r is
-    negative wherever r > tol, then r stays below tol.  ``ok`` is true
-    when the implication is confirmed on the grid, i.e. the hypothesis
-    fails or the conclusion holds.
-    """
-
-    ok: bool
-    hypothesis_satisfied: bool
-    conclusion_holds: bool
-    worst_node: int
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_decay_lemma(r: GridFunction, alpha: Alpha | float, tol: float) -> DecayCheck:
-    """Confirm the decay implication for ``r`` at tolerance ``tol``."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"check_decay_lemma tol must be nonnegative, got {tol!r}")
-    dr = conformable_derivative(r, alpha).values
-    above = r.values > tol
-    hyp = (float(r.values[0]) <= tol) and bool(np.all(dr[above] < 0.0))
-    concl = bool(np.all(r.values <= tol))
-    worst = int(np.argmax(r.values))
-    return DecayCheck(
-        ok=(not hyp) or concl,
-        hypothesis_satisfied=hyp,
-        conclusion_holds=concl,
-        worst_node=worst,
     )
 
 

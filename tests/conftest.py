@@ -16,6 +16,11 @@ def ramp_source(t, u):
     return np.asarray(t, dtype=float) + 0.0 * np.asarray(u, dtype=float)
 
 
+def sin_offset_source(t, u):
+    """2 + sin(u) as a plain numpy callable rather than an ``Expr``."""
+    return 2.0 + np.sin(np.asarray(u, dtype=float)) + 0.0 * np.asarray(t, dtype=float)
+
+
 SIN_OFFSET = parse_expr("2 + sin(u)")
 
 

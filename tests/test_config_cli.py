@@ -69,7 +69,7 @@ class TestLoadConfig:
         assert cfg.sweep_alphas == [0.5]
 
     def test_optional_sections_default(self, tmp_path):
-        text = "[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=one\n"
+        text = "[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=1\n"
         cfg = load_config(write_cfg(tmp_path, text))
         assert cfg.tube is None
         assert cfg.options == th.SolveOptions()
@@ -78,13 +78,13 @@ class TestLoadConfig:
     def test_inline_comments_stripped(self, tmp_path):
         text = (
             "[problem]\na = 1.0  # left endpoint\nT = 2.0 ; right\n"
-            "lambda = 1.0\nalpha = 0.5\nu_a = 0.0\nf = one\n"
+            "lambda = 1.0\nalpha = 0.5\nu_a = 0.0\nf = 1\n"
         )
         cfg = load_config(write_cfg(tmp_path, text))
         assert cfg.problem.a == 1.0 and cfg.problem.T == 2.0
 
     def test_keys_are_case_sensitive(self, tmp_path):
-        text = "[problem]\na=1.0\nt=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=one\n"
+        text = "[problem]\na=1.0\nt=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=1\n"
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_cfg(tmp_path, text))
 
@@ -93,21 +93,27 @@ class TestLoadConfig:
         [
             ("[tube]\nM = 0.5\n", "missing required section \\[problem\\]"),
             ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\n", "missing required key 'f'"),
-            ("[problem]\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=one\n", "missing required key 'a'"),
-            ("[problem]\na=abc\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=one\n", "not a number"),
-            ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=1.5\nu_a=0.0\nf=one\n", "inconsistent"),
-            ("[problem]\na=1.0\nT=0.5\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=one\n", "inconsistent"),
+            ("[problem]\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=1\n", "missing required key 'a'"),
+            ("[problem]\na=abc\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=1\n", "not a number"),
+            ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=1.5\nu_a=0.0\nf=1\n", "inconsistent"),
+            ("[problem]\na=1.0\nT=0.5\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=1\n", "inconsistent"),
             ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=2 +\n", "parse error at byte"),
-            ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=one\nextra=1\n", "unknown key"),
+            ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=1\nextra=1\n", "unknown key"),
             ("[bogus]\nx=1\n", "unknown section"),
+            ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=one\n", "\\[problem\\] f: parse error at byte 0"),
+            ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=ramp\n", "\\[problem\\] f: parse error at byte 0"),
+            ("[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=sin_offset\n", "\\[problem\\] f: parse error at byte 0"),
         ],
-        ids=["no-problem", "no-f", "no-a", "bad-float", "bad-alpha", "bad-span", "bad-expr", "stray-key", "stray-section"],
+        ids=[
+            "no-problem", "no-f", "no-a", "bad-float", "bad-alpha", "bad-span", "bad-expr", "stray-key",
+            "stray-section", "name-one", "name-ramp", "name-sin_offset",
+        ],
     )
     def test_problem_section_errors(self, tmp_path, mutation, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_cfg(tmp_path, mutation))
 
-    PROBLEM = "[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=one\n"
+    PROBLEM = "[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=1\n"
 
     @pytest.mark.parametrize(
         "tube_text, message",
@@ -133,8 +139,16 @@ class TestLoadConfig:
             ("[sweep]\nlambda =\n", "empty list"),
             ("[sweep]\nalpha = 0.5,,0.9\n", "empty entry"),
             ("[sweep]\nlambda = 0.5, x\n", "not a number"),
+            ("[sweep]\nlambda = 0.5, 1.0, -2.0\nalpha = 0.5, 0.9\n",
+             "\\.cfg: \\[sweep\\] lambda: problem needs lambda > 0, got -2.0"),
+            ("[sweep]\nlambda = 0.5, inf\n", "\\.cfg: \\[sweep\\] lambda: problem needs lambda > 0, got inf"),
+            ("[sweep]\nalpha = 0.5, 1.5\n",
+             "\\.cfg: \\[sweep\\] alpha: derivative order must lie in \\(0, 1\\], got 1.5"),
         ],
-        ids=["bad-damping", "stray-solve-key", "empty-lambda", "empty-entry", "bad-entry"],
+        ids=[
+            "bad-damping", "stray-solve-key", "empty-lambda", "empty-entry", "bad-entry",
+            "negative-lambda", "infinite-lambda", "alpha-above-one",
+        ],
     )
     def test_solve_and_sweep_errors(self, tmp_path, extra, message):
         with pytest.raises(ConfigError, match=message):
@@ -392,17 +406,21 @@ class TestInputErrors:
             ("solve", "--grid-n", "2"),
             ("verify-tube", "--grid-n", "2"),
             ("sweep", "--grid-n", "2"),
+            ("identities", "--grid-n", "101"),
+            ("identities", "--grid-n", "101,101"),
         ],
     )
     def test_range_errors_name_the_flag(self, tmp_path, capsys, command, flag, value):
         argv = [command, flag, value, "--out", str(tmp_path)]
-        if command == "identities":
-            detail = "grid needs at least 3 nodes, got n=2"
-        else:
+        if command != "identities":
             argv += ["--config", str(CONFIGS / "sweep_ramp.cfg")]
-            detail = "grid_n must be at least 3, got 2"
-        if flag == "--alpha":
-            detail = "derivative order must lie in (0, 1], got 1.5"
+        detail = {
+            "1.5": "derivative order must lie in (0, 1], got 1.5",
+            "2": "grid_n must be at least 3, got 2",
+            "2,5": "grid needs at least 3 nodes, got n=2",
+            "101": "identity table needs at least two grid sizes for orders",
+            "101,101": "identity table grid sizes must be distinct, got (101, 101)",
+        }[value]
         assert run_quiet(argv) == 4
         assert capsys.readouterr().err == f"thermistor: error: {flag}: {detail}\n"
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import thermistor as th
-from thermistor.conformable import exp_weight, weight_exponent
+from thermistor.conformable import _alpha_value, trapezoid, weight_exponent
 
 
 def plain_stencil(values, h):
@@ -17,6 +17,25 @@ def plain_stencil(values, h):
     d[0] = (4.0 * (values[1] - values[0]) - (values[2] - values[0])) / (2.0 * h)
     d[-1] = (4.0 * (values[-1] - values[-2]) - (values[-1] - values[-3])) / (2.0 * h)
     return d
+
+
+def conformable_derivative_limit(f, t, alpha, eps):
+    """One-sided difference quotient straight from the limit definition.
+
+    Evaluates ``(f(t + eps * t**(1 - alpha)) - f(t)) / eps``.  Kept
+    deliberately naive as an independent check of the grid stencil;
+    accuracy is only O(eps).
+    """
+    a = _alpha_value(alpha)
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"limit quotient needs t > 0, got {t!r}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"limit quotient needs eps > 0, got {eps!r}")
+    shifted = float(f(t + eps * t ** (1.0 - a)))
+    base = float(f(t))
+    if not (math.isfinite(shifted) and math.isfinite(base)):
+        raise ValueError("function returned a non-finite value in the limit quotient")
+    return (shifted - base) / eps
 
 
 class TestAlpha:
@@ -94,29 +113,10 @@ class TestGridFunction:
 
     def test_sample_and_constant(self):
         grid = th.Grid(1.0, 2.0, 5)
-        u = th.GridFunction.sample(grid, np.sin)
+        u = th.GridFunction(grid, np.sin(grid.nodes))
         assert np.array_equal(u.values, np.sin(grid.nodes))
         c = th.GridFunction.constant(grid, 3.5)
         assert np.all(c.values == 3.5)
-        # scalar-returning callables broadcast across the grid
-        s = th.GridFunction.sample(grid, lambda t: 2.0)
-        assert np.all(s.values == 2.0)
-
-    def test_arithmetic(self):
-        grid = th.Grid(1.0, 2.0, 5)
-        u = th.GridFunction.constant(grid, 2.0)
-        w = th.GridFunction.constant(grid, 0.5)
-        assert np.all((u + w).values == 2.5)
-        assert np.all((u - w).values == 1.5)
-        assert np.all((3.0 * u).values == 6.0)
-        assert np.all((u * 3.0).values == 6.0)
-        assert np.all((-u).values == -2.0)
-
-    def test_mixed_grids_rejected(self):
-        u = th.GridFunction.constant(th.Grid(1.0, 2.0, 5), 1.0)
-        w = th.GridFunction.constant(th.Grid(1.0, 2.0, 7), 1.0)
-        with pytest.raises(ValueError):
-            u + w
 
 
 class TestDerivative:
@@ -169,7 +169,7 @@ class TestLimitQuotient:
     def test_identity_function_is_exact_in_binary(self):
         # t + eps * t**0.5 is exactly representable for t=4, eps=2**-10,
         # so the quotient comes out exact
-        out = th.conformable_derivative_limit(lambda s: s, 4.0, 0.5, 2.0**-10)
+        out = conformable_derivative_limit(lambda s: s, 4.0, 0.5, 2.0**-10)
         assert out == 2.0
 
     def test_agrees_with_grid_stencil(self):
@@ -177,16 +177,16 @@ class TestLimitQuotient:
         u = th.GridFunction(grid, np.sin(grid.nodes))
         d = th.conformable_derivative(u, 0.7)
         j = 200
-        lim = th.conformable_derivative_limit(math.sin, float(grid.nodes[j]), 0.7, 1e-6)
+        lim = conformable_derivative_limit(math.sin, float(grid.nodes[j]), 0.7, 1e-6)
         assert abs(lim - float(d.values[j])) <= 1e-3
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            th.conformable_derivative_limit(math.sin, -1.0, 0.5, 1e-6)
+            conformable_derivative_limit(math.sin, -1.0, 0.5, 1e-6)
         with pytest.raises(ValueError):
-            th.conformable_derivative_limit(math.sin, 1.0, 0.5, 0.0)
+            conformable_derivative_limit(math.sin, 1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
-            th.conformable_derivative_limit(lambda s: math.inf, 1.0, 0.5, 1e-6)
+            conformable_derivative_limit(lambda s: math.inf, 1.0, 0.5, 1e-6)
 
 
 class TestIntegral:
@@ -194,34 +194,28 @@ class TestIntegral:
         # integral of tau**(alpha-1) over [1, 4] is (4**alpha - 1) / alpha
         grid = th.Grid(1.0, 4.0, 401)
         ones = th.GridFunction.constant(grid, 1.0)
-        out = th.conformable_integral(ones, 0.5, 1.0, 4.0)
-        assert abs(out - 2.0) <= 1e-5
+        out = th.conformable_cumulative_integral(ones, 0.5)
+        assert abs(float(out.values[-1]) - 2.0) <= 1e-5
 
     def test_weight_cancelling_integrand_is_exact(self):
         # u = tau**(1-alpha) makes the weighted integrand identically 1
         grid = th.Grid(1.0, 4.0, 101)
         u = th.GridFunction(grid, grid.nodes**0.7)
-        out = th.conformable_integral(u, 0.3, 1.0, 4.0)
-        assert abs(out - 3.0) <= 1e-12
+        out = th.conformable_cumulative_integral(u, 0.3)
+        assert np.max(np.abs(out.values - (grid.nodes - 1.0))) <= 1e-12
 
     def test_partial_range_and_degenerate_range(self):
+        # the integral over [t_i, t_j] is the difference of two running values
         grid = th.Grid(1.0, 4.0, 101)
         u = th.GridFunction(grid, grid.nodes**0.7)
-        assert abs(th.conformable_integral(u, 0.3, 1.0, 2.5) - 1.5) <= 1e-12
-        assert th.conformable_integral(u, 0.3, 2.5, 2.5) == 0.0
-
-    def test_rejects_off_lattice_and_reversed_endpoints(self):
-        grid = th.Grid(1.0, 4.0, 101)
-        u = th.GridFunction.constant(grid, 1.0)
-        with pytest.raises(ValueError, match="not a node"):
-            th.conformable_integral(u, 0.5, 1.0, 2.513)
-        with pytest.raises(ValueError, match="reversed"):
-            th.conformable_integral(u, 0.5, 4.0, 1.0)
+        out = th.conformable_cumulative_integral(u, 0.3).values
+        assert abs((out[50] - out[20]) - (grid.nodes[50] - grid.nodes[20])) <= 1e-12
+        assert out[0] == 0.0
 
     def test_alpha_one_is_plain_trapezoid(self):
         grid = th.Grid(1.0, 4.0, 101)
         u = th.GridFunction(grid, np.sin(grid.nodes))
-        ours = th.conformable_integral(u, 1.0, 1.0, 4.0)
+        ours = float(th.conformable_cumulative_integral(u, 1.0).values[-1])
         ref = float(np.trapezoid(u.values, dx=grid.h))
         assert ours == pytest.approx(ref, rel=1e-13)
 
@@ -230,7 +224,7 @@ class TestIntegral:
         u = th.GridFunction(grid, np.sin(grid.nodes))
         cum = th.conformable_cumulative_integral(u, 0.5)
         assert cum.values[0] == 0.0
-        full = th.conformable_integral(u, 0.5, 1.0, 4.0)
+        full = trapezoid(u.values * grid.nodes**-0.5, grid.h)
         assert abs(float(cum.values[-1]) - full) <= 1e-12
 
     def test_cumulative_monotone_for_positive_data(self):
@@ -256,12 +250,13 @@ class TestWeights:
         assert weight_exponent(1.5, 0.4, 1.5) == 1.0 / 0.4
 
     def test_exp_weight_values_and_monotonicity(self):
+        # the decay weight exp(-exponent) that solve_linear's equation has as its solution
         grid = th.Grid(1.0, 3.0, 101)
-        w = exp_weight(grid.nodes, 0.5, 1.0)
+        w = np.exp(-weight_exponent(grid.nodes, 0.5, 1.0))
         assert isinstance(w, np.ndarray)
         assert w[0] == pytest.approx(math.exp(-2.0), rel=1e-15)
         assert np.all(np.diff(w) < 0.0)
-        assert exp_weight(2.0, 0.5, 1.0) == pytest.approx(float(w[50]), rel=1e-15)
+        assert math.exp(-weight_exponent(2.0, 0.5, 1.0)) == pytest.approx(float(w[50]), rel=1e-15)
 
     def test_scalar_in_scalar_out(self):
         out = weight_exponent(2.0, 0.5, 1.0)
@@ -271,27 +266,3 @@ class TestWeights:
     def test_rejects_nonpositive_anchor(self):
         with pytest.raises(ValueError):
             weight_exponent(2.0, 0.5, 0.0)
-
-
-class TestAbsDerivative:
-    def test_positive_data_matches_plain_derivative(self):
-        grid = th.Grid(1.0, 2.0, 51)
-        u = th.GridFunction(grid, 1.0 + np.sin(grid.nodes) ** 2)
-        expected = th.conformable_derivative(u, 0.5)
-        out = th.abs_alpha_derivative(u, 0.5)
-        assert np.array_equal(out.values, expected.values)
-
-    def test_negating_the_data_leaves_the_output_unchanged(self):
-        # |u| = |-u|, and sign and stencil both flip exactly under negation
-        grid = th.Grid(1.0, 2.0, 51)
-        u = th.GridFunction(grid, 1.0 + np.sin(grid.nodes) ** 2)
-        out_neg = th.abs_alpha_derivative(-u, 0.5)
-        out_pos = th.abs_alpha_derivative(u, 0.5)
-        assert np.array_equal(out_neg.values, out_pos.values)
-
-    def test_rejects_vanishing_nodes(self):
-        grid = th.Grid(1.0, 4.0, 301)
-        u = th.GridFunction(grid, grid.nodes - grid.nodes[150])
-        with pytest.raises(ValueError, match="sign-degenerate") as exc:
-            th.abs_alpha_derivative(u, 0.5)
-        assert "node 150" in str(exc.value)

@@ -19,7 +19,6 @@ from thermistor.expressions import (
     Num,
     ParseError,
     Var,
-    eval_expr,
     parse_expr,
 )
 
@@ -188,9 +187,6 @@ class TestPrecedence:
     def test_scalar_call_returns_builtin_float(self):
         out = parse_expr("t + 1")(1.0, 0.0)
         assert type(out) is float
-
-    def test_eval_expr_helper(self):
-        assert eval_expr(parse_expr("t*u"), 3.0, 4.0) == 12.0
 
 
 class TestParseErrors:

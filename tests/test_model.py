@@ -8,14 +8,14 @@ import pytest
 
 import thermistor as th
 from thermistor.conformable import trapezoid
-from thermistor.model import SOURCE_REGISTRY, nonlocal_rhs, resolve_source, sample_source
+from thermistor.model import nonlocal_rhs, sample_source
 
-from conftest import constant_problem, ramp_problem, sin_problem, u_star
+from conftest import constant_problem, ones_source, ramp_problem, sin_problem, u_star
 
 
 class TestProblemValidation:
     def test_coerces_bare_float_alpha(self):
-        p = th.ThermistorProblem(1.0, 2.0, 1.0, 0.5, 0.0, SOURCE_REGISTRY["one"])
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, 0.5, 0.0, ones_source)
         assert isinstance(p.alpha, th.Alpha)
         assert p.alpha.value == 0.5
 
@@ -32,7 +32,7 @@ class TestProblemValidation:
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        base = dict(a=1.0, T=2.0, lam=1.0, alpha=th.Alpha(0.5), u_a=0.0, f=SOURCE_REGISTRY["one"])
+        base = dict(a=1.0, T=2.0, lam=1.0, alpha=th.Alpha(0.5), u_a=0.0, f=ones_source)
         base.update(kwargs)
         with pytest.raises(ValueError):
             th.ThermistorProblem(**base)
@@ -89,7 +89,7 @@ class TestDenominator:
 class TestEvaluateG:
     def test_constant_source_gives_constant_g(self):
         # f = 1, lambda = 2 on [1, 3]: integral 2, denominator 4, g = 1/2
-        p = th.ThermistorProblem(1.0, 3.0, 2.0, th.Alpha(0.5), 0.0, SOURCE_REGISTRY["one"])
+        p = th.ThermistorProblem(1.0, 3.0, 2.0, th.Alpha(0.5), 0.0, ones_source)
         g = th.evaluate_g(p, th.GridFunction.constant(p.grid(101), 0.0))
         assert np.max(np.abs(g.values - 0.5)) <= 1e-13
 
@@ -101,7 +101,8 @@ class TestEvaluateG:
 
     def test_scaling_the_source_scales_g_inversely(self):
         p = sin_problem()
-        u = th.GridFunction.sample(p.grid(101), np.cos)
+        grid = p.grid(101)
+        u = th.GridFunction(grid, np.cos(grid.nodes))
         g1 = th.evaluate_g(p, u)
         c = 5.0
         scaled = replace(p, f=lambda t, uu: c * p.f(t, uu))
@@ -154,29 +155,3 @@ class TestBoundsEstimate:
         failed = th.bounds_estimate(p_sqrt, *band(grid, 0.0, 1.0))
         assert math.isnan(failed.f_min)
         assert failed.g_sup == math.inf
-
-
-class TestRegistry:
-    def test_named_sources_resolve_to_registry_entries(self):
-        for name in ("one", "ramp", "sin_offset"):
-            assert resolve_source(name) is SOURCE_REGISTRY[name]
-        assert resolve_source("  one  ") is SOURCE_REGISTRY["one"]
-
-    def test_expressions_resolve_to_parsed_trees(self):
-        f = resolve_source("2 + sin(u)")
-        assert f(0.0, 0.0) == 2.0
-        t = np.array([1.0, 2.0])
-        u = np.array([0.0, math.pi / 2.0])
-        out = f(t, u)
-        assert out == pytest.approx([2.0, 3.0])
-
-    def test_malformed_source_text_raises(self):
-        with pytest.raises(th.ParseError):
-            resolve_source("2 +")
-
-    def test_registry_entries_broadcast(self):
-        t = np.linspace(1.0, 2.0, 5)
-        u = np.zeros(5)
-        assert np.array_equal(SOURCE_REGISTRY["one"](t, u), np.ones(5))
-        assert np.array_equal(SOURCE_REGISTRY["ramp"](t, u), t)
-        assert np.array_equal(SOURCE_REGISTRY["sin_offset"](t, u), np.full(5, 2.0))

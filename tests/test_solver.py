@@ -10,9 +10,9 @@ import pytest
 
 import thermistor as th
 from thermistor.expressions import Expr
-from thermistor.model import SOURCE_REGISTRY, sample_source
+from thermistor.model import sample_source
 
-from conftest import constant_problem, ramp_problem, sin_problem, u_star
+from conftest import constant_problem, ramp_problem, sin_offset_source, sin_problem, u_star
 from test_expressions import _reference_eval
 
 
@@ -243,9 +243,10 @@ class TestOracle:
         assert report.converged
         assert np.max(np.abs(report.u.values - reference.values)) <= 1e-6
 
-    @pytest.mark.parametrize("source", ["t*(2 + sin(u))", "sin_offset"])
-    def test_bit_identical_to_reference_loop(self, source):
-        f = SOURCE_REGISTRY.get(source) or th.parse_expr(source)
+    @pytest.mark.parametrize(
+        "f", [th.parse_expr("t*(2 + sin(u))"), sin_offset_source], ids=["t*(2 + sin(u))", "sin_offset"]
+    )
+    def test_bit_identical_to_reference_loop(self, f):
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, f)
         opts = th.SolveOptions(grid_n=401)
         out = th.oracle_solve(p, opts)

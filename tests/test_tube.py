@@ -1,4 +1,4 @@
-"""Tube construction, projection, verification, and the decay argument."""
+"""Tube construction, projection, verification, and the closed-form center."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 import thermistor as th
 from thermistor.solver import oracle_solve
-from thermistor.tube import DecayCheck, default_condition_tol, iter_margin_lines
+from thermistor.tube import default_condition_tol, iter_margin_lines
 
 from conftest import constant_problem, ramp_problem, sin_problem, u_star
 
@@ -150,7 +150,7 @@ class TestVerifyTube:
     def test_initial_condition_violation(self):
         p = constant_problem()
         grid = p.grid(101)
-        shifted = th.Tube(u_star(grid) + th.GridFunction.constant(grid, 1.0),
+        shifted = th.Tube(th.GridFunction(grid, u_star(grid).values + 1.0),
                           th.GridFunction.constant(grid, 0.5))
         report = th.verify_tube(shifted, p)
         assert not report.initial_ok
@@ -191,41 +191,6 @@ class TestVerifyTube:
         assert len(lines) == 4
         assert lines[0] == f"tube valid: true (tol={report.tol!r})"
         assert f"frozen-denominator margin={report.boundary_margin_frozen!r}" in lines[1]
-
-
-class TestDecayLemma:
-    def test_decaying_profile_confirms_implication(self):
-        grid = th.Grid(1.0, 2.0, 101)
-        r = th.GridFunction(grid, np.exp(-grid.nodes))
-        check = th.check_decay_lemma(r, 0.5, 0.4)
-        assert check.ok
-        assert check.hypothesis_satisfied and check.conclusion_holds
-        assert bool(check)
-
-    def test_hypothesis_failure_is_vacuously_ok(self):
-        grid = th.Grid(1.0, 2.0, 101)
-        check = th.check_decay_lemma(th.GridFunction(grid, grid.nodes), 0.5, 0.5)
-        assert check.ok
-        assert not check.hypothesis_satisfied
-        assert not check.conclusion_holds
-
-    def test_grid_scale_counterexample_is_caught(self):
-        # nodal data can satisfy the discrete hypothesis yet overshoot the
-        # bound in between; the check must report that honestly
-        grid = th.Grid(1.0, 2.0, 3)
-        check = th.check_decay_lemma(th.GridFunction(grid, [0.0, 1.0, -5.0]), 0.5, 0.5)
-        assert not check.ok
-        assert check.hypothesis_satisfied
-        assert not check.conclusion_holds
-        assert check.worst_node == 1
-        assert not bool(check)
-
-    def test_tol_validation(self):
-        grid = th.Grid(1.0, 2.0, 11)
-        r = th.GridFunction.constant(grid, 0.0)
-        with pytest.raises(ValueError):
-            th.check_decay_lemma(r, 0.5, -1.0)
-        assert isinstance(th.check_decay_lemma(r, 0.5, 0.0), DecayCheck)
 
 
 class TestClosedFormCenter:
