@@ -13,6 +13,8 @@ The package is organised around small, separately testable pieces:
   reference oracle;
 * :mod:`thermistor.expressions` - the expression language used in
   configuration files;
+* :mod:`thermistor.config` - the configuration file loader;
+* :mod:`thermistor.identities` - self-checks of the calculus identities;
 * :mod:`thermistor.cli` - the ``thermistor`` command.
 """
 

@@ -3,8 +3,9 @@
 Exit codes, in order of precedence:
 
 * 4 - configuration or input error (unreadable config, bad expression,
-      positivity violation while sampling the source, bad flags, an
-      output directory that cannot be written);
+      bad flags, an output directory that cannot be written, or a
+      positivity violation on the tube center, a tube sheet or a
+      truncated iterate);
 * 3 - the tube failed verification (solve still runs and writes output);
 * 2 - the iteration did not converge to a tube member, or the identity
       suite missed its thresholds;
@@ -25,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, LoadedConfig, float_list, load_config, whole_number
-from .conformable import Alpha, Grid, conformable_derivative
+from .conformable import Alpha, Grid
 from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, identity_table, table_passes
-from .model import SourcePositivityError, ThermistorProblem, evaluate_g
-from .solver import SolveOptions, SolveReport, picard_solve
+from .model import SourcePositivityError, ThermistorProblem
+from .solver import SolveOptions, SolveReport, equation_residual, picard_solve
 from .tube import Tube, iter_margin_lines, verify_tube
 
 __all__ = ["entry", "main"]
@@ -88,23 +89,18 @@ def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem,
     return cfg, problem, options, grid
 
 
+def _build_tube(args: argparse.Namespace, cfg: LoadedConfig, problem: ThermistorProblem, grid: Grid) -> Tube:
+    """The configured tube on ``grid``, with a profile error prefixed by the config path."""
+    try:
+        return cfg.tube.build(problem, grid)
+    except ConfigError as err:
+        raise ConfigError(f"{args.config}: {err}") from err
+
+
 def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) -> list[tuple]:
     u = report.u
-    g = evaluate_g(problem, u)
-    residual = conformable_derivative(u, problem.alpha).values - g.values
-    rows = []
-    for i in range(u.grid.n):
-        rows.append(
-            (
-                float(u.grid.nodes[i]),
-                float(u.values[i]),
-                float(tube.v.values[i]),
-                float(tube.M.values[i]),
-                float(g.values[i]),
-                float(residual[i]),
-            )
-        )
-    return rows
+    g, residual = equation_residual(u, problem)
+    return list(zip(u.grid.nodes, u.values, tube.v.values, tube.M.values, g, residual))
 
 
 def _report_lines(
@@ -135,7 +131,7 @@ def _report_lines(
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         cfg, problem, options, grid = _prepare(args)
-        tube = cfg.tube.build(problem, grid)
+        tube = _build_tube(args, cfg, problem, grid)
         report = picard_solve(problem, tube, options)
     except (ConfigError, SourcePositivityError, ValueError) as err:
         return _fail(str(err))
@@ -158,7 +154,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify_tube(args: argparse.Namespace) -> int:
     try:
         cfg, problem, options, grid = _prepare(args)
-        report = verify_tube(cfg.tube.build(problem, grid), problem)
+        report = verify_tube(_build_tube(args, cfg, problem, grid), problem)
     except (ConfigError, SourcePositivityError, ValueError) as err:
         return _fail(str(err))
 
@@ -225,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for lam in lambdas:
             for al in alphas:
                 point = replace(problem, lam=lam, alpha=Alpha(al))
-                report = picard_solve(point, cfg.tube.build(point, grid), options)
+                report = picard_solve(point, _build_tube(args, cfg, point, grid), options)
                 rows.append(
                     (
                         lam,

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformable import Alpha, Grid, GridFunction
-from .expressions import Expr, ParseError, parse_expr
+from .expressions import EvalError, Expr, ParseError, parse_expr
 from .model import ThermistorProblem
 from .solver import SolveOptions
 from .tube import Tube, closed_form_center
@@ -60,20 +60,24 @@ class TubeSpec:
     m_expr: Expr
 
     def build(self, problem: ThermistorProblem, grid: Grid) -> Tube:
+        """Sample the profiles on ``grid``; errors name the [tube] key."""
         if self.generator is not None:
             v = closed_form_center(problem, grid)
         else:
-            v = _sample_profile(grid, self.v_expr)
-        m = _sample_profile(grid, self.m_expr)
+            v = _sample_profile(grid, self.v_expr, "v")
+        m = _sample_profile(grid, self.m_expr, "M")
         try:
             return Tube(v, m)
         except ValueError as err:
             raise ConfigError(f"tube profiles are unusable: {err}") from err
 
 
-def _sample_profile(grid: Grid, expr: Expr) -> GridFunction:
-    zeros = np.zeros(grid.n)
-    return GridFunction(grid, np.asarray(expr(grid.nodes, zeros), dtype=float) * np.ones(grid.n))
+def _sample_profile(grid: Grid, expr: Expr, key: str) -> GridFunction:
+    try:
+        values = expr(grid.nodes, np.zeros(grid.n))
+    except EvalError as err:
+        raise ConfigError(f"[tube] {key}: {err}") from err
+    return GridFunction(grid, np.asarray(values, dtype=float) * np.ones(grid.n))
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,6 @@ _OP_DETAILS = {
     "^": "power left the real domain or overflowed",
 }
 
-# precedence levels used for minimal re-parenthesisation
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
 
 class Expr:
     """Parsed expression in the variables t and u."""
@@ -121,23 +118,12 @@ class Expr:
         lo, hi = self.span
         return (lo, hi), source[lo:hi], detail
 
-    def _level(self) -> int:
-        raise NotImplementedError
-
-    def to_source(self) -> str:
-        """Render back to text that reparses to a structurally equal tree."""
-        raise NotImplementedError
-
     @property
     def uses_u(self) -> bool:
         return any(isinstance(node, Var) and node.name == "u" for node in self._walk())
 
     def _walk(self):
         yield self
-
-    def _wrap(self, child: "Expr", min_level: int) -> str:
-        text = child.to_source()
-        return f"({text})" if child._level() < min_level else text
 
 
 @dataclass(frozen=True, eq=True)
@@ -150,12 +136,6 @@ class Num(Expr):
         value = self.value if scalar else np.float64(self.value)
         return lambda t, u: value
 
-    def _level(self) -> int:
-        return _LEVEL_ATOM if self.value >= 0 else _LEVEL_NEG
-
-    def to_source(self) -> str:
-        return repr(self.value)
-
 
 @dataclass(frozen=True, eq=True)
 class Var(Expr):
@@ -167,12 +147,6 @@ class Var(Expr):
         if self.name == "t":
             return (lambda t, u: float(t)) if scalar else (lambda t, u: t)
         return (lambda t, u: float(u)) if scalar else (lambda t, u: u)
-
-    def _level(self) -> int:
-        return _LEVEL_ATOM
-
-    def to_source(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True, eq=True)
@@ -197,12 +171,6 @@ class Neg(Expr):
                     return out
                 raise EvalError(*error)
         return neg
-
-    def _level(self) -> int:
-        return _LEVEL_NEG
-
-    def to_source(self) -> str:
-        return "-" + self._wrap(self.operand, _LEVEL_NEG)
 
     def _walk(self):
         yield self
@@ -247,21 +215,6 @@ class BinOp(Expr):
                 raise EvalError(*error)
         return binop
 
-    def _level(self) -> int:
-        if self.op in "+-":
-            return _LEVEL_ADD
-        if self.op in "*/":
-            return _LEVEL_MUL
-        return _LEVEL_POW
-
-    def to_source(self) -> str:
-        if self.op in "+-":
-            return f"{self._wrap(self.left, _LEVEL_ADD)} {self.op} {self._wrap(self.right, _LEVEL_MUL)}"
-        if self.op in "*/":
-            return f"{self._wrap(self.left, _LEVEL_MUL)}{self.op}{self._wrap(self.right, _LEVEL_NEG)}"
-        # right-associative power: the left side must be an atom
-        return f"{self._wrap(self.left, _LEVEL_ATOM)}^{self._wrap(self.right, _LEVEL_NEG)}"
-
     def _walk(self):
         yield self
         yield from self.left._walk()
@@ -299,12 +252,6 @@ class Call(Expr):
                     return out
                 raise EvalError(*error)
         return call
-
-    def _level(self) -> int:
-        return _LEVEL_ATOM
-
-    def to_source(self) -> str:
-        return f"{self.func}({self.arg.to_source()})"
 
     def _walk(self):
         yield self

@@ -39,6 +39,7 @@ __all__ = [
     "SolveOptions",
     "SolveReport",
     "apply_k",
+    "equation_residual",
     "ode_residual",
     "oracle_solve",
     "picard_solve",
@@ -114,12 +115,21 @@ def apply_k(u: GridFunction, tube: Tube, problem: ThermistorProblem) -> GridFunc
     return solve_linear(rhs, problem.u_a, problem.alpha)
 
 
+def equation_residual(u: GridFunction, problem: ThermistorProblem) -> tuple[np.ndarray, np.ndarray]:
+    """``g(t, u)`` and the per-node residual ``u^(alpha) - g(t, u)``; both are
+    NaN if ``f`` cannot be sampled along ``u`` (the final iterate of a solve is
+    not truncated, so it may leave the region where ``f`` is positive)."""
+    try:
+        g = evaluate_g(problem, u).values
+    except ValueError:
+        nan = np.full(u.grid.n, math.nan)
+        return nan, nan
+    return g, conformable_derivative(u, problem.alpha).values - g
+
+
 def ode_residual(u: GridFunction, problem: ThermistorProblem) -> float:
-    """Sup norm of ``u^(alpha) - g(t, u)`` over the interior nodes."""
-    du = conformable_derivative(u, problem.alpha)
-    g = evaluate_g(problem, u)
-    res = du.values - g.values
-    return float(np.max(np.abs(res[1:-1])))
+    """Sup norm of ``u^(alpha) - g(t, u)`` over the interior nodes, or NaN."""
+    return float(np.max(np.abs(equation_residual(u, problem)[1][1:-1])))
 
 
 def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> SolveReport:
@@ -129,8 +139,8 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     ``u <- (1 - damping) * u + damping * K(u)`` until the sup-norm update
     drops to ``tol_fp`` or the budget runs out, then reports the final
     equation residual, tube membership (with the discretisation slack),
-    and the bounds of ``f`` over the tube band (a diagnostic that never
-    raises).  An invalid tube downgrades to a warning: the iteration
+    and the bounds of ``f`` over the tube band (diagnostics that never
+    raise).  An invalid tube downgrades to a warning: the iteration
     still runs, the report carries the verdict.
 
     Raises SourcePositivityError if the source turns nonpositive along

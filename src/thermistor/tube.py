@@ -92,12 +92,10 @@ class TubeReport:
     ``boundary_margin`` is the largest value of
     ``(y - v) * (g(t, y) - v^(alpha)) - M * M^(alpha)`` over both boundary
     sheets ``y = v +/- M``, with the nonlocal denominator recomputed for
-    each node-local boundary excursion.  ``boundary_margin_frozen`` is the
-    same quantity with the denominator frozen at the center trajectory;
-    it is reported for comparison and plays no part in the verdict.
-    ``pinch_margin`` is the largest residual of the degenerate conditions
-    at nodes where the radius is below tol (-inf when there are none),
-    and ``initial_margin`` is ``|u_a - v(a)| - M(a)``.
+    each node-local boundary excursion.  ``pinch_margin`` is the largest
+    residual of the degenerate conditions at nodes where the radius is
+    below tol (-inf when there are none), and ``initial_margin`` is
+    ``|u_a - v(a)| - M(a)``.
     """
 
     valid: bool
@@ -106,7 +104,6 @@ class TubeReport:
     boundary_margin: float
     boundary_node: int
     boundary_side: int
-    boundary_margin_frozen: float
     pinch_ok: bool
     pinch_margin: float
     pinch_node: int
@@ -124,7 +121,7 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
     modelling choice: here the trajectory inside the integral is the
     center with the single node under test moved to ``y`` (the integral
     updates in O(1) since the trapezoidal rule is linear in nodal
-    values).  The frozen-denominator alternative is reported alongside.
+    values).
 
     Every condition is checked at ``tol = default_condition_tol(grid)``.
 
@@ -156,7 +153,6 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
     weights[0] = weights[-1] = 0.5 * grid.h
 
     boundary_margin = -math.inf
-    boundary_margin_frozen = -math.inf
     boundary_node = -1
     boundary_side = 0
     for side in (1, -1):
@@ -164,17 +160,12 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
         f_side = sample_source(problem, y)
         perturbed = base + weights * (f_side - f_center)
         g_side = nonlocal_rhs(problem.lam, f_side, perturbed)
-        g_frozen = nonlocal_rhs(problem.lam, f_side, base)
-        lhs = side * m.values * (g_side - dv)
-        lhs_frozen = side * m.values * (g_frozen - dv)
-        rhs = m.values * dm
-        margins = lhs - rhs
+        margins = side * m.values * (g_side - dv) - m.values * dm
         worst = int(np.argmax(margins))
         if margins[worst] > boundary_margin:
             boundary_margin = float(margins[worst])
             boundary_node = worst
             boundary_side = side
-        boundary_margin_frozen = max(boundary_margin_frozen, float(np.max(lhs_frozen - rhs)))
 
     pinched = np.flatnonzero(m.values <= tol)
     if pinched.size:
@@ -198,7 +189,6 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
         boundary_margin=boundary_margin,
         boundary_node=boundary_node,
         boundary_side=boundary_side,
-        boundary_margin_frozen=boundary_margin_frozen,
         pinch_ok=bool(pinch_ok),
         pinch_margin=pinch_margin,
         pinch_node=pinch_node,
@@ -229,8 +219,7 @@ def iter_margin_lines(report: TubeReport) -> Iterator[str]:
     yield f"tube valid: {str(report.valid).lower()} (tol={report.tol!r})"
     yield (
         f"  boundary: ok={str(report.boundary_ok).lower()} margin={report.boundary_margin!r} "
-        f"node={report.boundary_node} side={report.boundary_side:+d} "
-        f"frozen-denominator margin={report.boundary_margin_frozen!r}"
+        f"node={report.boundary_node} side={report.boundary_side:+d}"
     )
     yield f"  pinch:    ok={str(report.pinch_ok).lower()} margin={report.pinch_margin!r} node={report.pinch_node}"
     yield f"  initial:  ok={str(report.initial_ok).lower()} margin={report.initial_margin!r}"

@@ -41,6 +41,27 @@ alpha = 0.5
 """
 
 
+# a valid tube on which the third, never truncated, iterate reaches
+# u ~ 2767, where exp(-u) underflows to 0
+ESCAPING = """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 8.0
+alpha = 1.0
+u_a = 0.1
+f = exp(-u)
+
+[tube]
+generator = closed_form_center
+M = 5
+
+[solve]
+grid_n = 401
+max_iter = 3
+"""
+
+
 def write_cfg(tmp_path, text, name="case.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -124,12 +145,17 @@ class TestLoadConfig:
             ("[tube]\ngenerator = nope\nM = 0.5\n", "is not one of"),
             ("[tube]\nv = 0\nM = 0.1*u\n", "function of t only"),
             ("[tube]\nv = u\nM = 0.5\n", "function of t only"),
+            ("[tube]\nv = 0\nM = 1/(t - 2)\n", "^\\[tube\\] M: evaluation error at bytes 0..9"),
+            ("[tube]\nv = sqrt(1.5 - t)\nM = 1\n", "^\\[tube\\] v: evaluation error at bytes 0..13"),
         ],
-        ids=["no-M", "neither", "both", "bad-generator", "M-uses-u", "v-uses-u"],
+        ids=["no-M", "neither", "both", "bad-generator", "M-uses-u", "v-uses-u", "M-eval", "v-eval"],
     )
     def test_tube_section_errors(self, tmp_path, tube_text, message):
+        # profiles are sampled only once a grid exists, so some errors
+        # surface when the tube is built
         with pytest.raises(ConfigError, match=message):
-            load_config(write_cfg(tmp_path, self.PROBLEM + tube_text))
+            cfg = load_config(write_cfg(tmp_path, self.PROBLEM + tube_text))
+            cfg.tube.build(cfg.problem, cfg.problem.grid(11))
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -205,6 +231,18 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("thermistor: error:")
         assert "H1 violated" in err
+
+    def test_escaping_final_iterate_exits_two_and_writes(self, tmp_path):
+        cfg = write_cfg(tmp_path, ESCAPING)
+        assert run_quiet(["verify-tube", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = tmp_path / "run"
+        assert run_quiet(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        report = (out / "report.txt").read_text().splitlines()
+        assert "converged: false (tol_fp=1e-10, " in report[4]
+        assert report[5:7] == ["ode residual (interior sup): nan", "member of tube: false"]
+        rows = [line.split(",") for line in (out / "solution.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 401
+        assert all(row[4:] == ["nan", "nan"] for row in rows)
 
     def test_grid_override_changes_row_count(self, tmp_path):
         out = tmp_path / "run"
@@ -309,6 +347,13 @@ class TestSweepCommand:
             ("2.0", "0.5"), ("2.0", "0.9"),
         ]
         assert all(line.split(",")[2] == "true" for line in lines[1:])
+
+    def test_escaping_point_is_a_row(self, tmp_path):
+        cfg = write_cfg(tmp_path, ESCAPING + "\n[sweep]\nlambda = 1.0, 8.0\n")
+        out = tmp_path / "run"
+        assert run_quiet(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[2] == "8.0,1.0,false,3,nan,false"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -423,6 +468,22 @@ class TestInputErrors:
         }[value]
         assert run_quiet(argv) == 4
         assert capsys.readouterr().err == f"thermistor: error: {flag}: {detail}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify-tube", "sweep"])
+    @pytest.mark.parametrize(
+        "tube_text, detail",
+        [
+            ("v = 0\nM = 1/(t - 2)\n",
+             "[tube] M: evaluation error at bytes 0..9 ('1/(t - 2)'): division by zero or overflow"),
+            ("v = sqrt(1.5 - t)\nM = 1\n",
+             "[tube] v: evaluation error at bytes 0..13 ('sqrt(1.5 - t)'): sqrt left its domain or overflowed"),
+        ],
+        ids=["M", "v"],
+    )
+    def test_tube_profile_errors_name_the_key(self, tmp_path, capsys, command, tube_text, detail):
+        cfg = write_cfg(tmp_path, TestLoadConfig.PROBLEM + "[tube]\n" + tube_text)
+        assert run_quiet([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == f"thermistor: error: {cfg}: {detail}\n"
 
     @pytest.mark.parametrize("command", ["solve", "verify-tube", "identities", "sweep"])
     def test_output_path_errors_exit_four(self, tmp_path, capsys, command):

@@ -1,9 +1,10 @@
-"""Expression language: precedence, errors with positions, and round-trips."""
+"""Expression language: precedence, errors with positions, and reference checks."""
 
 import copy
 import dataclasses
 import math
 import pickle
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,19 +278,6 @@ class TestStructure:
         assert parse_expr("sin(u)").uses_u
         assert parse_expr("t + 0*u").uses_u
 
-    @pytest.mark.parametrize("src, _t, _u, expected", PRECEDENCE_CASES)
-    def test_to_source_round_trips(self, src, _t, _u, expected):
-        e = parse_expr(src)
-        again = parse_expr(e.to_source())
-        assert again == e
-        assert again(1.5, 0.25) == e(1.5, 0.25)
-
-    def test_to_source_keeps_needed_parens_only(self):
-        assert parse_expr("(1+2)*3").to_source() == "(1.0 + 2.0)*3.0"
-        assert parse_expr("1+2*3").to_source() == "1.0 + 2.0*3.0"
-        assert parse_expr("(2^3)^2").to_source() == "(2.0^3.0)^2.0"
-        assert parse_expr("2^(3^2)").to_source() == "2.0^3.0^2.0"
-
 
 # literals near the edges: subnormal, overflow-scale, the largest double,
 # and exp's overflow threshold
@@ -362,6 +350,44 @@ class TestCompiledMatchesReference:
         got_arr, want_arr = np.asarray(got), np.asarray(want)
         assert got_arr.dtype == want_arr.dtype and got_arr.shape == want_arr.shape
         assert got_arr.tobytes() == want_arr.tobytes()
+
+
+_PY_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_PY_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "abs": abs}
+
+
+def _cpython_eval(src, t, u):
+    """Evaluate ``src`` with CPython's own parser, which shares no code with
+    ``parse_expr``: ``^`` becomes ``**`` and each literal ``float('...')``.
+
+    Python gives unary minus, ``**``, ``*``/``/`` and ``+``/``-`` the same
+    precedence and associativity as the expression grammar.
+    """
+    text = _PY_NUMBER.sub(lambda m: f"float('{m.group()}')", src.replace("^", "**"))
+    return eval(text, {"__builtins__": {"float": float}}, dict(_PY_NAMES, t=t, u=u))
+
+
+class TestCPythonReference:
+    """The parser against CPython: any value ``parse_expr(src)(t, u)``
+    returns must be the float CPython computes from the same text."""
+
+    @pytest.mark.parametrize("src, t, u, expected", PRECEDENCE_CASES)
+    def test_precedence_cases_match(self, src, t, u, expected):
+        e = parse_expr(src)
+        for point in ((t, u), (1.5, 0.25)):
+            assert e(*point).hex() == _cpython_eval(src, *point).hex()
+
+    @settings(max_examples=500, deadline=None)
+    @given(src=_SOURCES, t=_SCALARS, u=_SCALARS)
+    @example(src="t/t*t", t=2.0, u=0.0)
+    @example(src="2^3^2-1-1", t=0.0, u=0.0)
+    @example(src="-t^2", t=3.0, u=0.0)
+    def test_random_sources_match(self, src, t, u):
+        try:
+            got = parse_expr(src)(t, u)
+        except EvalError:
+            return
+        assert got.hex() == _cpython_eval(src, t, u).hex()
 
 
 class TestCompiledCache:

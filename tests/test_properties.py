@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import thermistor as th
-from thermistor.expressions import BinOp, Call, Neg, Num, Var, parse_expr
 
 from conftest import sin_problem
 
@@ -68,27 +67,3 @@ def test_constant_solutions_survive_any_grid(c, alpha, a, span):
     g = th.GridFunction.constant(grid, c / a**alpha)
     x = th.solve_linear(g, c, alpha)
     assert np.max(np.abs(x.values - c)) <= 1e-11 * max(1.0, abs(c))
-
-
-_numbers = st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(abs)
-_atoms = st.one_of(
-    st.builds(Num, _numbers),
-    st.sampled_from([Var("t"), Var("u")]),
-)
-
-
-def _extend(children):
-    return st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
-        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]), children),
-    )
-
-
-expression_trees = st.recursive(_atoms, _extend, max_leaves=25)
-
-
-@settings(max_examples=150, deadline=None)
-@given(e=expression_trees)
-def test_rendered_expressions_reparse_to_the_same_tree(e):
-    assert parse_expr(e.to_source()) == e

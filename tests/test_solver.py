@@ -11,6 +11,7 @@ import pytest
 import thermistor as th
 from thermistor.expressions import Expr
 from thermistor.model import sample_source
+from thermistor.solver import equation_residual
 
 from conftest import constant_problem, ramp_problem, sin_offset_source, sin_problem, u_star
 from test_expressions import _reference_eval
@@ -137,6 +138,24 @@ class TestOdeResidual:
         bumped[50] += 1.0
         assert th.ode_residual(th.GridFunction(grid, bumped), p) >= 0.25 / grid.h
 
+    def test_per_node_residual_is_derivative_minus_g(self):
+        p = sin_problem()
+        grid = p.grid(101)
+        u = th.GridFunction(grid, 0.1 + 0.3 * (grid.nodes - 1.0) ** 2)
+        g, residual = equation_residual(u, p)
+        assert g.tobytes() == th.evaluate_g(p, u).values.tobytes()
+        expected = th.conformable_derivative(u, p.alpha).values - g
+        assert residual.tobytes() == expected.tobytes()
+        assert th.ode_residual(u, p) == float(np.max(np.abs(residual[1:-1])))
+
+    def test_unsampleable_source_gives_nan_not_an_error(self):
+        # f = 1 - u is nonpositive at u = 2
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 0.0, th.parse_expr("1 - u"))
+        u = th.GridFunction.constant(p.grid(11), 2.0)
+        g, residual = equation_residual(u, p)
+        assert np.all(np.isnan(g)) and np.all(np.isnan(residual))
+        assert math.isnan(th.ode_residual(u, p))
+
 
 class TestPicardSolve:
     def test_constant_source_converges_immediately(self):
@@ -215,6 +234,39 @@ class TestPicardSolve:
         assert exc.value.iteration == 2
         assert str(exc.value).startswith("iteration 2: H1 violated")
         assert exc.value.node is not None
+
+    def test_final_iterate_outside_the_positivity_region_is_reported(self):
+        # exp(-u) is positive on the valid tube, but the third iterate is
+        # never truncated and reaches u ~ 2767, where exp(-u) underflows to 0
+        f = th.parse_expr("exp(-u)")
+        p = th.ThermistorProblem(1.0, 2.0, 8.0, th.Alpha(1.0), 0.1, f)
+        grid = p.grid(401)
+        tube = th.Tube(th.closed_form_center(p, grid), th.GridFunction.constant(grid, 5.0))
+        report = th.picard_solve(p, tube, th.SolveOptions(max_iter=3))
+        assert report.tube_report.valid
+        assert report.iterations == 3
+        assert not report.converged and not report.member_of_tube
+        assert math.isnan(report.ode_residual)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("lam", [1.0, 8.0])
+    def test_solution_refines_at_second_order(self, lam, alpha):
+        # nested grids share the nodes of the coarsest one; the observed
+        # order comes from the differences of successive solves there
+        p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
+        coarse = []
+        for n, stride in ((101, 1), (201, 2), (401, 4)):
+            grid = p.grid(n)
+            tube = th.Tube(th.closed_form_center(p, grid), th.GridFunction(grid, np.exp(grid.nodes - 1.0)))
+            with warnings.catch_warnings():
+                # the tube fails verification at lambda = 8; the solve still runs
+                warnings.simplefilter("ignore", UserWarning)
+                report = th.picard_solve(p, tube, th.SolveOptions())
+            assert report.converged and report.member_of_tube
+            coarse.append(report.u.values[::stride])
+        e_coarse = np.max(np.abs(coarse[1] - coarse[0]))
+        e_fine = np.max(np.abs(coarse[2] - coarse[1]))
+        assert math.log2(e_coarse / e_fine) >= 1.8
 
     def test_report_carries_bounds_diagnostics(self):
         p = constant_problem()

@@ -128,8 +128,6 @@ class TestVerifyTube:
         assert report.boundary_margin == pytest.approx(0.5, abs=1e-12)
         assert report.boundary_node == 0
         assert report.boundary_side == 1
-        # for a u-independent source the frozen-denominator margin agrees
-        assert report.boundary_margin_frozen == pytest.approx(0.5, abs=1e-12)
 
     def test_pinched_tube_requires_center_to_solve(self):
         p = constant_problem()
@@ -190,7 +188,10 @@ class TestVerifyTube:
         lines = list(iter_margin_lines(report))
         assert len(lines) == 4
         assert lines[0] == f"tube valid: true (tol={report.tol!r})"
-        assert f"frozen-denominator margin={report.boundary_margin_frozen!r}" in lines[1]
+        assert lines[1] == (
+            f"  boundary: ok=true margin={report.boundary_margin!r} "
+            f"node={report.boundary_node} side={report.boundary_side:+d}"
+        )
 
 
 class TestClosedFormCenter:
