@@ -9,9 +9,11 @@ where ``u~`` is the iterate truncated into the tube.  Fixed points inside
 the tube solve the original problem.  ``oracle_solve`` answers the same
 question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
-denominator D frozen per pass and updated in an outer loop.  It shares no
-stencils, quadrature weights, or exponential identities with the main
-path, which is what makes the cross-checks in the test suite meaningful.
+denominator D frozen per pass, and an outer loop that finds the D whose
+trajectory reproduces it by a secant step kept inside a sign bracket.  It
+shares no stencils, quadrature weights, or exponential identities with
+the main path, which is what makes the cross-checks in the test suite
+meaningful.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ class SolveOptions:
     """Knobs for the fixed-point iteration and the oracle.
 
     damping is the fraction of the new operator value mixed into the
-    iterate (1.0 is the undamped map).  grid_n sets the size of
+    iterate (1.0 is the undamped map).  max_iter bounds the iterations of
+    ``picard_solve`` and the RK4 passes of ``oracle_solve``; both check
+    every one of them for convergence.  grid_n sets the size of
     ``oracle_solve``'s grid and of the grids the CLI builds;
     ``picard_solve`` always runs on the tube's grid.
     """
@@ -188,57 +192,84 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
 
 
 def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction:
-    """Reference solution by RK4 with an outer frozen-denominator loop.
+    """Reference solution by RK4 with an outer loop on the denominator D.
 
     Each pass integrates ``u' = lambda * t**(alpha-1) * f(t, u) / D`` from
     ``u(a) = u_a`` with classical fourth-order Runge-Kutta on a fresh
     uniform grid of ``opts.grid_n`` nodes, holding the squared integral D
-    fixed; D is then recomputed from the new trajectory (trapezoid, with
-    the positivity check) and the pass repeats until D moves by less than
+    fixed, then recomputes D from the new trajectory (trapezoid, with the
+    positivity check).  The first D comes from the constant ``u_a``, and
+    the trajectory is returned once its frozen D reproduces itself within
     ``tol_fp``.  No conformable operators or exponential weights appear
     anywhere on this path.
 
+    The outer loop solves ``F(D) = D(traj(D)) - D = 0`` by a safeguarded
+    secant method.  A sign bracket ``lo < D* < hi`` starts as ``(0, inf)``
+    (F is positive for small D and negative for large D) and shrinks with
+    the sign of F after every pass.  The next D is the secant step through
+    the last two passes if it lies strictly inside the bracket, else the
+    plain step ``D(traj(D))`` if that does, else the bracket's midpoint.
+    The plain step alone diverges when ``f`` is close to zero.
+
     Raises ConvergenceError if D fails to settle within ``max_iter``
-    passes, and SourcePositivityError if a trajectory leaves the
-    positivity region of ``f``.
+    passes, naming the last frozen D and the D its trajectory gave, and
+    SourcePositivityError if a trajectory leaves the positivity region of
+    ``f``.
     """
     grid = problem.grid(opts.grid_n)
     t = grid.nodes
     h = grid.h
+    half = 0.5 * h
     lam = problem.lam
-    al = problem.alpha.value
+    power = problem.alpha.value - 1.0
     f = problem.f
 
-    u = np.full(grid.n, problem.u_a)
-    d_sq = None
+    def denominator(u: np.ndarray) -> float:
+        integral = np.trapezoid(sample_source(problem, GridFunction(grid, u)), dx=h)
+        return float(integral * integral)
+
+    d_sq = denominator(np.full(grid.n, problem.u_a))
+    lo, hi = 0.0, math.inf
+    prev_d = prev_step = math.nan
     for _ in range(opts.max_iter):
-        integral = np.trapezoid(
-            sample_source(problem, GridFunction(grid, u)), dx=h
-        )
-        new_d = float(integral * integral)
-        if d_sq is not None and abs(new_d - d_sq) <= opts.tol_fp:
-            return GridFunction(grid, u)
-        d_sq = new_d
-
         scale = lam / d_sq
-
-        def rate(ti: float, yi: float) -> float:
-            return scale * ti ** (al - 1.0) * float(f(ti, yi))
-
-        nxt = np.empty(grid.n)
-        nxt[0] = problem.u_a
+        u = np.empty(grid.n)
+        u[0] = problem.u_a
         yi = float(problem.u_a)
         for i in range(grid.n - 1):
             ti = float(t[i])
-            k1 = rate(ti, yi)
-            k2 = rate(ti + 0.5 * h, yi + 0.5 * h * k1)
-            k3 = rate(ti + 0.5 * h, yi + 0.5 * h * k2)
-            k4 = rate(ti + h, yi + h * k3)
+            tm = ti + half
+            te = ti + h
+            w_mid = scale * tm**power
+            k1 = scale * ti**power * float(f(ti, yi))
+            k2 = w_mid * float(f(tm, yi + half * k1))
+            k3 = w_mid * float(f(tm, yi + half * k2))
+            k4 = scale * te**power * float(f(te, yi + h * k3))
             yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            nxt[i + 1] = yi
-        u = nxt
+            u[i + 1] = yi
+
+        new_d = denominator(u)
+        step = new_d - d_sq
+        if abs(step) <= opts.tol_fp:
+            return GridFunction(grid, u)
+        if step > 0.0:
+            lo = d_sq
+        else:
+            hi = d_sq
+        # NaN (the first pass has no previous one) and infinities fail the
+        # strict bracket test
+        secant = math.nan
+        if step != prev_step:
+            secant = d_sq - step * (d_sq - prev_d) / (step - prev_step)
+        prev_d, prev_step = d_sq, step
+        if lo < secant < hi:
+            d_sq = secant
+        elif lo < new_d < hi:
+            d_sq = new_d
+        else:
+            d_sq = 0.5 * (lo + hi)
 
     raise ConvergenceError(
         f"oracle denominator did not settle within {opts.max_iter} passes "
-        f"(last D = {d_sq!r})"
+        f"(last D = {prev_d!r} gave D = {new_d!r})"
     )

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thermistor as th
 from thermistor.expressions import Expr
@@ -17,9 +18,10 @@ from conftest import constant_problem, ramp_problem, sin_offset_source, sin_prob
 from test_expressions import _reference_eval
 
 
-def _reference_oracle(problem, opts):
-    """The RK4 passes of ``oracle_solve`` written out, with expression
-    sources evaluated by the reference tree walk instead of compiled."""
+def _reference_oracle_parts(problem, opts):
+    """The denominator D and the RK4 pass of ``oracle_solve`` written out,
+    with expression sources evaluated by the reference tree walk instead of
+    compiled, and the starting trajectory ``u = u_a``."""
     f = problem.f
     if isinstance(f, Expr):
         f = functools.partial(_reference_eval, f)
@@ -27,21 +29,19 @@ def _reference_oracle(problem, opts):
     t, h = grid.nodes, grid.h
     al = problem.alpha.value
     sampled = replace(problem, f=f)
-    u = np.full(grid.n, problem.u_a)
-    d_sq = None
-    for _ in range(opts.max_iter):
+
+    def denominator(u):
         integral = np.trapezoid(sample_source(sampled, th.GridFunction(grid, u)), dx=h)
-        new_d = float(integral * integral)
-        if d_sq is not None and abs(new_d - d_sq) <= opts.tol_fp:
-            return u
-        d_sq = new_d
+        return float(integral * integral)
+
+    def trajectory(d_sq):
         scale = problem.lam / d_sq
 
         def rate(ti, yi):
             return scale * ti ** (al - 1.0) * float(f(ti, yi))
 
-        nxt = np.empty(grid.n)
-        nxt[0] = problem.u_a
+        u = np.empty(grid.n)
+        u[0] = problem.u_a
         yi = float(problem.u_a)
         for i in range(grid.n - 1):
             ti = float(t[i])
@@ -50,9 +50,50 @@ def _reference_oracle(problem, opts):
             k3 = rate(ti + 0.5 * h, yi + 0.5 * h * k2)
             k4 = rate(ti + h, yi + h * k3)
             yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            nxt[i + 1] = yi
-        u = nxt
+            u[i + 1] = yi
+        return u
+
+    return denominator, trajectory, np.full(grid.n, problem.u_a)
+
+
+def _reference_oracle(problem, opts):
+    """The safeguarded secant loop of ``oracle_solve`` written out: the
+    secant step if it is finite and strictly inside the sign bracket, else
+    the plain step if that is, else the bracket's midpoint."""
+    denominator, trajectory, u = _reference_oracle_parts(problem, opts)
+    d_sq = denominator(u)
+    lo, hi = 0.0, math.inf
+    last = None
+    for _ in range(opts.max_iter):
+        u = trajectory(d_sq)
+        new_d = denominator(u)
+        step = new_d - d_sq
+        if abs(step) <= opts.tol_fp:
+            return u
+        if step > 0.0:
+            lo = d_sq
+        else:
+            hi = d_sq
+        candidates = [new_d, 0.5 * (lo + hi)]
+        if last is not None and last[1] != step:
+            candidates.insert(0, d_sq - step * (d_sq - last[0]) / (step - last[1]))
+        last = (d_sq, step)
+        d_sq = next(c for c in candidates if math.isfinite(c) and lo < c < hi)
     raise AssertionError("reference oracle did not settle")
+
+
+def _plain_reference_oracle(problem, opts):
+    """The plain substitution ``D <- D(traj(D))`` that ``oracle_solve`` ran
+    before its secant loop."""
+    denominator, trajectory, u = _reference_oracle_parts(problem, opts)
+    d_sq = None
+    for _ in range(opts.max_iter):
+        new_d = denominator(u)
+        if d_sq is not None and abs(new_d - d_sq) <= opts.tol_fp:
+            return u
+        d_sq = new_d
+        u = trajectory(d_sq)
+    raise AssertionError("plain reference oracle did not settle")
 
 
 class TestSolveOptions:
@@ -295,8 +336,17 @@ class TestOracle:
         assert report.converged
         assert np.max(np.abs(report.u.values - reference.values)) <= 1e-6
 
+    # the last two sources drive the outer loop off the secant step: one
+    # to the bracket's midpoint once, the other to the plain step 11 times
     @pytest.mark.parametrize(
-        "f", [th.parse_expr("t*(2 + sin(u))"), sin_offset_source], ids=["t*(2 + sin(u))", "sin_offset"]
+        "f",
+        [
+            th.parse_expr("t*(2 + sin(u))"),
+            sin_offset_source,
+            th.parse_expr("0.1 + 0.09*sin(3*u)"),
+            th.parse_expr("1 + 0.9*sin(5*u)"),
+        ],
+        ids=["t*(2 + sin(u))", "sin_offset", "bisects", "plain-steps"],
     )
     def test_bit_identical_to_reference_loop(self, f):
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, f)
@@ -304,9 +354,39 @@ class TestOracle:
         out = th.oracle_solve(p, opts)
         assert out.values.tobytes() == _reference_oracle(p, opts).tobytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
+    def test_agrees_with_plain_substitution(self, lam, alpha):
+        # the benchmark box; the two loops stop at different D within tol_fp
+        p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
+        opts = th.SolveOptions(grid_n=201)
+        out = th.oracle_solve(p, opts)
+        assert np.max(np.abs(out.values - _plain_reference_oracle(p, opts))) <= 1e-9
+
+    def test_converges_when_f_is_close_to_zero(self):
+        # the plain substitution oscillates with growing amplitude here and
+        # does not settle within 400 passes
+        f = th.parse_expr("0.01 + 0.005*sin(u)")
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.7), 0.1, f)
+        coarse = []
+        for n, stride in ((401, 1), (801, 2), (1601, 4)):
+            out = th.oracle_solve(p, th.SolveOptions(grid_n=n, max_iter=10))
+            coarse.append(out.values[::stride])
+        e_coarse = np.max(np.abs(coarse[1] - coarse[0]))
+        e_fine = np.max(np.abs(coarse[2] - coarse[1]))
+        assert math.log2(e_coarse / e_fine) >= 1.8
+
+    def test_every_pass_is_checked(self):
+        # with a constant source D never moves, so the first pass settles
+        p = constant_problem()
+        out = th.oracle_solve(p, th.SolveOptions(max_iter=1))
+        assert out.values.tobytes() == th.oracle_solve(p, th.SolveOptions()).values.tobytes()
+
     def test_exhausted_outer_loop_raises(self):
         p = sin_problem()
-        with pytest.raises(th.ConvergenceError, match="did not settle within 2 passes"):
+        with pytest.raises(
+            th.ConvergenceError, match=r"did not settle within 2 passes \(last D = \S+ gave D = \S+\)$"
+        ):
             th.oracle_solve(p, th.SolveOptions(max_iter=2))
 
     def test_positivity_checked_along_trajectory(self):
