@@ -10,21 +10,102 @@ The running integral is a first-order linear recurrence over panels of
 ``g`` interpolated linearly in the weight exponent.  It is evaluated as a
 prefix scan (a ``cumsum``), re-based at each block's top exponent, in
 O(n) array passes.
+
+The solve has two parts.  ``_plan`` builds everything that depends only
+on the grid and ``alpha`` (the panel weights, the scan blocks with their
+rescaling factors, and the decay of ``x0``) as read-only arrays, and
+keeps the last plan in a one-entry cache: the Picard iteration solves on
+one grid and order many times in a row.  ``_scan`` does the work that
+depends on ``g``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .conformable import Alpha, GridFunction, _alpha_value, conformable_derivative, weight_exponent
+from .conformable import Alpha, Grid, GridFunction, _alpha_value, conformable_derivative, weight_exponent
 
 __all__ = ["solve_linear", "linear_residual"]
 
 # Growth of the weight exponent within one scan block: every rescaling
 # factor exp(top - phi) stays below exp(32) ~ 8e13, far from overflow.
 _BLOCK_SPAN = 32.0
+
+
+class _Plan(NamedTuple):
+    """The grid-only part of a solve; every array is read-only."""
+
+    scale: float  # a**alpha
+    em: np.ndarray  # expm1(-delta) per panel
+    slope: np.ndarray  # ((delta + 1) * em + delta) / delta per panel
+    # per block: (start, stop, exp(block - top), exp(top - block), exp(phi[start] - top))
+    blocks: tuple[tuple[int, int, np.ndarray, np.ndarray, float], ...]
+    decay: np.ndarray  # exp(phi[0] - phi[1:])
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(grid: Grid, al: float) -> _Plan:
+    """Panel weights, scan blocks and decay for ``grid`` and order ``al``."""
+    a = grid.a
+    phi = np.asarray(weight_exponent(grid.nodes, al, a), dtype=float)
+    tail = phi[1:]
+    # Non-finite weights show up as inf or nan in x and are reported there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = np.diff(phi)
+        em = np.expm1(-delta)  # exp(-delta) - 1, exact near zero
+        # integral over each panel of (linear G in phi) * exp(phi - phi_{i+1})
+        slope = ((delta + 1.0) * em + delta) / delta
+        blocks = []
+        start = 0
+        while start < tail.size:
+            stop = int(np.searchsorted(tail, tail[start] + _BLOCK_SPAN, side="right"))
+            top = tail[stop - 1]
+            block = tail[start:stop]
+            blocks.append(
+                (start, stop, _frozen(np.exp(block - top)), _frozen(np.exp(top - block)), math.exp(phi[start] - top))
+            )
+            start = stop
+        decay = np.exp(phi[0] - tail)
+    return _Plan(a**al, _frozen(em), _frozen(slope), tuple(blocks), _frozen(decay))
+
+
+def _scan(plan: _Plan, g_values: np.ndarray, x0: float, grid: Grid) -> GridFunction:
+    """The ``g``-dependent part of ``solve_linear``, computed in place."""
+    x = np.empty(grid.n)
+    # Overflow shows up as inf or nan in x and is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # G is g rescaled so that d(phi) absorbs the t**(alpha-1) integration weight.
+        big_g = plan.scale * g_values
+        panel = np.diff(big_g)
+        panel *= plan.slope
+        head = big_g[1:]
+        head *= plan.em
+        panel -= head
+        carry = 0.0
+        for start, stop, down, up, rebase in plan.blocks:
+            scan = panel[start:stop]
+            scan *= down
+            np.cumsum(scan, out=scan)
+            scan += carry * rebase
+            scan *= up
+            carry = scan[-1]
+        x[0] = x0
+        np.multiply(plan.decay, x0, out=x[1:])
+        x[1:] += panel
+
+    if not np.isfinite(x[1:]).all():
+        i = int(np.flatnonzero(~np.isfinite(x[1:]))[0]) + 1
+        raise ValueError(f"solve_linear: solution overflowed at node {i} (t={float(grid.nodes[i])!r})")
+    return GridFunction(grid, x)
 
 
 def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFunction:
@@ -43,6 +124,11 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
     scaled term ``panel * exp(phi - top)`` shrinks and nothing overflows
     that the exact sum would not; a scalar carry crosses block boundaries.
 
+    The weights, blocks and rescaling factors depend only on the grid and
+    ``alpha``.  They come from ``_plan``, which caches the last
+    ``(grid, alpha)`` it built (grids compare by ``(a, T, n)``), so
+    repeated solves on one grid and order pay only for the scan.
+
     Args:
         g: right-hand side sampled on the grid.
         x0: initial value at ``t = a``; returned bit-for-bit at node 0.
@@ -56,42 +142,7 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
             offending node is named).
     """
     grid = g.grid
-    al = _alpha_value(alpha)
-    a = grid.a
-
-    phi = np.asarray(weight_exponent(grid.nodes, al, a), dtype=float)
-    tail = phi[1:]
-    # Overflow shows up as inf or nan in x and is reported below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # G is g rescaled so that d(phi) absorbs the t**(alpha-1) integration weight.
-        big_g = (a**al) * g.values
-        delta = np.diff(phi)
-        em = np.expm1(-delta)  # exp(-delta) - 1, exact near zero
-        # integral over each panel of (linear G in phi) * exp(phi - phi_{i+1})
-        slope_term = ((delta + 1.0) * em + delta) / delta
-        panel = -big_g[1:] * em + np.diff(big_g) * slope_term
-
-        running = np.empty(grid.n - 1)
-        carry = 0.0
-        start = 0
-        while start < tail.size:
-            stop = np.searchsorted(tail, tail[start] + _BLOCK_SPAN, side="right")
-            top = tail[stop - 1]
-            block = tail[start:stop]
-            scan = np.cumsum(panel[start:stop] * np.exp(block - top))
-            scan += carry * math.exp(phi[start] - top)
-            running[start:stop] = scan * np.exp(top - block)
-            carry = running[stop - 1]
-            start = stop
-        x = np.empty(grid.n)
-        x[0] = x0
-        x[1:] = x0 * np.exp(phi[0] - tail) + running
-
-    bad = np.flatnonzero(~np.isfinite(x[1:]))
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ValueError(f"solve_linear: solution overflowed at node {i} (t={float(grid.nodes[i])!r})")
-    return GridFunction(grid, x)
+    return _scan(_plan(grid, _alpha_value(alpha)), g.values, x0, grid)
 
 
 def linear_residual(x: GridFunction, g: GridFunction, alpha: Alpha | float) -> float:

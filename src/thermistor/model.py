@@ -84,9 +84,8 @@ def sample_source(problem: ThermistorProblem, u: GridFunction) -> np.ndarray:
     """Evaluate ``f`` along the trajectory and enforce strict positivity."""
     t = u.grid.nodes
     fv = np.asarray(problem.f(t, u.values), dtype=float) * np.ones(u.grid.n)
-    bad = np.flatnonzero(~(fv > 0.0) | ~np.isfinite(fv))
-    if bad.size:
-        j = int(bad[0])
+    if not (fv.min() > 0.0 and fv.max() < math.inf):
+        j = int(np.flatnonzero(~(fv > 0.0) | ~np.isfinite(fv))[0])
         raise SourcePositivityError(
             f"H1 violated: f(t, u) must be strictly positive, got "
             f"f({float(t[j])!r}, {float(u.values[j])!r}) = {float(fv[j])!r} at node {j}",

@@ -212,9 +212,13 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     The plain step alone diverges when ``f`` is close to zero.
 
     Raises ConvergenceError if D fails to settle within ``max_iter``
-    passes, naming the last frozen D and the D its trajectory gave, and
-    SourcePositivityError if a trajectory leaves the positivity region of
-    ``f``.
+    passes, naming the last frozen D and the D its trajectory gave.  It is
+    raised at once, naming the bracket, when bisection is due but the
+    bracket has no midpoint strictly inside it (its ends are adjacent
+    floats, or ``hi`` is still infinite): ``D(traj(D))`` then jumps across
+    its root, which happens when the RK4 step is too coarse for the
+    problem.  Raises SourcePositivityError if a trajectory leaves the
+    positivity region of ``f``.
     """
     grid = problem.grid(opts.grid_n)
     t = grid.nodes
@@ -231,7 +235,7 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     d_sq = denominator(np.full(grid.n, problem.u_a))
     lo, hi = 0.0, math.inf
     prev_d = prev_step = math.nan
-    for _ in range(opts.max_iter):
+    for passes in range(1, opts.max_iter + 1):
         scale = lam / d_sq
         u = np.empty(grid.n)
         u[0] = problem.u_a
@@ -268,6 +272,11 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
             d_sq = new_d
         else:
             d_sq = 0.5 * (lo + hi)
+            if not lo < d_sq < hi:
+                raise ConvergenceError(
+                    f"oracle denominator bracket ({lo!r}, {hi!r}) collapsed after {passes} "
+                    "passes without settling; a larger grid_n is the likely remedy"
+                )
 
     raise ConvergenceError(
         f"oracle denominator did not settle within {opts.max_iter} passes "

@@ -51,8 +51,9 @@ class Tube:
 def truncate(u: GridFunction, tube: Tube) -> GridFunction:
     """Project ``u`` onto the tube, node by node.
 
-    Nodes already inside pass through bitwise unchanged; outside nodes are
-    moved to the boundary point ``v + M * sign(u - v)``.  When that sum
+    Nodes already inside pass through bitwise unchanged, and ``u`` itself
+    is returned when no node is outside.  Outside nodes are moved to the
+    boundary point ``v + M * sign(u - v)``.  When that sum
     rounds outward by an ulp it is nudged back toward the center, so the
     result always satisfies ``|result - v| <= M`` exactly and the
     projection is idempotent bit for bit.
@@ -63,6 +64,8 @@ def truncate(u: GridFunction, tube: Tube) -> GridFunction:
     m = tube.M.values
     d = u.values - v
     inside = np.abs(d) <= m
+    if inside.all():
+        return u
     out = np.where(inside, u.values, v + np.clip(d, -m, m))
     over = np.abs(out - v) > m
     while np.any(over):

@@ -8,7 +8,7 @@ from hypothesis import event, example, find, given, settings, strategies as st
 
 import thermistor as th
 from thermistor.conformable import _alpha_value, weight_exponent
-from thermistor.linear import _BLOCK_SPAN
+from thermistor.linear import _BLOCK_SPAN, _plan
 
 
 def _reference_solve_linear(g, x0, alpha):
@@ -45,6 +45,51 @@ def _reference_solve_linear(g, x0, alpha):
                 f"solve_linear: solution overflowed at node {i + 1} "
                 f"(t={float(grid.nodes[i + 1])!r})"
             )
+    return th.GridFunction(grid, x)
+
+
+def _reference_array_scan(g, x0, alpha):
+    """The whole-array scan that rebuilt every weight on each call.
+
+    ``solve_linear`` now builds the grid-only weights once per
+    ``(grid, alpha)`` and scans in place; it must match this bit for bit.
+    """
+    grid = g.grid
+    al = _alpha_value(alpha)
+    a = grid.a
+
+    phi = np.asarray(weight_exponent(grid.nodes, al, a), dtype=float)
+    tail = phi[1:]
+    # Overflow shows up as inf or nan in x and is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # G is g rescaled so that d(phi) absorbs the t**(alpha-1) integration weight.
+        big_g = (a**al) * g.values
+        delta = np.diff(phi)
+        em = np.expm1(-delta)  # exp(-delta) - 1, exact near zero
+        # integral over each panel of (linear G in phi) * exp(phi - phi_{i+1})
+        slope_term = ((delta + 1.0) * em + delta) / delta
+        panel = -big_g[1:] * em + np.diff(big_g) * slope_term
+
+        running = np.empty(grid.n - 1)
+        carry = 0.0
+        start = 0
+        while start < tail.size:
+            stop = np.searchsorted(tail, tail[start] + _BLOCK_SPAN, side="right")
+            top = tail[stop - 1]
+            block = tail[start:stop]
+            scan = np.cumsum(panel[start:stop] * np.exp(block - top))
+            scan += carry * math.exp(phi[start] - top)
+            running[start:stop] = scan * np.exp(top - block)
+            carry = running[stop - 1]
+            start = stop
+        x = np.empty(grid.n)
+        x[0] = x0
+        x[1:] = x0 * np.exp(phi[0] - tail) + running
+
+    bad = np.flatnonzero(~np.isfinite(x[1:]))
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise ValueError(f"solve_linear: solution overflowed at node {i} (t={float(grid.nodes[i])!r})")
     return th.GridFunction(grid, x)
 
 
@@ -218,3 +263,78 @@ def test_scan_matches_reference_loop(case):
     assert x.values[:1].tobytes() == np.float64(x0).tobytes()
     scale = max(1.0, float(np.max(np.abs(ref.values))))
     assert np.max(np.abs(x.values - ref.values)) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=linear_cases())
+@example(case=_multi_block_case(0.05, 50.0, 1.0, 400, 1e300))
+@example(case=_multi_block_case(0.1, 90.0, 0.6, 301, -2.5))
+# all-negative-zero data: only the carry add of the first block makes the sum +0.0
+@example(case=(th.GridFunction.constant(th.Grid(1.0, 2.0, 11), -0.0), -0.0, 0.5))
+def test_scan_is_bit_identical_to_the_array_reference(case):
+    g, x0, alpha = case
+    event("multi-block" if _phi_span(case) > _BLOCK_SPAN else "single block")
+    try:
+        ref = _reference_array_scan(g, x0, alpha)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            th.solve_linear(g, x0, alpha)
+        assert str(raised.value) == str(exc)
+        return
+    assert th.solve_linear(g, x0, alpha).values.tobytes() == ref.values.tobytes()
+
+
+def _solve_each(keys, solve=th.solve_linear):
+    """Solve on each (a, T, n, alpha) key in turn, on a fresh Grid every time."""
+    out = []
+    for a, T, n, alpha in keys:
+        grid = th.Grid(a, T, n)
+        g = th.GridFunction(grid, np.sin(3.0 * grid.nodes))
+        out.append(solve(g, 0.25, alpha).values.tobytes())
+    return out
+
+
+def test_plan_cache_serves_equal_grids_and_replaces_its_entry():
+    # neighbours differ in alpha only, in the interval only, or in n only
+    keys = [(0.1, 60.0, 501, 0.6), (0.1, 60.0, 501, 0.9), (1.0, 2.0, 501, 0.9), (1.0, 2.0, 201, 0.9)] * 2
+    _plan.cache_clear()
+    interleaved = _solve_each(keys)
+    cold = []
+    for key in keys:
+        _plan.cache_clear()
+        cold += _solve_each([key])
+    assert interleaved == cold == _solve_each(keys, _reference_array_scan)
+    info = _plan.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+
+    # equal-but-distinct grids hit the one entry
+    _plan.cache_clear()
+    _solve_each([keys[0]] * 3)
+    assert _plan.cache_info().hits == 2
+
+
+def test_plan_arrays_are_read_only():
+    plan = _plan(th.Grid(0.1, 60.0, 501), 0.6)
+    assert len(plan.blocks) > 1
+    arrays = [plan.em, plan.slope, plan.decay]
+    for _, _, down, up, _ in plan.blocks:
+        arrays += [down, up]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_overflow_leaves_the_next_solve_unchanged():
+    grid = th.Grid(1.0, 1000.0, 201)
+    g = th.GridFunction(grid, np.cos(grid.nodes))
+    _plan.cache_clear()
+    before = th.solve_linear(g, 1.5, 1.0).values.tobytes()
+    vals = np.zeros(201)
+    vals[56] = -1e308
+    vals[57] = 1e308
+    with pytest.raises(ValueError, match="overflowed at node 57 "):
+        th.solve_linear(th.GridFunction(grid, vals), 0.0, 1.0)
+    assert th.solve_linear(g, 1.5, 1.0).values.tobytes() == before
+    _plan.cache_clear()
+    assert th.solve_linear(g, 1.5, 1.0).values.tobytes() == before

@@ -68,6 +68,23 @@ class TestSourceSampling:
             sample_source(p, th.GridFunction.constant(grid, 0.0))
 
 
+    @pytest.mark.parametrize("node", [0, 5, 10])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.0, -2.5])
+    def test_first_bad_node_and_message(self, bad, node):
+        values = np.linspace(1.0, 2.0, 11)
+        values[node] = bad
+        p = replace(constant_problem(), f=lambda t, u: values)
+        grid = p.grid(11)
+        u = th.GridFunction(grid, np.linspace(-1.0, 1.0, 11))
+        with pytest.raises(th.SourcePositivityError) as exc:
+            sample_source(p, u)
+        assert exc.value.node == node
+        assert str(exc.value) == (
+            "H1 violated: f(t, u) must be strictly positive, got "
+            f"f({float(grid.nodes[node])!r}, {float(u.values[node])!r}) = {bad!r} at node {node}"
+        )
+
+
 class TestDenominator:
     def test_linear_source_integrates_exactly(self):
         # trapezoid is exact on linear data: integral of t over [1, 3] is 4

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import thermistor as th
 from thermistor.expressions import Expr
+from thermistor.linear import _plan
 from thermistor.model import sample_source
 from thermistor.solver import equation_residual
 
@@ -309,6 +311,38 @@ class TestPicardSolve:
         e_fine = np.max(np.abs(coarse[2] - coarse[1]))
         assert math.log2(e_coarse / e_fine) >= 1.8
 
+    def test_tight_tube_clips_and_matches_uncached_apply_k_loop(self):
+        # at lambda = 8 the first iterate stays inside this narrow tube and
+        # every later one is clipped, so both truncate paths run in one solve
+        p = replace(sin_problem(), lam=8.0)
+        grid = p.grid(201)
+        tube = th.Tube(th.closed_form_center(p, grid), th.GridFunction(grid, 0.02 * np.exp(grid.nodes - 1.0)))
+        opts = th.SolveOptions()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            report = th.picard_solve(p, tube, opts)
+
+        u = tube.v
+        residuals = []
+        passed_through = clipped = 0
+        for _ in range(opts.max_iter):
+            if th.truncate(u, tube) is u:
+                passed_through += 1
+            else:
+                clipped += 1
+            _plan.cache_clear()
+            ku = th.apply_k(u, tube, p)
+            nxt = (1.0 - opts.damping) * u.values + opts.damping * ku.values
+            residuals.append(float(np.max(np.abs(nxt - u.values))))
+            u = th.GridFunction(grid, nxt)
+            if residuals[-1] <= opts.tol_fp:
+                break
+        assert passed_through >= 1 and clipped >= 1
+        assert report.converged
+        assert report.iterations == len(residuals)
+        assert report.fp_residuals == residuals
+        assert report.u.values.tobytes() == u.values.tobytes()
+
     def test_report_carries_bounds_diagnostics(self):
         p = constant_problem()
         grid = p.grid(101)
@@ -388,6 +422,36 @@ class TestOracle:
             th.ConvergenceError, match=r"did not settle within 2 passes \(last D = \S+ gave D = \S+\)$"
         ):
             th.oracle_solve(p, th.SolveOptions(max_iter=2))
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    @pytest.mark.parametrize("lam", [20.0, 40.0])
+    def test_collapsed_bracket_fails_fast(self, lam, alpha, monkeypatch):
+        # the RK4 step is outside its stability region here (n = 201), so
+        # D(traj(D)) jumps across its root and bisection runs out of floats
+        # long before max_iter; each pass samples the source once, after
+        # one sample of the constant start
+        samples = []
+
+        def counting_sample_source(*args):
+            samples.append(args)
+            return sample_source(*args)
+
+        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
+        f = th.parse_expr("0.01 + 0.005*sin(u)")
+        p = th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(alpha), 0.1, f)
+        with pytest.raises(th.ConvergenceError) as exc:
+            th.oracle_solve(p, th.SolveOptions(grid_n=201, max_iter=100))
+        passes = len(samples) - 1
+        assert passes < 100
+        m = re.fullmatch(
+            r"oracle denominator bracket \((\S+), (\S+)\) collapsed after (\d+) passes without "
+            r"settling; a larger grid_n is the likely remedy",
+            str(exc.value),
+        )
+        assert m is not None, str(exc.value)
+        lo, hi = float(m[1]), float(m[2])
+        assert math.nextafter(lo, math.inf) == hi
+        assert int(m[3]) == passes
 
     def test_positivity_checked_along_trajectory(self):
         f = th.parse_expr("1 - u")
