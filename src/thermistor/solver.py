@@ -10,7 +10,11 @@ the tube solve the original problem.  ``oracle_solve`` answers the same
 question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
 denominator D frozen per pass, and an outer loop that finds the D whose
-trajectory reproduces it by a secant step kept inside a sign bracket.  It
+trajectory reproduces it (within ``tol_fp``, relative to D when D < 1) by a
+secant step kept inside a sign bracket.  The loop starts by nested
+iteration: on grids of at least 1001 nodes it first settles D on a grid 10
+times coarser and starts from that D and its last secant slope, falling
+back to the constant start ``u = u_a`` if the coarse loop fails.  It
 shares no stencils, quadrature weights, or exponential identities with
 the main path, which is what makes the cross-checks in the test suite
 meaningful.
@@ -58,9 +62,12 @@ class SolveOptions:
 
     damping is the fraction of the new operator value mixed into the
     iterate (1.0 is the undamped map).  max_iter bounds the iterations of
-    ``picard_solve`` and the RK4 passes of ``oracle_solve``; both check
-    every one of them for convergence.  grid_n sets the size of
-    ``oracle_solve``'s grid and of the grids the CLI builds;
+    ``picard_solve`` and the RK4 passes of ``oracle_solve`` on each grid
+    level of its nested start; both check every one of them for
+    convergence.  tol_fp bounds the last update of ``picard_solve`` and
+    the change in the oracle's D over one pass, ``tol_fp * min(1, D)``:
+    absolute for ``D >= 1`` and relative below.  grid_n sets the size of
+    ``oracle_solve``'s finest grid and of the grids the CLI builds;
     ``picard_solve`` always runs on the tube's grid.
     """
 
@@ -191,6 +198,12 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     )
 
 
+# The oracle first settles D on a grid this many times coarser, when that grid
+# has at least _NEST_FLOOR nodes, and starts the finer loop from its answer.
+_NEST_RATIO = 10
+_NEST_FLOOR = 101
+
+
 def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction:
     """Reference solution by RK4 with an outer loop on the denominator D.
 
@@ -198,10 +211,11 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     ``u(a) = u_a`` with classical fourth-order Runge-Kutta on a fresh
     uniform grid of ``opts.grid_n`` nodes, holding the squared integral D
     fixed, then recomputes D from the new trajectory (trapezoid, with the
-    positivity check).  The first D comes from the constant ``u_a``, and
-    the trajectory is returned once its frozen D reproduces itself within
-    ``tol_fp``.  No conformable operators or exponential weights appear
-    anywhere on this path.
+    positivity check).  The trajectory is returned once its frozen D
+    reproduces itself within ``tol_fp * min(1, D)``: an absolute test for
+    ``D >= 1`` and a relative one below, so that a source close to zero
+    still settles to the same trajectory from any start.  No conformable
+    operators or exponential weights appear anywhere on this path.
 
     The outer loop solves ``F(D) = D(traj(D)) - D = 0`` by a safeguarded
     secant method.  A sign bracket ``lo < D* < hi`` starts as ``(0, inf)``
@@ -210,6 +224,16 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     the last two passes if it lies strictly inside the bracket, else the
     plain step ``D(traj(D))`` if that does, else the bracket's midpoint.
     The plain step alone diverges when ``f`` is close to zero.
+
+    The loop starts by nested iteration.  When a grid 10 times coarser
+    (``(grid_n - 1) // 10 + 1`` nodes) has at least 101 nodes, the same
+    loop runs there first, recursively, and the fine loop starts from the
+    coarse grid's settled D; its first step is the secant step with the
+    coarse grid's last secant slope, under the same bracket test.  If the
+    coarse solve raises ConvergenceError or SourcePositivityError, or the
+    coarse grid is too small, the first D comes from the constant ``u_a``
+    and the first step is the plain one.  Only the fine grid's outcome is
+    returned or raised.
 
     Raises ConvergenceError if D fails to settle within ``max_iter``
     passes, naming the last frozen D and the D its trajectory gave.  It is
@@ -220,7 +244,18 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     problem.  Raises SourcePositivityError if a trajectory leaves the
     positivity region of ``f``.
     """
-    grid = problem.grid(opts.grid_n)
+    return _oracle_settle(problem, opts.grid_n, opts)[0]
+
+
+def _oracle_settle(
+    problem: ThermistorProblem, n: int, opts: SolveOptions
+) -> tuple[GridFunction, float, float, float]:
+    """The secant loop of ``oracle_solve`` on ``n`` nodes.
+
+    Returns the settled trajectory, its frozen D, and the differences in D
+    and in ``F(D)`` that give the last secant slope (NaN without one).
+    """
+    grid = problem.grid(n)
     t = grid.nodes
     h = grid.h
     half = 0.5 * h
@@ -232,7 +267,19 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
         integral = np.trapezoid(sample_source(problem, GridFunction(grid, u)), dx=h)
         return float(integral * integral)
 
-    d_sq = denominator(np.full(grid.n, problem.u_a))
+    start = None
+    coarse_n = (n - 1) // _NEST_RATIO + 1
+    if coarse_n >= _NEST_FLOOR:
+        try:
+            start = _oracle_settle(problem, coarse_n, opts)
+        except (ConvergenceError, SourcePositivityError):
+            pass
+    if start is None:
+        d_sq = denominator(np.full(grid.n, problem.u_a))
+        dd = df = math.nan
+    else:
+        _, d_sq, dd, df = start
+
     lo, hi = 0.0, math.inf
     prev_d = prev_step = math.nan
     for passes in range(1, opts.max_iter + 1):
@@ -254,18 +301,18 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
 
         new_d = denominator(u)
         step = new_d - d_sq
-        if abs(step) <= opts.tol_fp:
-            return GridFunction(grid, u)
+        if passes > 1:
+            dd, df = d_sq - prev_d, step - prev_step
+        if abs(step) <= opts.tol_fp * min(1.0, d_sq):
+            return GridFunction(grid, u), d_sq, dd, df
         if step > 0.0:
             lo = d_sq
         else:
             hi = d_sq
-        # NaN (the first pass has no previous one) and infinities fail the
-        # strict bracket test
-        secant = math.nan
-        if step != prev_step:
-            secant = d_sq - step * (d_sq - prev_d) / (step - prev_step)
         prev_d, prev_step = d_sq, step
+        # NaN (a first pass with no coarse slope) and infinities fail the
+        # strict bracket test
+        secant = d_sq - step * dd / df if df != 0.0 else math.nan
         if lo < secant < hi:
             d_sq = secant
         elif lo < new_d < hi:

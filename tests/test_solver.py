@@ -1,5 +1,6 @@
 """Fixed-point solver, equation residual, and the RK4 reference path."""
 
+import collections
 import functools
 import math
 import re
@@ -58,30 +59,53 @@ def _reference_oracle_parts(problem, opts):
     return denominator, trajectory, np.full(grid.n, problem.u_a)
 
 
-def _reference_oracle(problem, opts):
+def _reference_oracle(problem, opts, start=None):
     """The safeguarded secant loop of ``oracle_solve`` written out: the
     secant step if it is finite and strictly inside the sign bracket, else
-    the plain step if that is, else the bracket's midpoint."""
+    the plain step if that is, else the bracket's midpoint.
+
+    Starts from ``u = u_a``, or from ``start = (D, (dD, dF))``: a frozen D
+    and the differences behind a secant slope, which the first step uses.
+    Returns the settled trajectory, its frozen D and the differences behind
+    the last secant (``None`` if there was none)."""
     denominator, trajectory, u = _reference_oracle_parts(problem, opts)
-    d_sq = denominator(u)
+    d_sq, diffs = (denominator(u), None) if start is None else start
     lo, hi = 0.0, math.inf
     last = None
     for _ in range(opts.max_iter):
         u = trajectory(d_sq)
         new_d = denominator(u)
         step = new_d - d_sq
-        if abs(step) <= opts.tol_fp:
-            return u
+        if last is not None:
+            diffs = (d_sq - last[0], step - last[1])
+        if abs(step) <= opts.tol_fp * min(1.0, d_sq):
+            return u, d_sq, diffs
         if step > 0.0:
             lo = d_sq
         else:
             hi = d_sq
         candidates = [new_d, 0.5 * (lo + hi)]
-        if last is not None and last[1] != step:
-            candidates.insert(0, d_sq - step * (d_sq - last[0]) / (step - last[1]))
+        if diffs is not None and diffs[1] != 0.0:
+            candidates.insert(0, d_sq - step * diffs[0] / diffs[1])
         last = (d_sq, step)
-        d_sq = next(c for c in candidates if math.isfinite(c) and lo < c < hi)
-    raise AssertionError("reference oracle did not settle")
+        d_sq = next((c for c in candidates if math.isfinite(c) and lo < c < hi), None)
+        if d_sq is None:
+            raise th.ConvergenceError("reference oracle bracket collapsed")
+    raise th.ConvergenceError("reference oracle did not settle")
+
+
+def _nested_reference_oracle(problem, opts):
+    """``_reference_oracle`` started from the settled D and last secant of
+    the same loop on a 10 times coarser grid, recursively, when that grid
+    has at least 101 nodes and its loop settles; from ``u = u_a`` otherwise."""
+    start = None
+    coarse_n = (opts.grid_n - 1) // 10 + 1
+    if coarse_n >= 101:
+        try:
+            _, *start = _nested_reference_oracle(problem, replace(opts, grid_n=coarse_n))
+        except (th.ConvergenceError, th.SourcePositivityError):
+            start = None
+    return _reference_oracle(problem, opts, start)
 
 
 def _plain_reference_oracle(problem, opts):
@@ -96,6 +120,21 @@ def _plain_reference_oracle(problem, opts):
         d_sq = new_d
         u = trajectory(d_sq)
     raise AssertionError("plain reference oracle did not settle")
+
+
+# the last two sources drive the outer loop off the secant step at n = 401
+# and at n = 201: one to the bracket's midpoint once, the other to the plain
+# step 12 times; at n = 2001 every first step is the coarse-slope secant
+REFERENCE_SOURCES = pytest.mark.parametrize(
+    "f",
+    [
+        th.parse_expr("t*(2 + sin(u))"),
+        sin_offset_source,
+        th.parse_expr("0.1 + 0.09*sin(3*u)"),
+        th.parse_expr("1 + 0.9*sin(5*u)"),
+    ],
+    ids=["t*(2 + sin(u))", "sin_offset", "bisects", "plain-steps"],
+)
 
 
 class TestSolveOptions:
@@ -370,23 +409,77 @@ class TestOracle:
         assert report.converged
         assert np.max(np.abs(report.u.values - reference.values)) <= 1e-6
 
-    # the last two sources drive the outer loop off the secant step: one
-    # to the bracket's midpoint once, the other to the plain step 11 times
-    @pytest.mark.parametrize(
-        "f",
-        [
-            th.parse_expr("t*(2 + sin(u))"),
-            sin_offset_source,
-            th.parse_expr("0.1 + 0.09*sin(3*u)"),
-            th.parse_expr("1 + 0.9*sin(5*u)"),
-        ],
-        ids=["t*(2 + sin(u))", "sin_offset", "bisects", "plain-steps"],
-    )
+    @REFERENCE_SOURCES
     def test_bit_identical_to_reference_loop(self, f):
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, f)
         opts = th.SolveOptions(grid_n=401)
         out = th.oracle_solve(p, opts)
-        assert out.values.tobytes() == _reference_oracle(p, opts).tobytes()
+        assert out.values.tobytes() == _reference_oracle(p, opts)[0].tobytes()
+
+    @REFERENCE_SOURCES
+    def test_nested_start_bit_identical_to_reference_loop(self, f):
+        # n = 2001 settles on n = 201 first and starts from its D and slope
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, f)
+        opts = th.SolveOptions(grid_n=2001)
+        out = th.oracle_solve(p, opts)
+        assert out.values.tobytes() == _nested_reference_oracle(p, opts)[0].tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    @pytest.mark.parametrize("lam", [20.0, 40.0])
+    def test_failed_coarse_solve_leaves_the_answer_unchanged(self, lam, alpha):
+        # the coarse grid (n = 201) collapses its bracket here, so n = 2001
+        # starts from the constant u_a
+        f = th.parse_expr("0.01 + 0.005*sin(u)")
+        p = th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(alpha), 0.1, f)
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.raises(th.ConvergenceError, match="collapsed"):
+            th.oracle_solve(p, replace(opts, grid_n=201))
+        out = th.oracle_solve(p, opts)
+        assert out.values.tobytes() == _reference_oracle(p, opts)[0].tobytes()
+
+    def test_nested_start_halves_the_fine_grid_passes(self, monkeypatch):
+        # each pass samples the source once, and so does each constant start
+        counts = collections.Counter()
+
+        def counting_sample_source(problem, u):
+            counts[u.grid.n] += 1
+            return sample_source(problem, u)
+
+        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
+        corners = [
+            replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
+            for lam in (0.5, 8.0)
+            for alpha in (0.3, 1.0)
+        ]
+        opts = th.SolveOptions(grid_n=2001)
+        nested = [th.oracle_solve(p, opts).values for p in corners]
+        nested_fine = counts.pop(2001)
+        assert set(counts) == {201}
+        monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
+        counts.clear()
+        constant = [th.oracle_solve(p, opts).values for p in corners]
+        assert set(counts) == {2001}
+        assert nested_fine <= 0.5 * (counts[2001] - len(corners))
+        for u, v in zip(nested, constant):
+            assert np.max(np.abs(u - v)) <= 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
+    def test_nested_start_agrees_with_constant_start(self, lam, alpha):
+        # n = 1001 is the smallest grid with a coarse level (n = 101)
+        p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
+        opts = th.SolveOptions(grid_n=1001)
+        out = th.oracle_solve(p, opts)
+        assert np.max(np.abs(out.values - _reference_oracle(p, opts)[0])) <= 1e-9
+
+    def test_nested_start_agrees_with_constant_start_when_f_is_close_to_zero(self):
+        # D is about 7.6e-5 here; with the settle test absolute in D the two
+        # starts return trajectories about 4e-5 apart
+        f = th.parse_expr("0.01 + 0.005*sin(u)")
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.7), 0.1, f)
+        opts = th.SolveOptions(grid_n=2001)
+        out = th.oracle_solve(p, opts)
+        assert np.max(np.abs(out.values - _reference_oracle(p, opts)[0])) <= 1e-7
 
     @settings(max_examples=25, deadline=None)
     @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
@@ -458,3 +551,16 @@ class TestOracle:
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 2.0, f)
         with pytest.raises(th.SourcePositivityError):
             th.oracle_solve(p, th.SolveOptions())
+
+    def test_positivity_failure_names_a_fine_grid_node(self):
+        # f = 2 - t*u vanishes at t = 2 on u = u_a = 1, the last node of the
+        # coarse grid (n = 201) and of the fine one (n = 2001)
+        f = th.parse_expr("2 - t*u")
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 1.0, f)
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.raises(th.SourcePositivityError) as exc:
+            th.oracle_solve(p, opts)
+        with pytest.raises(th.SourcePositivityError) as ref:
+            _reference_oracle(p, opts)
+        assert exc.value.node == 2000
+        assert str(exc.value) == str(ref.value)
