@@ -11,9 +11,9 @@ Exit codes, in order of precedence:
       suite missed its thresholds;
 * 0 - success.
 
-All CSV output is written with LF newlines and round-trip-exact decimal
-formatting, so repeated runs of the same configuration are byte
-identical.
+This module writes all report text.  All CSV output is written with LF
+newlines and round-trip-exact decimal formatting, so repeated runs of
+the same configuration are byte identical.
 """
 
 from __future__ import annotations
@@ -22,15 +22,16 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .config import ConfigError, LoadedConfig, float_list, load_config, whole_number
+from .config import ConfigError, LoadedConfig, float_list, load_config, prefixed, whole_number
 from .conformable import Alpha, Grid
 from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, identity_table, table_passes
 from .model import SourcePositivityError, ThermistorProblem
 from .solver import SolveOptions, SolveReport, equation_residual, picard_solve
-from .tube import Tube, iter_margin_lines, verify_tube
+from .tube import Tube, TubeReport, verify_tube
 
 __all__ = ["entry", "main"]
 
@@ -65,14 +66,6 @@ def _fail(message: str) -> int:
     return EXIT_CONFIG
 
 
-def _flagged(flag: str, build, value):
-    """``build(value)``, with a range error prefixed by the flag it came from."""
-    try:
-        return build(value)
-    except ValueError as err:
-        raise ConfigError(f"{flag}: {err}") from err
-
-
 def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem, SolveOptions, Grid]:
     """Shared setup for solve, verify-tube and sweep: the config with the
     --alpha and --grid-n overrides applied, and the grid to solve on."""
@@ -80,9 +73,9 @@ def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem,
     problem = cfg.problem
     options = cfg.options
     if args.alpha is not None:
-        problem = replace(problem, alpha=_flagged("--alpha", Alpha, args.alpha))
+        problem = replace(problem, alpha=prefixed("--alpha", Alpha, args.alpha))
     if args.grid_n is not None:
-        options = _flagged("--grid-n", lambda n: replace(options, grid_n=n), args.grid_n)
+        options = prefixed("--grid-n", replace, options, grid_n=args.grid_n)
     if cfg.tube is None:
         raise ConfigError(f"{args.config}: this command needs a [tube] section")
     grid = Grid(problem.a, problem.T, options.grid_n)
@@ -90,11 +83,9 @@ def _prepare(args: argparse.Namespace) -> tuple[LoadedConfig, ThermistorProblem,
 
 
 def _build_tube(args: argparse.Namespace, cfg: LoadedConfig, problem: ThermistorProblem, grid: Grid) -> Tube:
-    """The configured tube on ``grid``, with a profile error prefixed by the config path."""
-    try:
-        return cfg.tube.build(problem, grid)
-    except ConfigError as err:
-        raise ConfigError(f"{args.config}: {err}") from err
+    """The configured tube on ``grid``, with a profile error prefixed by the
+    config path; a positivity failure on the tube center keeps its own message."""
+    return prefixed(args.config, cfg.tube.build, problem, grid, catch=ConfigError)
 
 
 def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) -> list[tuple]:
@@ -103,18 +94,31 @@ def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) 
     return list(zip(u.grid.nodes, u.values, tube.v.values, tube.M.values, g, residual))
 
 
-def _report_lines(
-    cfg: LoadedConfig,
-    problem: ThermistorProblem,
-    options: SolveOptions,
-    grid: Grid,
-    report: SolveReport,
-) -> list[str]:
-    lines = [
-        "thermistor solve report",
+def iter_margin_lines(report: TubeReport) -> Iterator[str]:
+    """Human-readable lines for a tube report."""
+    yield f"tube valid: {_fmt(report.valid)} (tol={report.tol!r})"
+    yield (
+        f"  boundary: ok={_fmt(report.boundary_ok)} margin={report.boundary_margin!r} "
+        f"node={report.boundary_node} side={report.boundary_side:+d}"
+    )
+    yield f"  pinch:    ok={_fmt(report.pinch_ok)} margin={report.pinch_margin!r} node={report.pinch_node}"
+    yield f"  initial:  ok={_fmt(report.initial_ok)} margin={report.initial_margin!r}"
+
+
+def _report_header(kind: str, problem: ThermistorProblem, grid: Grid) -> list[str]:
+    return [
+        f"thermistor {kind} report",
         f"problem: a={problem.a!r} T={problem.T!r} lambda={problem.lam!r} "
-        f"alpha={problem.alpha.value!r} u_a={problem.u_a!r} f={cfg.source_text}",
+        f"alpha={problem.alpha.value!r} u_a={problem.u_a!r} f={problem.f.source}",
         f"grid: n={grid.n} h={grid.h!r}",
+    ]
+
+
+def _report_lines(
+    problem: ThermistorProblem, options: SolveOptions, grid: Grid, report: SolveReport
+) -> list[str]:
+    return [
+        *_report_header("solve", problem, grid),
         f"iterations: {report.iterations} (max_iter={options.max_iter}, "
         f"damping={options.damping!r})",
         f"converged: {_fmt(report.converged)} (tol_fp={options.tol_fp!r}, "
@@ -123,9 +127,8 @@ def _report_lines(
         f"member of tube: {_fmt(report.member_of_tube)}",
         f"bounds: A={_fmt(report.bounds.f_min)} B={_fmt(report.bounds.f_max)} "
         f"G={_fmt(report.bounds.g_sup)}",
+        *iter_margin_lines(report.tube_report),
     ]
-    lines.extend(iter_margin_lines(report.tube_report))
-    return lines
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -139,7 +142,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "solution.csv", SOLUTION_COLUMNS, _solution_rows(problem, tube, report))
-    lines = _report_lines(cfg, problem, options, grid, report)
+    lines = _report_lines(problem, options, grid, report)
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print(line)
@@ -153,20 +156,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify_tube(args: argparse.Namespace) -> int:
     try:
-        cfg, problem, options, grid = _prepare(args)
+        cfg, problem, _, grid = _prepare(args)
         report = verify_tube(_build_tube(args, cfg, problem, grid), problem)
     except (ConfigError, SourcePositivityError, ValueError) as err:
         return _fail(str(err))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "thermistor tube report",
-        f"problem: a={problem.a!r} T={problem.T!r} lambda={problem.lam!r} "
-        f"alpha={problem.alpha.value!r} u_a={problem.u_a!r} f={cfg.source_text}",
-        f"grid: n={grid.n} h={grid.h!r}",
-    ]
-    lines.extend(iter_margin_lines(report))
+    lines = [*_report_header("tube", problem, grid), *iter_margin_lines(report)]
     (out / "tube_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
         print(line)
@@ -180,12 +177,12 @@ def cmd_identities(args: argparse.Namespace) -> int:
         if args.grid_n is not None:
             sizes = [whole_number(n, "--grid-n") for n in float_list(args.grid_n, "--grid-n")]
         for al in alphas:
-            _flagged("--alpha", Alpha, al)
+            prefixed("--alpha", Alpha, al)
         for n in sizes:
             # the identities run on grids of these sizes; building one checks n
-            _flagged("--grid-n", lambda n: Grid(1.0, 2.0, n), n)
+            prefixed("--grid-n", Grid, 1.0, 2.0, n)
         # alphas and single sizes are checked above; what is left is the size list
-        rows = _flagged("--grid-n", lambda s: identity_table(tuple(alphas), s), tuple(sizes))
+        rows = prefixed("--grid-n", identity_table, tuple(alphas), tuple(sizes))
     except (ConfigError, ValueError) as err:
         return _fail(str(err))
 
@@ -249,37 +246,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, need_config: bool) -> None:
-        if need_config:
-            p.add_argument("--config", required=True, help="path to a key=value config file")
+    def config_command(
+        name: str, handler, summary: str, alpha_help: str = "override [problem] alpha"
+    ) -> None:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
+        p.add_argument("--grid-n", type=int, default=None, help="override [solve] grid_n")
+        p.add_argument("--alpha", type=float, default=None, help=alpha_help)
 
-    p_solve = sub.add_parser("solve", help="run the fixed-point solve from a config")
-    common(p_solve, need_config=True)
-    p_solve.add_argument("--grid-n", type=int, default=None, help="override [solve] grid_n")
-    p_solve.add_argument("--alpha", type=float, default=None, help="override [problem] alpha")
-
-    p_verify = sub.add_parser("verify-tube", help="check the tube conditions only")
-    common(p_verify, need_config=True)
-    p_verify.add_argument("--grid-n", type=int, default=None, help="override [solve] grid_n")
-    p_verify.add_argument("--alpha", type=float, default=None, help="override [problem] alpha")
-
+    config_command("solve", cmd_solve, "run the fixed-point solve from a config")
+    config_command("verify-tube", cmd_verify_tube, "check the tube conditions only")
     p_ident = sub.add_parser("identities", help="run the calculus identity suite")
-    common(p_ident, need_config=False)
+    p_ident.set_defaults(handler=cmd_identities)
+    p_ident.add_argument("--out", default=".", help="output directory (default: current)")
     p_ident.add_argument(
         "--grid-n", default=None, help="comma list of grid sizes (default 101,201,401)"
     )
     p_ident.add_argument(
         "--alpha", default=None, help="comma list of orders (default 0.3,0.5,0.7,1.0)"
     )
-
-    p_sweep = sub.add_parser("sweep", help="solve over the configured (lambda, alpha) lists")
-    common(p_sweep, need_config=True)
-    p_sweep.add_argument("--grid-n", type=int, default=None, help="override [solve] grid_n")
-    p_sweep.add_argument(
-        "--alpha", type=float, default=None, help="replace the alpha list with one value"
+    config_command(
+        "sweep",
+        cmd_sweep,
+        "solve over the configured (lambda, alpha) lists",
+        alpha_help="replace the alpha list with one value",
     )
-
     return parser
 
 
@@ -292,14 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         # into the config-error code
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
 
-    handlers = {
-        "solve": cmd_solve,
-        "verify-tube": cmd_verify_tube,
-        "identities": cmd_identities,
-        "sweep": cmd_sweep,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except OSError as err:
         # configs are read inside load_config, so this is the output side
         return _fail(f"cannot write output to {args.out}: {err}")

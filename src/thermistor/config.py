@@ -24,31 +24,41 @@ Example::
 
 The tube center is either an expression in t (key ``v``) or the built-in
 generator ``closed_form_center``; the radius ``M`` is an expression in t.
-Unknown keys, malformed numbers, and expressions that fail to parse are
-configuration errors.
+The ``[solve]`` keys are the fields of ``SolveOptions``, and each one
+that is omitted keeps its default there.  Unknown keys, malformed
+numbers, and expressions that fail to parse are configuration errors.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .conformable import Alpha, Grid, GridFunction
-from .expressions import EvalError, Expr, ParseError, parse_expr
+from .expressions import Expr, parse_expr
 from .model import ThermistorProblem
 from .solver import SolveOptions
 from .tube import Tube, closed_form_center
 
-__all__ = ["ConfigError", "LoadedConfig", "TubeSpec", "float_list", "load_config", "whole_number"]
+__all__ = ["ConfigError", "LoadedConfig", "TubeSpec", "float_list", "load_config", "prefixed", "whole_number"]
 
 _GENERATORS = ("closed_form_center",)
 
 
 class ConfigError(ValueError):
     """Configuration file could not be understood."""
+
+
+def prefixed(where: object, build, *args, catch: type[ValueError] = ValueError, **kwargs):
+    """``build(*args, **kwargs)``, with a ``catch`` error re-raised as a
+    ConfigError prefixed by ``where``, the key or flag the value came from."""
+    try:
+        return build(*args, **kwargs)
+    except catch as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -66,62 +76,50 @@ class TubeSpec:
         else:
             v = _sample_profile(grid, self.v_expr, "v")
         m = _sample_profile(grid, self.m_expr, "M")
-        try:
-            return Tube(v, m)
-        except ValueError as err:
-            raise ConfigError(f"tube profiles are unusable: {err}") from err
+        return prefixed("tube profiles are unusable", Tube, v, m)
 
 
 def _sample_profile(grid: Grid, expr: Expr, key: str) -> GridFunction:
-    try:
-        values = expr(grid.nodes, np.zeros(grid.n))
-    except EvalError as err:
-        raise ConfigError(f"[tube] {key}: {err}") from err
+    values = prefixed(f"[tube] {key}", expr, grid.nodes, np.zeros(grid.n))
     return GridFunction(grid, np.asarray(values, dtype=float) * np.ones(grid.n))
 
 
 @dataclass(frozen=True)
 class LoadedConfig:
     problem: ThermistorProblem
-    source_text: str
     tube: TubeSpec | None
     options: SolveOptions
     sweep_lambdas: list[float] | None
     sweep_alphas: list[float] | None
 
 
-def _require(parser: configparser.ConfigParser, section: str, path: str) -> configparser.SectionProxy:
-    if not parser.has_section(section):
-        raise ConfigError(f"{path}: missing required section [{section}]")
-    return parser[section]
-
-
-def _known_keys(section: configparser.SectionProxy, name: str, allowed: set[str], path: str) -> None:
+def _known_keys(section: configparser.SectionProxy, allowed: set[str], path: Path) -> None:
     unknown = set(section.keys()) - allowed
     if unknown:
         raise ConfigError(
-            f"{path}: unknown key(s) in [{name}]: {', '.join(sorted(unknown))}"
+            f"{path}: unknown key(s) in [{section.name}]: {', '.join(sorted(unknown))}"
         )
 
 
-def _get_float(section: configparser.SectionProxy, name: str, key: str, path: str) -> float:
+def _get_raw(section: configparser.SectionProxy, key: str, path: Path) -> str:
     if key not in section:
-        raise ConfigError(f"{path}: missing required key '{key}' in [{name}]")
-    raw = section[key].strip()
+        raise ConfigError(f"{path}: missing required key '{key}' in [{section.name}]")
+    return section[key].strip()
+
+
+def _get_float(section: configparser.SectionProxy, key: str, path: Path) -> float:
+    raw = _get_raw(section, key, path)
     try:
         return float(raw)
     except ValueError as err:
-        raise ConfigError(f"{path}: [{name}] {key} = {raw!r} is not a number") from err
+        raise ConfigError(f"{path}: [{section.name}] {key} = {raw!r} is not a number") from err
 
 
-def _get_expr(raw: str, name: str, key: str, path: str, allow_u: bool) -> Expr:
-    try:
-        expr = parse_expr(raw)
-    except ParseError as err:
-        raise ConfigError(f"{path}: [{name}] {key}: {err}") from err
+def _get_expr(section: configparser.SectionProxy, key: str, path: Path, allow_u: bool) -> Expr:
+    expr = prefixed(f"{path}: [{section.name}] {key}", parse_expr, _get_raw(section, key, path))
     if not allow_u and expr.uses_u:
         raise ConfigError(
-            f"{path}: [{name}] {key} must be a function of t only, but uses u"
+            f"{path}: [{section.name}] {key} must be a function of t only, but uses u"
         )
     return expr
 
@@ -154,20 +152,17 @@ def _sweep_list(raw: str, what: str, check) -> list[float]:
     value out of range fails here, before any sweep point is solved."""
     values = float_list(raw, what)
     for value in values:
-        try:
-            check(value)
-        except ValueError as err:
-            raise ConfigError(f"{what}: {err}") from err
+        prefixed(what, check, value)
     return values
 
 
 def load_config(path: str | Path) -> LoadedConfig:
     """Read and validate a configuration file.
 
-    Raises ConfigError on anything unreadable: missing sections or keys,
-    unknown keys, malformed numbers or expressions, tube profiles that
-    depend on u, or sweep lists that are empty or hold an out-of-range
-    lambda or alpha.
+    Raises ConfigError on anything unreadable: a file that cannot be read
+    or decoded as UTF-8, missing sections or keys, unknown keys, malformed
+    numbers or expressions, tube profiles that depend on u, or sweep lists
+    that are empty or hold an out-of-range lambda or alpha.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -175,7 +170,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: cannot read config: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"{path}: malformed config: {err}") from err
@@ -184,33 +179,24 @@ def load_config(path: str | Path) -> LoadedConfig:
         if section not in ("problem", "tube", "solve", "sweep"):
             raise ConfigError(f"{path}: unknown section [{section}]")
 
-    prob = _require(parser, "problem", str(path))
-    _known_keys(prob, "problem", {"a", "T", "lambda", "alpha", "u_a", "f"}, str(path))
-    if "f" not in prob:
-        raise ConfigError(f"{path}: missing required key 'f' in [problem]")
-    source_text = prob["f"].strip()
-    source = _get_expr(source_text, "problem", "f", str(path), allow_u=True)
-    try:
-        problem = ThermistorProblem(
-            a=_get_float(prob, "problem", "a", str(path)),
-            T=_get_float(prob, "problem", "T", str(path)),
-            lam=_get_float(prob, "problem", "lambda", str(path)),
-            alpha=Alpha(_get_float(prob, "problem", "alpha", str(path))),
-            u_a=_get_float(prob, "problem", "u_a", str(path)),
-            f=source,
-        )
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"{path}: [problem] is inconsistent: {err}") from err
+    if not parser.has_section("problem"):
+        raise ConfigError(f"{path}: missing required section [problem]")
+    prob = parser["problem"]
+    _known_keys(prob, {"a", "T", "lambda", "alpha", "u_a", "f"}, path)
+    source = _get_expr(prob, "f", path, allow_u=True)
+    inconsistent = f"{path}: [problem] is inconsistent"
+    a, T, lam = (_get_float(prob, key, path) for key in ("a", "T", "lambda"))
+    alpha = prefixed(inconsistent, Alpha, _get_float(prob, "alpha", path))
+    u_a = _get_float(prob, "u_a", path)
+    problem = prefixed(
+        inconsistent, ThermistorProblem, a=a, T=T, lam=lam, alpha=alpha, u_a=u_a, f=source
+    )
 
     tube_spec: TubeSpec | None = None
     if parser.has_section("tube"):
         sect = parser["tube"]
-        _known_keys(sect, "tube", {"v", "M", "generator"}, str(path))
-        if "M" not in sect:
-            raise ConfigError(f"{path}: missing required key 'M' in [tube]")
-        m_expr = _get_expr(sect["M"].strip(), "tube", "M", str(path), allow_u=False)
+        _known_keys(sect, {"v", "M", "generator"}, path)
+        m_expr = _get_expr(sect, "M", path, allow_u=False)
         has_v = "v" in sect
         has_gen = "generator" in sect
         if has_v == has_gen:
@@ -225,36 +211,25 @@ def load_config(path: str | Path) -> LoadedConfig:
                 )
             tube_spec = TubeSpec(generator=gen, v_expr=None, m_expr=m_expr)
         else:
-            v_expr = _get_expr(sect["v"].strip(), "tube", "v", str(path), allow_u=False)
+            v_expr = _get_expr(sect, "v", path, allow_u=False)
             tube_spec = TubeSpec(generator=None, v_expr=v_expr, m_expr=m_expr)
 
-    defaults = SolveOptions()
-    damping, tol_fp = defaults.damping, defaults.tol_fp
-    max_iter, grid_n = defaults.max_iter, defaults.grid_n
+    settings = {}
     if parser.has_section("solve"):
         sect = parser["solve"]
-        _known_keys(sect, "solve", {"damping", "tol_fp", "max_iter", "grid_n"}, str(path))
-        if "damping" in sect:
-            damping = _get_float(sect, "solve", "damping", str(path))
-        if "tol_fp" in sect:
-            tol_fp = _get_float(sect, "solve", "tol_fp", str(path))
-        if "max_iter" in sect:
-            max_iter = whole_number(
-                _get_float(sect, "solve", "max_iter", str(path)), f"{path}: [solve] max_iter"
-            )
-        if "grid_n" in sect:
-            grid_n = whole_number(
-                _get_float(sect, "solve", "grid_n", str(path)), f"{path}: [solve] grid_n"
-            )
-    try:
-        options = SolveOptions(damping=damping, tol_fp=tol_fp, max_iter=max_iter, grid_n=grid_n)
-    except ValueError as err:
-        raise ConfigError(f"{path}: [solve] is inconsistent: {err}") from err
+        _known_keys(sect, {field.name for field in fields(SolveOptions)}, path)
+        for field in fields(SolveOptions):
+            if field.name in sect:
+                value = _get_float(sect, field.name, path)
+                if isinstance(field.default, int):
+                    value = whole_number(value, f"{path}: [solve] {field.name}")
+                settings[field.name] = value
+    options = prefixed(f"{path}: [solve] is inconsistent", SolveOptions, **settings)
 
     sweep_lambdas = sweep_alphas = None
     if parser.has_section("sweep"):
         sect = parser["sweep"]
-        _known_keys(sect, "sweep", {"lambda", "alpha"}, str(path))
+        _known_keys(sect, {"lambda", "alpha"}, path)
         if "lambda" in sect:
             sweep_lambdas = _sweep_list(
                 sect["lambda"], f"{path}: [sweep] lambda", lambda lam: replace(problem, lam=lam)
@@ -264,7 +239,6 @@ def load_config(path: str | Path) -> LoadedConfig:
 
     return LoadedConfig(
         problem=problem,
-        source_text=source_text,
         tube=tube_spec,
         options=options,
         sweep_lambdas=sweep_lambdas,

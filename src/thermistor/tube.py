@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -216,13 +215,3 @@ def closed_form_center(problem: ThermistorProblem, grid: Grid) -> GridFunction:
     integral = conformable_cumulative_integral(g, problem.alpha)
     return GridFunction(grid, problem.u_a + integral.values)
 
-
-def iter_margin_lines(report: TubeReport) -> Iterator[str]:
-    """Human-readable lines for a tube report."""
-    yield f"tube valid: {str(report.valid).lower()} (tol={report.tol!r})"
-    yield (
-        f"  boundary: ok={str(report.boundary_ok).lower()} margin={report.boundary_margin!r} "
-        f"node={report.boundary_node} side={report.boundary_side:+d}"
-    )
-    yield f"  pinch:    ok={str(report.pinch_ok).lower()} margin={report.pinch_margin!r} node={report.pinch_node}"
-    yield f"  initial:  ok={str(report.initial_ok).lower()} margin={report.initial_margin!r}"

@@ -82,7 +82,7 @@ class TestLoadConfig:
         assert (p.a, p.T, p.lam, p.u_a) == (1.0, 2.0, 1.5, 0.25)
         assert p.alpha.value == 0.7
         assert p.f(0.0, 0.0) == 2.0
-        assert cfg.source_text == "2 + sin(u)"
+        assert cfg.problem.f.source == "2 + sin(u)"
         assert cfg.tube.generator is None
         assert cfg.tube.v_expr is not None
         assert cfg.options == th.SolveOptions(damping=0.8, tol_fp=1e-9, max_iter=50, grid_n=41)
@@ -185,6 +185,39 @@ class TestLoadConfig:
             load_config(tmp_path / "missing.cfg")
         with pytest.raises(ConfigError, match="malformed config"):
             load_config(write_cfg(tmp_path, "a = 1 with no section\n"))
+
+    def test_file_that_is_not_utf8_is_unreadable(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(self.PROBLEM.replace("f=1", "f=1  # caf\xe9").encode("latin-1"))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}: cannot read config: 'utf-8' codec can't decode byte 0xe9")
+        assert run_quiet(["verify-tube", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == f"thermistor: error: {info.value}\n"
+
+    def test_alpha_is_checked_before_u_a_is_read(self, tmp_path):
+        text = "[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=1.5\nf=1\n"
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            f"{path}: [problem] is inconsistent: derivative order must lie in (0, 1], got 1.5"
+        )
+
+    @pytest.mark.parametrize(
+        "line, detail",
+        [
+            ("tol_fp = abc", "[solve] tol_fp = 'abc' is not a number"),
+            ("max_iter = 2.5", "[solve] max_iter: 2.5 is not a whole number"),
+            ("damping = 0", "[solve] is inconsistent: damping must lie in (0, 1], got 0.0"),
+        ],
+        ids=["tol_fp", "max_iter", "damping"],
+    )
+    def test_solve_key_errors_are_exact(self, tmp_path, line, detail):
+        path = write_cfg(tmp_path, self.PROBLEM + "[solve]\n" + line + "\n")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: {detail}"
 
     def test_negative_radius_rejected_at_build(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, self.PROBLEM + "[tube]\nv = 0\nM = 0 - 1\n"))
@@ -505,6 +538,15 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["solve", "verify-tube", "identities", "sweep"])
+    def test_subcommand_help_names_its_flags(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: thermistor {command} ")
+        for flag in ("--out", "--grid-n", "--alpha"):
+            assert flag in out
+        assert ("--config" in out) == (command != "identities")
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

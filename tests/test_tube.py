@@ -7,7 +7,8 @@ import pytest
 
 import thermistor as th
 from thermistor.solver import oracle_solve
-from thermistor.tube import default_condition_tol, iter_margin_lines
+from thermistor.cli import iter_margin_lines
+from thermistor.tube import default_condition_tol
 
 from conftest import constant_problem, ramp_problem, sin_problem, u_star
 
