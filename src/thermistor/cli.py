@@ -6,7 +6,8 @@ Exit codes, in order of precedence:
       bad flags, an output directory that cannot be written, or a
       positivity violation on the tube center, a tube sheet or a
       truncated iterate);
-* 3 - the tube failed verification (solve still runs and writes output);
+* 3 - the tube failed verification (solve still runs and writes output,
+      after a ``thermistor: warning:`` line on stderr);
 * 2 - the iteration did not converge to a tube member, or the identity
       suite missed its thresholds;
 * 0 - success.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
@@ -88,6 +90,17 @@ def _build_tube(args: argparse.Namespace, cfg: LoadedConfig, problem: Thermistor
     return prefixed(args.config, cfg.tube.build, problem, grid, catch=ConfigError)
 
 
+def _solve(problem: ThermistorProblem, tube: Tube, options: SolveOptions) -> SolveReport:
+    """``picard_solve``, printing its warnings as ``thermistor: warning:`` lines."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            return picard_solve(problem, tube, options)
+        finally:
+            for warning in caught:
+                print(f"thermistor: warning: {warning.message}", file=sys.stderr)
+
+
 def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) -> list[tuple]:
     u = report.u
     g, residual = equation_residual(u, problem)
@@ -135,7 +148,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         cfg, problem, options, grid = _prepare(args)
         tube = _build_tube(args, cfg, problem, grid)
-        report = picard_solve(problem, tube, options)
+        report = _solve(problem, tube, options)
     except (ConfigError, SourcePositivityError, ValueError) as err:
         return _fail(str(err))
 
@@ -218,7 +231,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for lam in lambdas:
             for al in alphas:
                 point = replace(problem, lam=lam, alpha=Alpha(al))
-                report = picard_solve(point, _build_tube(args, cfg, point, grid), options)
+                report = _solve(point, _build_tube(args, cfg, point, grid), options)
                 rows.append(
                     (
                         lam,

@@ -14,9 +14,9 @@ Grammar (EBNF, whitespace between tokens ignored):
 Numbers accept decimal and scientific notation.  Parse errors are
 positioned by byte offset; evaluation errors (division by zero, sqrt of a
 negative, overflow) carry the source span of the offending subexpression
-instead of leaking NaNs.  A tree is compiled on its first call in each
-evaluation mode (Python floats or numpy arrays) into one closure per node,
-and each closure raises its node's error itself.
+instead of leaking NaNs.  On its first call in each evaluation mode
+(Python floats or numpy arrays) a tree generates one Python function, in
+which each node checks its own value and raises its own error.
 """
 
 from __future__ import annotations
@@ -66,17 +66,63 @@ class EvalError(ValueError):
         )
 
 
-# Each node compiles to a closure ``(t, u) -> value`` for one evaluation
-# mode: Python floats through ``math`` (scalar) or numpy ufuncs (array).
-_OPS_MATH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
-_OPS_NUMPY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": np.power}
-_OP_DETAILS = {
-    "+": "addition overflowed",
-    "-": "subtraction overflowed",
-    "*": "multiplication overflowed",
-    "/": "division by zero or overflow",
-    "^": "power left the real domain or overflowed",
+# Each op node's Python template and the detail of its EvalError.
+_OPS = {
+    "+": ("{} + {}", "addition overflowed"),
+    "-": ("{} - {}", "subtraction overflowed"),
+    "*": ("{} * {}", "multiplication overflowed"),
+    "/": ("divide({}, {})", "division by zero or overflow"),
+    "^": ("power({}, {})", "power left the real domain or overflowed"),
 }
+# The fixed names of a generated function, per evaluation mode: Python
+# floats through ``math`` (scalar) or numpy ufuncs (array).
+_ARRAY_NAMES = {"EvalError": EvalError, "isfinite": np.isfinite, "divide": np.divide, "power": np.power}
+_SCALAR_NAMES = dict(_ARRAY_NAMES, isfinite=math.isfinite, nan=math.nan, divide=operator.truediv, power=math.pow)
+
+
+class _Body:
+    """The lines of one generated function ``fn(t, u)``: node values are locals
+    ``x<k>``, and literals, functions and error arguments are bound as ``c<k>``
+    in its namespace, so no source text reaches ``exec``."""
+
+    def __init__(self, source: str, scalar: bool):
+        self.source = source
+        self.scalar = scalar
+        self.names = dict(_SCALAR_NAMES if scalar else _ARRAY_NAMES)
+        self.lines: list[str] = []
+
+    def bind(self, obj) -> str:
+        name = f"c{len(self.names)}"
+        self.names[name] = obj
+        return name
+
+    def let(self, expr: str) -> str:
+        name = f"x{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def check(self, node: Expr, expr: str, detail: str) -> str:
+        """Emit ``node``'s operation in its own try, then its finiteness check.
+
+        The children's lines come first, outside the try: their EvalErrors
+        are ValueErrors and must not be taken for this node's own.
+        """
+        lo, hi = node.span
+        error = self.bind(((lo, hi), self.source[lo:hi], detail))
+        if self.scalar:
+            name = f"x{len(self.lines)}"
+            self.lines += [
+                "try:",
+                f"    {name} = {expr}",
+                "except (ZeroDivisionError, ValueError, OverflowError):",
+                f"    {name} = nan",
+                f"if not isfinite({name}):",
+            ]
+        else:
+            name = self.let(expr)
+            self.lines.append(f"if not isfinite({name}).all():")
+        self.lines.append(f"    raise EvalError(*{error})")
+        return name
 
 
 class Expr:
@@ -84,39 +130,37 @@ class Expr:
 
     span: tuple[int, int]
     source: str
-    # closures compiled on the first call in each mode; see __getstate__
+    # functions generated on the first call in each mode; see __getstate__
     _scalar_fn = None
     _array_fn = None
 
     def __call__(self, t, u):
         """Evaluate at scalars or broadcastable numpy arrays."""
         if isinstance(t, np.ndarray) or isinstance(u, np.ndarray):
-            fn = self._array_fn or self._compile_root(scalar=False)
+            fn = self._array_fn or self._generate(scalar=False)
             with np.errstate(all="ignore"):
                 return fn(t, u)
-        fn = self._scalar_fn or self._compile_root(scalar=True)
-        return float(fn(t, u))
+        return (self._scalar_fn or self._generate(scalar=True))(t, u)
 
-    def _compile_root(self, scalar: bool):
+    def _generate(self, scalar: bool):
         # error snippets slice the source of the expression being called
-        fn = self._compile(self.source, scalar)
+        body = _Body(self.source, scalar)
+        body.lines.append(f"return {self._emit(body)}")
+        exec("def fn(t, u):\n" + "".join(f"    {line}\n" for line in body.lines), body.names)
+        fn = body.names["fn"]
         object.__setattr__(self, "_scalar_fn" if scalar else "_array_fn", fn)
         return fn
 
     def __getstate__(self):
-        # the compiled closures are a cache, and closures do not pickle
+        # the generated functions are a cache, and they do not pickle
         state = dict(self.__dict__)
         state.pop("_scalar_fn", None)
         state.pop("_array_fn", None)
         return state
 
-    def _compile(self, source: str, scalar: bool):
-        """Closure computing this node's value, raising its own EvalError."""
+    def _emit(self, body: _Body) -> str:
+        """Append this node's lines to ``body``; return the name of its value."""
         raise NotImplementedError
-
-    def _error_args(self, source: str, detail: str) -> tuple:
-        lo, hi = self.span
-        return (lo, hi), source[lo:hi], detail
 
     @property
     def uses_u(self) -> bool:
@@ -132,9 +176,8 @@ class Num(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _compile(self, source: str, scalar: bool):
-        value = self.value if scalar else np.float64(self.value)
-        return lambda t, u: value
+    def _emit(self, body: _Body) -> str:
+        return body.bind(float(self.value) if body.scalar else np.float64(self.value))
 
 
 @dataclass(frozen=True, eq=True)
@@ -143,10 +186,9 @@ class Var(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _compile(self, source: str, scalar: bool):
-        if self.name == "t":
-            return (lambda t, u: float(t)) if scalar else (lambda t, u: t)
-        return (lambda t, u: float(u)) if scalar else (lambda t, u: u)
+    def _emit(self, body: _Body) -> str:
+        name = "t" if self.name == "t" else "u"
+        return body.let(f"float({name})") if body.scalar else name
 
 
 @dataclass(frozen=True, eq=True)
@@ -155,22 +197,8 @@ class Neg(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _compile(self, source: str, scalar: bool):
-        operand = self.operand._compile(source, scalar)
-        error = self._error_args(source, "negation overflowed")
-        if scalar:
-            def neg(t, u):
-                out = -operand(t, u)
-                if isinstance(out, float) and math.isfinite(out):
-                    return out
-                raise EvalError(*error)
-        else:
-            def neg(t, u):
-                out = -operand(t, u)
-                if np.all(np.isfinite(out)):
-                    return out
-                raise EvalError(*error)
-        return neg
+    def _emit(self, body: _Body) -> str:
+        return body.check(self, "-" + self.operand._emit(body), "negation overflowed")
 
     def _walk(self):
         yield self
@@ -185,35 +213,10 @@ class BinOp(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _compile(self, source: str, scalar: bool):
-        left = self.left._compile(source, scalar)
-        right = self.right._compile(source, scalar)
-        error = self._error_args(source, _OP_DETAILS[self.op])
-        if scalar:
-            apply = _OPS_MATH[self.op]
-
-            def binop(t, u):
-                # both children run outside the try: their EvalErrors are
-                # ValueErrors and must not be taken for this node's own
-                lv = left(t, u)
-                rv = right(t, u)
-                try:
-                    out = apply(lv, rv)
-                except (ZeroDivisionError, ValueError, OverflowError):
-                    out = math.nan
-                out = float(out)
-                if math.isfinite(out):
-                    return out
-                raise EvalError(*error)
-        else:
-            apply = _OPS_NUMPY[self.op]
-
-            def binop(t, u):
-                out = apply(left(t, u), right(t, u))
-                if np.all(np.isfinite(out)):
-                    return out
-                raise EvalError(*error)
-        return binop
+    def _emit(self, body: _Body) -> str:
+        template, detail = _OPS[self.op]
+        left = self.left._emit(body)
+        return body.check(self, template.format(left, self.right._emit(body)), detail)
 
     def _walk(self):
         yield self
@@ -228,30 +231,10 @@ class Call(Expr):
     span: tuple[int, int] = field(default=(0, 0), compare=False)
     source: str = field(default="", compare=False)
 
-    def _compile(self, source: str, scalar: bool):
-        arg = self.arg._compile(source, scalar)
-        error = self._error_args(source, f"{self.func} left its domain or overflowed")
-        if scalar:
-            fn = _FUNCS_MATH[self.func]
-
-            def call(t, u):
-                av = arg(t, u)
-                try:
-                    out = float(fn(av))
-                except (ValueError, OverflowError):
-                    out = math.nan
-                if math.isfinite(out):
-                    return out
-                raise EvalError(*error)
-        else:
-            fn = _FUNCS_NUMPY[self.func]
-
-            def call(t, u):
-                out = fn(arg(t, u))
-                if np.all(np.isfinite(out)):
-                    return out
-                raise EvalError(*error)
-        return call
+    def _emit(self, body: _Body) -> str:
+        arg = self.arg._emit(body)
+        fn = body.bind((_FUNCS_MATH if body.scalar else _FUNCS_NUMPY)[self.func])
+        return body.check(self, f"{fn}({arg})", f"{self.func} left its domain or overflowed")
 
     def _walk(self):
         yield self

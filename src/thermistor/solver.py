@@ -264,8 +264,9 @@ def _oracle_settle(
     f = problem.f
 
     def denominator(u: np.ndarray) -> float:
-        integral = np.trapezoid(sample_source(problem, GridFunction(grid, u)), dx=h)
-        return float(integral * integral)
+        # squared as a Python float, which overflows to inf without a warning
+        integral = float(np.trapezoid(sample_source(problem, GridFunction(grid, u)), dx=h))
+        return integral * integral
 
     start = None
     coarse_n = (n - 1) // _NEST_RATIO + 1
@@ -292,10 +293,10 @@ def _oracle_settle(
             tm = ti + half
             te = ti + h
             w_mid = scale * tm**power
-            k1 = scale * ti**power * float(f(ti, yi))
-            k2 = w_mid * float(f(tm, yi + half * k1))
-            k3 = w_mid * float(f(tm, yi + half * k2))
-            k4 = scale * te**power * float(f(te, yi + h * k3))
+            k1 = scale * ti**power * f(ti, yi)
+            k2 = w_mid * f(tm, yi + half * k1)
+            k3 = w_mid * f(tm, yi + half * k2)
+            k4 = scale * te**power * f(te, yi + h * k3)
             yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             u[i + 1] = yi
 

@@ -258,6 +258,16 @@ class TestSolveCommand:
         assert (out / "solution.csv").exists()
         assert "tube valid: false" in (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize("command, code", [("solve", 3), ("sweep", 0)])
+    def test_invalid_tube_warning_is_one_plain_line(self, tmp_path, capsys, command, code):
+        # no Python warning header: no install path, line number or source line
+        cfg = str(CONFIGS / "solve_invalid_tube.cfg")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+        assert capsys.readouterr().err == (
+            "thermistor: warning: tube conditions not satisfied "
+            "(boundary margin 0.5 at node 0); solving anyway\n"
+        )
+
     def test_bad_source_scenario_exits_four(self, tmp_path, capsys):
         code = run_quiet(["solve", "--config", str(CONFIGS / "solve_bad_source.cfg"), "--out", str(tmp_path)])
         assert code == 4

@@ -43,6 +43,20 @@ def test_no_unused_imports(path):
     assert {name: line for name, line in imported.items() if name not in used} == {}
 
 
+def test_code_is_generated_at_one_call_site():
+    # expressions.py builds each evaluator from node ids and fixed names;
+    # any other exec or eval needs the same review
+    calls = [
+        (path.name, name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        # exec(...) and builtins.exec(...) alike
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in ("exec", "eval")
+    ]
+    assert calls == [("expressions.py", "exec")]
+
+
 @pytest.mark.parametrize("name", sorted(path.stem for path in SOURCES if path.stem != "__init__"))
 def test_every_module_is_named_in_the_docs(name):
     layout = README.read_text(encoding="utf-8").split("## Layout\n", 1)[1].split("\n## ", 1)[0]

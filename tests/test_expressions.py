@@ -38,7 +38,7 @@ class _Ctx:
 
 
 def _reference_eval(e, t, u):
-    """Walk the tree node by node: the evaluator the compiled closures replaced.
+    """Walk the tree node by node: the evaluator the generated functions replaced.
 
     The compiled path must return bit-identical values, or raise the same
     error with the same span and message.
@@ -443,3 +443,44 @@ class TestCompiledCache:
             cls = pending.pop()
             assert "__call__" not in cls.__dict__, cls
             pending.extend(cls.__subclasses__())
+
+
+# the names a generated function may use besides its own c<k> bindings
+_FIXED_NAMES = {
+    "EvalError", "OverflowError", "ValueError", "ZeroDivisionError",
+    "all", "divide", "float", "isfinite", "nan", "power",
+}
+
+
+class TestGeneratedFunction:
+    def test_num_built_from_an_int_gives_a_float_in_each_mode(self):
+        e = Num(2)
+        out = e(0.0, 0.0)
+        assert type(out) is float and out == 2.0
+        out = e(np.zeros(3), np.zeros(3))
+        assert type(out) is np.float64 and out == 2.0
+
+    @pytest.mark.parametrize("src", ["t", "u"])
+    def test_var_root_gives_a_builtin_float_for_numpy_scalars(self, src):
+        out = parse_expr(src)(np.float64(1.5), np.float64(1.5))
+        assert type(out) is float and out == 1.5
+
+    def test_long_sum_evaluates_in_both_modes(self):
+        e = parse_expr("+".join(["u"] * 600))
+        assert e(0.0, 0.5) == 300.0
+        assert e(np.zeros(2), np.full(2, 0.5)).tolist() == [300.0, 300.0]
+
+    @staticmethod
+    def _assert_only_fixed_names(e):
+        for fn in (e._generate(scalar=True), e._generate(scalar=False)):
+            code = fn.__code__
+            assert code.co_consts == (None,)
+            assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(src=_SOURCES)
+    def test_no_source_text_reaches_the_generated_code(self, src):
+        self._assert_only_fixed_names(parse_expr(src))
+
+    def test_no_variable_name_reaches_the_generated_code(self):
+        self._assert_only_fixed_names(BinOp("+", Var("__import__"), Num(1.0)))

@@ -546,6 +546,23 @@ class TestOracle:
         assert math.nextafter(lo, math.inf) == hi
         assert int(m[3]) == passes
 
+    def test_coarse_denominator_overflow_leaves_the_fine_error(self, monkeypatch):
+        # the coarse grid's (n = 201) integral of f overflows when squared;
+        # that collapses its bracket without a RuntimeWarning, and the fine
+        # grid's own error is the one raised
+        f = th.parse_expr("1 + u^2")
+        p = th.ThermistorProblem(1.0, 2.0, 1.76, th.Alpha(0.6), 0.1, f)
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.raises(th.ConvergenceError, match="collapsed"):
+            th.solver._oracle_settle(p, 201, opts)
+        with pytest.raises(th.EvalError) as nested:
+            th.oracle_solve(p, opts)
+        monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
+        with pytest.raises(th.EvalError) as constant:
+            th.oracle_solve(p, opts)
+        assert nested.value.span == constant.value.span == (4, 7)
+        assert str(nested.value) == str(constant.value)
+
     def test_positivity_checked_along_trajectory(self):
         f = th.parse_expr("1 - u")
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 2.0, f)
