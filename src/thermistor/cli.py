@@ -6,22 +6,23 @@ Exit codes, in order of precedence:
       bad flags, an output directory that cannot be written, or a
       positivity violation on the tube center, a tube sheet or a
       truncated iterate);
-* 3 - the tube failed verification (solve still runs and writes output,
-      after a ``thermistor: warning:`` line on stderr);
+* 3 - the tube failed verification (solve still runs, prints a
+      ``thermistor: warning:`` line on stderr and writes output; a solve
+      that then raises prints only its exit-4 error line);
 * 2 - the iteration did not converge to a tube member, or the identity
       suite missed its thresholds;
 * 0 - success.
 
-This module writes all report text.  All CSV output is written with LF
-newlines and round-trip-exact decimal formatting, so repeated runs of
-the same configuration are byte identical.
+This module writes all report text, the invalid-tube warning line
+included.  All CSV output is written with LF newlines and
+round-trip-exact decimal formatting, so repeated runs of the same
+configuration are byte identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
@@ -91,14 +92,18 @@ def _build_tube(args: argparse.Namespace, cfg: LoadedConfig, problem: Thermistor
 
 
 def _solve(problem: ThermistorProblem, tube: Tube, options: SolveOptions) -> SolveReport:
-    """``picard_solve``, printing its warnings as ``thermistor: warning:`` lines."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        try:
-            return picard_solve(problem, tube, options)
-        finally:
-            for warning in caught:
-                print(f"thermistor: warning: {warning.message}", file=sys.stderr)
+    """``picard_solve``, with a ``thermistor: warning:`` line on stderr when
+    the tube failed verification."""
+    report = picard_solve(problem, tube, options)
+    tube_report = report.tube_report
+    if not tube_report.valid:
+        print(
+            "thermistor: warning: tube conditions not satisfied "
+            f"(boundary margin {tube_report.boundary_margin!r} at node "
+            f"{tube_report.boundary_node}); solving anyway",
+            file=sys.stderr,
+        )
+    return report
 
 
 def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) -> list[tuple]:

@@ -125,11 +125,13 @@ class _Body:
         return name
 
 
+@dataclass(frozen=True)
 class Expr:
     """Parsed expression in the variables t and u."""
 
-    span: tuple[int, int]
-    source: str
+    # where the node sits in the parsed text, for error messages only
+    span: tuple[int, int] = field(default=(0, 0), compare=False, kw_only=True)
+    source: str = field(default="", compare=False, kw_only=True)
     # functions generated on the first call in each mode; see __getstate__
     _scalar_fn = None
     _array_fn = None
@@ -168,77 +170,57 @@ class Expr:
 
     def _walk(self):
         yield self
+        for value in vars(self).values():
+            if isinstance(value, Expr):
+                yield from value._walk()
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Num(Expr):
     value: float
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-    source: str = field(default="", compare=False)
 
     def _emit(self, body: _Body) -> str:
         return body.bind(float(self.value) if body.scalar else np.float64(self.value))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Var(Expr):
     name: str
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-    source: str = field(default="", compare=False)
 
     def _emit(self, body: _Body) -> str:
         name = "t" if self.name == "t" else "u"
         return body.let(f"float({name})") if body.scalar else name
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-    source: str = field(default="", compare=False)
 
     def _emit(self, body: _Body) -> str:
         return body.check(self, "-" + self.operand._emit(body), "negation overflowed")
 
-    def _walk(self):
-        yield self
-        yield from self.operand._walk()
 
-
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-    source: str = field(default="", compare=False)
 
     def _emit(self, body: _Body) -> str:
         template, detail = _OPS[self.op]
         left = self.left._emit(body)
         return body.check(self, template.format(left, self.right._emit(body)), detail)
 
-    def _walk(self):
-        yield self
-        yield from self.left._walk()
-        yield from self.right._walk()
 
-
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Call(Expr):
     func: str
     arg: Expr
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-    source: str = field(default="", compare=False)
 
     def _emit(self, body: _Body) -> str:
         arg = self.arg._emit(body)
         fn = body.bind((_FUNCS_MATH if body.scalar else _FUNCS_NUMPY)[self.func])
         return body.check(self, f"{fn}({arg})", f"{self.func} left its domain or overflowed")
-
-    def _walk(self):
-        yield self
-        yield from self.arg._walk()
 
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")

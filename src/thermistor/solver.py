@@ -23,7 +23,6 @@ meaningful.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,22 +150,14 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     drops to ``tol_fp`` or the budget runs out, then reports the final
     equation residual, tube membership (with the discretisation slack),
     and the bounds of ``f`` over the tube band (diagnostics that never
-    raise).  An invalid tube downgrades to a warning: the iteration
-    still runs, the report carries the verdict.
+    raise).  An invalid tube does not stop the iteration; only
+    ``report.tube_report.valid`` carries the verdict.
 
     Raises SourcePositivityError if the source turns nonpositive along
     any truncated iterate; the error names the iteration and node.
     """
     grid = tube.grid
     tube_report = verify_tube(tube, problem)
-    if not tube_report.valid:
-        warnings.warn(
-            "tube conditions not satisfied "
-            f"(boundary margin {tube_report.boundary_margin!r} at node "
-            f"{tube_report.boundary_node}); solving anyway",
-            stacklevel=2,
-        )
-
     u = tube.v
     residuals: list[float] = []
     converged = False

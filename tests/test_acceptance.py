@@ -6,7 +6,6 @@ each criterion prints exactly one PASS or FAIL line and then asserts.
 
 import math
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,12 +27,6 @@ def verdict(num, ok, detail):
 
 def order(err_coarse, err_fine, h_coarse, h_fine):
     return math.log(err_coarse / err_fine) / math.log(h_coarse / h_fine)
-
-
-def quiet_main(argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return main(argv)
 
 
 def test_criterion_1_calculus_identity_ladder():
@@ -76,9 +69,7 @@ def test_criterion_3_constant_source_fixed_point():
     grid = problem.grid(4001)
     tube = th.Tube(u_star(grid), th.GridFunction.constant(grid, 0.5))
     opts = th.SolveOptions(grid_n=4001)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        report = th.picard_solve(problem, tube, opts)
+    report = th.picard_solve(problem, tube, opts)
     oracle = th.oracle_solve(problem, opts)
     elapsed = time.perf_counter() - start
     end_err = abs(float(report.u.values[-1]) - 0.828427)
@@ -95,9 +86,7 @@ def test_criterion_4_oracle_cross_check():
     opts = th.SolveOptions(tol_fp=1e-10, grid_n=4001)
     oracle = th.oracle_solve(problem, opts)
     tube = th.Tube(oracle, th.GridFunction.constant(oracle.grid, 1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        report = th.picard_solve(problem, tube, opts)
+    report = th.picard_solve(problem, tube, opts)
     elapsed = time.perf_counter() - start
     sup = float(np.max(np.abs(report.u.values - oracle.values)))
     ok = report.converged and sup <= 1e-5 and elapsed < 5.0
@@ -111,9 +100,7 @@ def test_criterion_5_tube_corpus_verification():
     outcomes = []
     for name, problem, tube in corpus:
         tube_report = th.verify_tube(tube, problem)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            report = th.picard_solve(problem, tube, th.SolveOptions())
+        report = th.picard_solve(problem, tube, th.SolveOptions())
         outcomes.append((name, tube_report.valid, report.converged, report.member_of_tube))
     good = sum(1 for _, v, c, m in outcomes if v and c and m)
     ok = len(corpus) >= 5 and problems >= 3 and good == len(corpus)
@@ -219,7 +206,7 @@ def test_criterion_9_cli_scenarios_and_determinism(tmp_path):
                            ("bad-source", "solve_bad_source")):
         out = tmp_path / scenario
         out.mkdir()
-        codes[name] = quiet_main(
+        codes[name] = main(
             ["solve", "--config", str(CONFIGS / f"{scenario}.cfg"), "--out", str(out)]
         )
     expected = {"constant": 0, "starved": 2, "invalid-tube": 3, "bad-source": 4}
@@ -228,7 +215,7 @@ def test_criterion_9_cli_scenarios_and_determinism(tmp_path):
     for label in ("first", "second"):
         out = tmp_path / f"sweep-{label}"
         out.mkdir()
-        assert quiet_main(
+        assert main(
             ["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(out)]
         ) == 0
         runs.append((out / "sweep.csv").read_bytes())

@@ -3,7 +3,6 @@
 import itertools
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,13 +65,6 @@ def write_cfg(tmp_path, text, name="case.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def run_quiet(argv):
-    # the invalid-tube scenario legitimately warns; keep the suite clean
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return main(argv)
 
 
 class TestLoadConfig:
@@ -192,7 +184,7 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value).startswith(f"{path}: cannot read config: 'utf-8' codec can't decode byte 0xe9")
-        assert run_quiet(["verify-tube", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert main(["verify-tube", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == f"thermistor: error: {info.value}\n"
 
     def test_alpha_is_checked_before_u_a_is_read(self, tmp_path):
@@ -228,7 +220,7 @@ class TestLoadConfig:
 class TestSolveCommand:
     def test_constant_scenario_exits_zero_and_writes_files(self, tmp_path, capsys):
         out = tmp_path / "run"
-        code = run_quiet(["solve", "--config", str(CONFIGS / "solve_constant.cfg"), "--out", str(out)])
+        code = main(["solve", "--config", str(CONFIGS / "solve_constant.cfg"), "--out", str(out)])
         assert code == 0
         data = (out / "solution.csv").read_bytes()
         assert b"\r" not in data
@@ -247,13 +239,13 @@ class TestSolveCommand:
 
     def test_starved_scenario_exits_two(self, tmp_path):
         out = tmp_path / "run"
-        code = run_quiet(["solve", "--config", str(CONFIGS / "solve_starved.cfg"), "--out", str(out)])
+        code = main(["solve", "--config", str(CONFIGS / "solve_starved.cfg"), "--out", str(out)])
         assert code == 2
         assert "converged: false" in (out / "report.txt").read_text()
 
     def test_invalid_tube_scenario_exits_three_but_still_writes(self, tmp_path):
         out = tmp_path / "run"
-        code = run_quiet(["solve", "--config", str(CONFIGS / "solve_invalid_tube.cfg"), "--out", str(out)])
+        code = main(["solve", "--config", str(CONFIGS / "solve_invalid_tube.cfg"), "--out", str(out)])
         assert code == 3
         assert (out / "solution.csv").exists()
         assert "tube valid: false" in (out / "report.txt").read_text()
@@ -269,17 +261,43 @@ class TestSolveCommand:
         )
 
     def test_bad_source_scenario_exits_four(self, tmp_path, capsys):
-        code = run_quiet(["solve", "--config", str(CONFIGS / "solve_bad_source.cfg"), "--out", str(tmp_path)])
+        code = main(["solve", "--config", str(CONFIGS / "solve_bad_source.cfg"), "--out", str(tmp_path)])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("thermistor: error:")
         assert "H1 violated" in err
 
+    def test_positivity_failure_on_an_invalid_tube_prints_only_the_error(self, tmp_path, capsys):
+        # the tube fails verification, then the second iterate climbs into
+        # the dead zone around u = 0.5; exit 4 wins and no warning line is
+        # printed, because the solve returns no report
+        cfg = write_cfg(tmp_path, """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 1.0
+alpha = 0.5
+u_a = 0.0
+f = (2*u - 1)^2 - 0.01
+
+[tube]
+v = 0
+M = 1
+
+[solve]
+grid_n = 101
+""")
+        for command in ("solve", "sweep"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 4
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert err.startswith("thermistor: error: iteration 2: H1 violated")
+
     def test_escaping_final_iterate_exits_two_and_writes(self, tmp_path):
         cfg = write_cfg(tmp_path, ESCAPING)
-        assert run_quiet(["verify-tube", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["verify-tube", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         out = tmp_path / "run"
-        assert run_quiet(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         report = (out / "report.txt").read_text().splitlines()
         assert "converged: false (tol_fp=1e-10, " in report[4]
         assert report[5:7] == ["ode residual (interior sup): nan", "member of tube: false"]
@@ -289,7 +307,7 @@ class TestSolveCommand:
 
     def test_grid_override_changes_row_count(self, tmp_path):
         out = tmp_path / "run"
-        code = run_quiet([
+        code = main([
             "solve", "--config", str(CONFIGS / "solve_constant.cfg"),
             "--out", str(out), "--grid-n", "51",
         ])
@@ -298,7 +316,7 @@ class TestSolveCommand:
 
     def test_missing_tube_section_exits_four(self, tmp_path):
         cfg = write_cfg(tmp_path, TestLoadConfig.PROBLEM)
-        assert run_quiet(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 4
 
     def test_bounds_cover_the_tube_band_only(self, tmp_path):
         # f = u + 0.5 is nonpositive for u <= -0.5, far outside the tube
@@ -319,9 +337,9 @@ M = 0.3*t
 [solve]
 grid_n = 201
 """)
-        assert run_quiet(["verify-tube", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["verify-tube", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         out = tmp_path / "run"
-        assert run_quiet(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         report = (out / "report.txt").read_text()
         assert "converged: true" in report
         assert "member of tube: true" in report
@@ -331,21 +349,21 @@ grid_n = 201
 class TestVerifyTubeCommand:
     def test_valid_tube_exits_zero(self, tmp_path):
         out = tmp_path / "run"
-        code = run_quiet(["verify-tube", "--config", str(CONFIGS / "solve_constant.cfg"), "--out", str(out)])
+        code = main(["verify-tube", "--config", str(CONFIGS / "solve_constant.cfg"), "--out", str(out)])
         assert code == 0
         text = (out / "tube_report.txt").read_text()
         assert text.startswith("thermistor tube report")
         assert "tube valid: true" in text
 
     def test_alpha_override_keeps_generator_in_sync(self, tmp_path):
-        code = run_quiet([
+        code = main([
             "verify-tube", "--config", str(CONFIGS / "solve_constant.cfg"),
             "--out", str(tmp_path), "--alpha", "1.0",
         ])
         assert code == 0
 
     def test_invalid_tube_exits_three(self, tmp_path):
-        code = run_quiet(["verify-tube", "--config", str(CONFIGS / "solve_invalid_tube.cfg"), "--out", str(tmp_path)])
+        code = main(["verify-tube", "--config", str(CONFIGS / "solve_invalid_tube.cfg"), "--out", str(tmp_path)])
         assert code == 3
 
 
@@ -378,7 +396,7 @@ class TestIdentitiesCommand:
 class TestSweepCommand:
     def test_product_order_and_schema(self, tmp_path):
         out = tmp_path / "run"
-        code = run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(out)])
+        code = main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(out)])
         assert code == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == ",".join(SWEEP_COLUMNS)
@@ -394,14 +412,14 @@ class TestSweepCommand:
     def test_escaping_point_is_a_row(self, tmp_path):
         cfg = write_cfg(tmp_path, ESCAPING + "\n[sweep]\nlambda = 1.0, 8.0\n")
         out = tmp_path / "run"
-        assert run_quiet(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[2] == "8.0,1.0,false,3,nan,false"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(a)]) == 0
-        assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(b)]) == 0
+        assert main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(a)]) == 0
+        assert main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(b)]) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
     def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
@@ -409,7 +427,7 @@ class TestSweepCommand:
         for threads in ("1", "2"):
             monkeypatch.setenv("THERMISTOR_THREADS", threads)
             d = tmp_path / f"t{threads}"
-            assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(d)]) == 0
+            assert main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(d)]) == 0
             outs[threads] = (d / "sweep.csv").read_bytes()
         assert outs["1"] == outs["2"]
 
@@ -417,13 +435,13 @@ class TestSweepCommand:
     def test_thread_env_is_ignored(self, tmp_path, monkeypatch, value):
         monkeypatch.delenv("THERMISTOR_THREADS", raising=False)
         plain, with_env = tmp_path / "plain", tmp_path / "env"
-        assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(plain)]) == 0
+        assert main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(plain)]) == 0
         monkeypatch.setenv("THERMISTOR_THREADS", value)
-        assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(with_env)]) == 0
+        assert main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(with_env)]) == 0
         assert (plain / "sweep.csv").read_bytes() == (with_env / "sweep.csv").read_bytes()
 
     def test_rows_match_standalone_solves(self, tmp_path):
-        assert run_quiet(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(tmp_path)]) == 0
         rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         cfg = load_config(CONFIGS / "sweep_ramp.cfg")
         points = list(itertools.product(cfg.sweep_lambdas, cfg.sweep_alphas))
@@ -443,13 +461,13 @@ class TestSweepCommand:
 
     def test_defaults_to_single_tuple_without_sweep_section(self, tmp_path):
         out = tmp_path / "run"
-        code = run_quiet(["sweep", "--config", str(CONFIGS / "solve_constant.cfg"), "--out", str(out)])
+        code = main(["sweep", "--config", str(CONFIGS / "solve_constant.cfg"), "--out", str(out)])
         assert code == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 2
 
     def test_alpha_flag_replaces_the_list(self, tmp_path):
         out = tmp_path / "run"
-        code = run_quiet([
+        code = main([
             "sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"),
             "--out", str(out), "--alpha", "0.8",
         ])
@@ -478,7 +496,7 @@ class TestInputErrors:
         else:
             text = (CONFIGS / "solve_constant.cfg").read_text().replace("grid_n = 201", f"{name} = {value}")
             argv = ["solve", "--config", str(write_cfg(tmp_path, text))]
-        assert run_quiet(argv + ["--out", str(tmp_path / "out")]) == code
+        assert main(argv + ["--out", str(tmp_path / "out")]) == code
         if code == 4:
             first = value.split(",")[0]
             assert f"{name}: {float(first)!r} is not a whole number" in capsys.readouterr().err
@@ -509,7 +527,7 @@ class TestInputErrors:
             "101": "identity table needs at least two grid sizes for orders",
             "101,101": "identity table grid sizes must be distinct, got (101, 101)",
         }[value]
-        assert run_quiet(argv) == 4
+        assert main(argv) == 4
         assert capsys.readouterr().err == f"thermistor: error: {flag}: {detail}\n"
 
     @pytest.mark.parametrize("command", ["solve", "verify-tube", "sweep"])
@@ -525,7 +543,7 @@ class TestInputErrors:
     )
     def test_tube_profile_errors_name_the_key(self, tmp_path, capsys, command, tube_text, detail):
         cfg = write_cfg(tmp_path, TestLoadConfig.PROBLEM + "[tube]\n" + tube_text)
-        assert run_quiet([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == f"thermistor: error: {cfg}: {detail}\n"
 
     @pytest.mark.parametrize("command", ["solve", "verify-tube", "identities", "sweep"])
@@ -536,7 +554,7 @@ class TestInputErrors:
             argv = ["identities", "--grid-n", "11,21", "--alpha", "1.0"]
         else:
             argv = [command, "--config", str(CONFIGS / "solve_constant.cfg")]
-        assert run_quiet(argv + ["--out", str(blocker)]) == 4
+        assert main(argv + ["--out", str(blocker)]) == 4
         assert capsys.readouterr().err.startswith(f"thermistor: error: cannot write output to {blocker}")
 
 
