@@ -13,6 +13,10 @@ Exit codes, in order of precedence:
       suite missed its thresholds;
 * 0 - success.
 
+``main`` turns every ``ValueError`` a command raises (``ConfigError``,
+``ParseError``, ``SourcePositivityError``, ...) into one
+``thermistor: error:`` line and exit 4.
+
 This module writes all report text, the invalid-tube warning line
 included.  All CSV output is written with LF newlines and
 round-trip-exact decimal formatting, so repeated runs of the same
@@ -32,7 +36,7 @@ import numpy as np
 from .config import ConfigError, LoadedConfig, float_list, load_config, prefixed, whole_number
 from .conformable import Alpha, Grid
 from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, identity_table, table_passes
-from .model import SourcePositivityError, ThermistorProblem
+from .model import ThermistorProblem
 from .solver import SolveOptions, SolveReport, equation_residual, picard_solve
 from .tube import Tube, TubeReport, verify_tube
 
@@ -150,12 +154,9 @@ def _report_lines(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        cfg, problem, options, grid = _prepare(args)
-        tube = _build_tube(args, cfg, problem, grid)
-        report = _solve(problem, tube, options)
-    except (ConfigError, SourcePositivityError, ValueError) as err:
-        return _fail(str(err))
+    cfg, problem, options, grid = _prepare(args)
+    tube = _build_tube(args, cfg, problem, grid)
+    report = _solve(problem, tube, options)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -173,11 +174,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_tube(args: argparse.Namespace) -> int:
-    try:
-        cfg, problem, _, grid = _prepare(args)
-        report = verify_tube(_build_tube(args, cfg, problem, grid), problem)
-    except (ConfigError, SourcePositivityError, ValueError) as err:
-        return _fail(str(err))
+    cfg, problem, _, grid = _prepare(args)
+    report = verify_tube(_build_tube(args, cfg, problem, grid), problem)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,20 +187,17 @@ def cmd_verify_tube(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    try:
-        alphas = DEFAULT_ALPHAS if args.alpha is None else float_list(args.alpha, "--alpha")
-        sizes = DEFAULT_SIZES
-        if args.grid_n is not None:
-            sizes = [whole_number(n, "--grid-n") for n in float_list(args.grid_n, "--grid-n")]
-        for al in alphas:
-            prefixed("--alpha", Alpha, al)
-        for n in sizes:
-            # the identities run on grids of these sizes; building one checks n
-            prefixed("--grid-n", Grid, 1.0, 2.0, n)
-        # alphas and single sizes are checked above; what is left is the size list
-        rows = prefixed("--grid-n", identity_table, tuple(alphas), tuple(sizes))
-    except (ConfigError, ValueError) as err:
-        return _fail(str(err))
+    alphas = DEFAULT_ALPHAS if args.alpha is None else float_list(args.alpha, "--alpha")
+    sizes = DEFAULT_SIZES
+    if args.grid_n is not None:
+        sizes = [whole_number(n, "--grid-n") for n in float_list(args.grid_n, "--grid-n")]
+    for al in alphas:
+        prefixed("--alpha", Alpha, al)
+    for n in sizes:
+        # the identities run on grids of these sizes; building one checks n
+        prefixed("--grid-n", Grid, 1.0, 2.0, n)
+    # alphas and single sizes are checked above; what is left is the size list
+    rows = prefixed("--grid-n", identity_table, tuple(alphas), tuple(sizes))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,30 +220,20 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        cfg, problem, options, grid = _prepare(args)
-        lambdas = cfg.sweep_lambdas if cfg.sweep_lambdas is not None else [problem.lam]
-        if args.alpha is None and cfg.sweep_alphas is not None:
-            alphas = cfg.sweep_alphas
-        else:
-            alphas = [problem.alpha.value]
-        rows = []
-        for lam in lambdas:
-            for al in alphas:
-                point = replace(problem, lam=lam, alpha=Alpha(al))
-                report = _solve(point, _build_tube(args, cfg, point, grid), options)
-                rows.append(
-                    (
-                        lam,
-                        al,
-                        report.converged,
-                        report.iterations,
-                        report.ode_residual,
-                        report.member_of_tube,
-                    )
-                )
-    except (ConfigError, SourcePositivityError, ValueError) as err:
-        return _fail(str(err))
+    cfg, problem, options, grid = _prepare(args)
+    lambdas = cfg.sweep_lambdas if cfg.sweep_lambdas is not None else [problem.lam]
+    if args.alpha is None and cfg.sweep_alphas is not None:
+        alphas = cfg.sweep_alphas
+    else:
+        alphas = [problem.alpha.value]
+    rows = []
+    for lam in lambdas:
+        for al in alphas:
+            point = replace(problem, lam=lam, alpha=Alpha(al))
+            report = _solve(point, _build_tube(args, cfg, point, grid), options)
+            rows.append(
+                (lam, al, report.converged, report.iterations, report.ode_residual, report.member_of_tube)
+            )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.handler(args)
+    except ValueError as err:
+        return _fail(str(err))
     except OSError as err:
         # configs are read inside load_config, so this is the output side
         return _fail(f"cannot write output to {args.out}: {err}")

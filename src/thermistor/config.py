@@ -27,6 +27,8 @@ generator ``closed_form_center``; the radius ``M`` is an expression in t.
 The ``[solve]`` keys are the fields of ``SolveOptions``, and each one
 that is omitted keeps its default there.  Unknown keys, malformed
 numbers, and expressions that fail to parse are configuration errors.
+Each error names its key or section; ``load_config`` adds the file's
+path in front once, for every section.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class ConfigError(ValueError):
 
 def prefixed(where: object, build, *args, catch: type[ValueError] = ValueError, **kwargs):
     """``build(*args, **kwargs)``, with a ``catch`` error re-raised as a
-    ConfigError prefixed by ``where``, the key or flag the value came from."""
+    ConfigError prefixed by ``where``: the key or flag the value came
+    from, or the config path, which ``load_config`` adds once."""
     try:
         return build(*args, **kwargs)
     except catch as err:
@@ -93,34 +96,30 @@ class LoadedConfig:
     sweep_alphas: list[float] | None
 
 
-def _known_keys(section: configparser.SectionProxy, allowed: set[str], path: Path) -> None:
+def _known_keys(section: configparser.SectionProxy, allowed: set[str]) -> None:
     unknown = set(section.keys()) - allowed
     if unknown:
-        raise ConfigError(
-            f"{path}: unknown key(s) in [{section.name}]: {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError(f"unknown key(s) in [{section.name}]: {', '.join(sorted(unknown))}")
 
 
-def _get_raw(section: configparser.SectionProxy, key: str, path: Path) -> str:
+def _get_raw(section: configparser.SectionProxy, key: str) -> str:
     if key not in section:
-        raise ConfigError(f"{path}: missing required key '{key}' in [{section.name}]")
+        raise ConfigError(f"missing required key '{key}' in [{section.name}]")
     return section[key].strip()
 
 
-def _get_float(section: configparser.SectionProxy, key: str, path: Path) -> float:
-    raw = _get_raw(section, key, path)
+def _get_float(section: configparser.SectionProxy, key: str) -> float:
+    raw = _get_raw(section, key)
     try:
         return float(raw)
     except ValueError as err:
-        raise ConfigError(f"{path}: [{section.name}] {key} = {raw!r} is not a number") from err
+        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a number") from err
 
 
-def _get_expr(section: configparser.SectionProxy, key: str, path: Path, allow_u: bool) -> Expr:
-    expr = prefixed(f"{path}: [{section.name}] {key}", parse_expr, _get_raw(section, key, path))
+def _get_expr(section: configparser.SectionProxy, key: str, allow_u: bool) -> Expr:
+    expr = prefixed(f"[{section.name}] {key}", parse_expr, _get_raw(section, key))
     if not allow_u and expr.uses_u:
-        raise ConfigError(
-            f"{path}: [{section.name}] {key} must be a function of t only, but uses u"
-        )
+        raise ConfigError(f"[{section.name}] {key} must be a function of t only, but uses u")
     return expr
 
 
@@ -162,7 +161,8 @@ def load_config(path: str | Path) -> LoadedConfig:
     Raises ConfigError on anything unreadable: a file that cannot be read
     or decoded as UTF-8, missing sections or keys, unknown keys, malformed
     numbers or expressions, tube profiles that depend on u, or sweep lists
-    that are empty or hold an out-of-range lambda or alpha.
+    that are empty or hold an out-of-range lambda or alpha.  Every message
+    starts with ``path``.
     """
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -174,20 +174,23 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError(f"{path}: cannot read config: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"{path}: malformed config: {err}") from err
+    return prefixed(path, _interpret, parser)
 
+
+def _interpret(parser: configparser.ConfigParser) -> LoadedConfig:
     for section in parser.sections():
         if section not in ("problem", "tube", "solve", "sweep"):
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            raise ConfigError(f"unknown section [{section}]")
 
     if not parser.has_section("problem"):
-        raise ConfigError(f"{path}: missing required section [problem]")
+        raise ConfigError("missing required section [problem]")
     prob = parser["problem"]
-    _known_keys(prob, {"a", "T", "lambda", "alpha", "u_a", "f"}, path)
-    source = _get_expr(prob, "f", path, allow_u=True)
-    inconsistent = f"{path}: [problem] is inconsistent"
-    a, T, lam = (_get_float(prob, key, path) for key in ("a", "T", "lambda"))
-    alpha = prefixed(inconsistent, Alpha, _get_float(prob, "alpha", path))
-    u_a = _get_float(prob, "u_a", path)
+    _known_keys(prob, {"a", "T", "lambda", "alpha", "u_a", "f"})
+    source = _get_expr(prob, "f", allow_u=True)
+    inconsistent = "[problem] is inconsistent"
+    a, T, lam = (_get_float(prob, key) for key in ("a", "T", "lambda"))
+    alpha = prefixed(inconsistent, Alpha, _get_float(prob, "alpha"))
+    u_a = _get_float(prob, "u_a")
     problem = prefixed(
         inconsistent, ThermistorProblem, a=a, T=T, lam=lam, alpha=alpha, u_a=u_a, f=source
     )
@@ -195,47 +198,38 @@ def load_config(path: str | Path) -> LoadedConfig:
     tube_spec: TubeSpec | None = None
     if parser.has_section("tube"):
         sect = parser["tube"]
-        _known_keys(sect, {"v", "M", "generator"}, path)
-        m_expr = _get_expr(sect, "M", path, allow_u=False)
-        has_v = "v" in sect
-        has_gen = "generator" in sect
-        if has_v == has_gen:
-            raise ConfigError(
-                f"{path}: [tube] needs exactly one of 'v' (expression) or 'generator'"
-            )
-        if has_gen:
-            gen = sect["generator"].strip()
-            if gen not in _GENERATORS:
-                raise ConfigError(
-                    f"{path}: [tube] generator {gen!r} is not one of {_GENERATORS}"
-                )
-            tube_spec = TubeSpec(generator=gen, v_expr=None, m_expr=m_expr)
-        else:
-            v_expr = _get_expr(sect, "v", path, allow_u=False)
-            tube_spec = TubeSpec(generator=None, v_expr=v_expr, m_expr=m_expr)
+        _known_keys(sect, {"v", "M", "generator"})
+        m_expr = _get_expr(sect, "M", allow_u=False)
+        if ("v" in sect) == ("generator" in sect):
+            raise ConfigError("[tube] needs exactly one of 'v' (expression) or 'generator'")
+        gen = sect["generator"].strip() if "generator" in sect else None
+        if gen is not None and gen not in _GENERATORS:
+            raise ConfigError(f"[tube] generator {gen!r} is not one of {_GENERATORS}")
+        v_expr = None if gen is not None else _get_expr(sect, "v", allow_u=False)
+        tube_spec = TubeSpec(generator=gen, v_expr=v_expr, m_expr=m_expr)
 
     settings = {}
     if parser.has_section("solve"):
         sect = parser["solve"]
-        _known_keys(sect, {field.name for field in fields(SolveOptions)}, path)
+        _known_keys(sect, {field.name for field in fields(SolveOptions)})
         for field in fields(SolveOptions):
             if field.name in sect:
-                value = _get_float(sect, field.name, path)
+                value = _get_float(sect, field.name)
                 if isinstance(field.default, int):
-                    value = whole_number(value, f"{path}: [solve] {field.name}")
+                    value = whole_number(value, f"[solve] {field.name}")
                 settings[field.name] = value
-    options = prefixed(f"{path}: [solve] is inconsistent", SolveOptions, **settings)
+    options = prefixed("[solve] is inconsistent", SolveOptions, **settings)
 
     sweep_lambdas = sweep_alphas = None
     if parser.has_section("sweep"):
         sect = parser["sweep"]
-        _known_keys(sect, {"lambda", "alpha"}, path)
+        _known_keys(sect, {"lambda", "alpha"})
         if "lambda" in sect:
             sweep_lambdas = _sweep_list(
-                sect["lambda"], f"{path}: [sweep] lambda", lambda lam: replace(problem, lam=lam)
+                sect["lambda"], "[sweep] lambda", lambda lam: replace(problem, lam=lam)
             )
         if "alpha" in sect:
-            sweep_alphas = _sweep_list(sect["alpha"], f"{path}: [sweep] alpha", Alpha)
+            sweep_alphas = _sweep_list(sect["alpha"], "[sweep] alpha", Alpha)
 
     return LoadedConfig(
         problem=problem,

@@ -83,12 +83,12 @@ class Grid:
         return (self.T - self.a) / (self.n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Finite real values sampled on the nodes of a Grid."""
+    """Finite real values sampled on the nodes of a Grid; equal only to itself."""
 
     grid: Grid
-    values: np.ndarray = field(compare=False)
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)

@@ -11,12 +11,14 @@ Grammar (EBNF, whitespace between tokens ignored):
 
 "^" is right-associative and binds tighter than unary minus, so
 ``-2^2 = -4`` and ``2^3^2 = 512``.  There is no implicit multiplication.
-Numbers accept decimal and scientific notation.  Parse errors are
-positioned by byte offset; evaluation errors (division by zero, sqrt of a
-negative, overflow) carry the source span of the offending subexpression
-instead of leaking NaNs.  On its first call in each evaluation mode
-(Python floats or numpy arrays) a tree generates one Python function, in
-which each node checks its own value and raises its own error.
+Numbers accept decimal and scientific notation and must be finite: a
+literal that overflows a float, such as ``1e400``, is a parse error.
+Parse errors are positioned by byte offset; evaluation errors (division
+by zero, sqrt of a negative, overflow) carry the source span of the
+offending subexpression instead of leaking NaNs.  On its first call in
+each evaluation mode (Python floats or numpy arrays) a tree generates one
+Python function, in which each node checks its own value and raises its
+own error.
 """
 
 from __future__ import annotations
@@ -338,8 +340,11 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise self.fail("a finite number")
             self.advance()
-            return Num(float(tok.text), span=(tok.pos, tok.pos + len(tok.text)), source=self.src)
+            return Num(value, span=(tok.pos, tok.pos + len(tok.text)), source=self.src)
         if tok.kind == "ident":
             self.advance()
             if tok.text in _VARIABLES:

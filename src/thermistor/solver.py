@@ -80,6 +80,10 @@ class SolveOptions:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
         if not (math.isfinite(self.tol_fp) and self.tol_fp > 0.0):
             raise ValueError(f"tol_fp must be positive, got {self.tol_fp!r}")
+        for name in ("max_iter", "grid_n"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if self.grid_n < 3:

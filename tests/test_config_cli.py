@@ -1,5 +1,6 @@
 """Configuration loading and the command-line contract (exit codes, files)."""
 
+import configparser
 import itertools
 import subprocess
 import sys
@@ -67,6 +68,11 @@ def write_cfg(tmp_path, text, name="case.cfg"):
     return path
 
 
+def assert_names_path_once(message, path):
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1
+
+
 class TestLoadConfig:
     def test_full_round_trip(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, GOOD))
@@ -123,8 +129,10 @@ class TestLoadConfig:
         ],
     )
     def test_problem_section_errors(self, tmp_path, mutation, message):
-        with pytest.raises(ConfigError, match=message):
-            load_config(write_cfg(tmp_path, mutation))
+        path = write_cfg(tmp_path, mutation)
+        with pytest.raises(ConfigError, match=message) as info:
+            load_config(path)
+        assert_names_path_once(str(info.value), path)
 
     PROBLEM = "[problem]\na=1.0\nT=2.0\nlambda=1.0\nalpha=0.5\nu_a=0.0\nf=1\n"
 
@@ -142,12 +150,17 @@ class TestLoadConfig:
         ],
         ids=["no-M", "neither", "both", "bad-generator", "M-uses-u", "v-uses-u", "M-eval", "v-eval"],
     )
-    def test_tube_section_errors(self, tmp_path, tube_text, message):
+    def test_tube_section_errors(self, tmp_path, tube_text, message, capsys):
         # profiles are sampled only once a grid exists, so some errors
-        # surface when the tube is built
+        # surface when the tube is built; the command adds the path to those
+        path = write_cfg(tmp_path, self.PROBLEM + tube_text)
         with pytest.raises(ConfigError, match=message):
-            cfg = load_config(write_cfg(tmp_path, self.PROBLEM + tube_text))
+            cfg = load_config(path)
             cfg.tube.build(cfg.problem, cfg.problem.grid(11))
+        assert main(["verify-tube", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("thermistor: error: ") and err.endswith("\n")
+        assert_names_path_once(err.removeprefix("thermistor: error: "), path)
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -169,14 +182,24 @@ class TestLoadConfig:
         ],
     )
     def test_solve_and_sweep_errors(self, tmp_path, extra, message):
-        with pytest.raises(ConfigError, match=message):
-            load_config(write_cfg(tmp_path, self.PROBLEM + extra))
+        path = write_cfg(tmp_path, self.PROBLEM + extra)
+        with pytest.raises(ConfigError, match=message) as info:
+            load_config(path)
+        assert_names_path_once(str(info.value), path)
 
     def test_unreadable_and_malformed_files(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            load_config(tmp_path / "missing.cfg")
-        with pytest.raises(ConfigError, match="malformed config"):
-            load_config(write_cfg(tmp_path, "a = 1 with no section\n"))
+        # the OS and configparser errors quote the file name themselves;
+        # load_config adds it once, in front
+        missing = tmp_path / "missing.cfg"
+        with pytest.raises(ConfigError, match="cannot read") as info:
+            load_config(missing)
+        assert isinstance(info.value.__cause__, FileNotFoundError)
+        assert str(info.value) == f"{missing}: cannot read config: {info.value.__cause__}"
+        malformed = write_cfg(tmp_path, "a = 1 with no section\n")
+        with pytest.raises(ConfigError, match="malformed config") as info:
+            load_config(malformed)
+        assert isinstance(info.value.__cause__, configparser.Error)
+        assert str(info.value) == f"{malformed}: malformed config: {info.value.__cause__}"
 
     def test_file_that_is_not_utf8_is_unreadable(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
@@ -545,6 +568,25 @@ class TestInputErrors:
         cfg = write_cfg(tmp_path, TestLoadConfig.PROBLEM + "[tube]\n" + tube_text)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == f"thermistor: error: {cfg}: {detail}\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify-tube", "sweep"])
+    @pytest.mark.parametrize(
+        "old, new, detail",
+        [
+            ("M = 0.5", "M = 1e400", "[tube] M: parse error at byte 0"),
+            ("f = 1", "f = u + 2e308", "[problem] f: parse error at byte 4"),
+        ],
+        ids=["M", "f"],
+    )
+    def test_non_finite_literals_name_the_key(self, tmp_path, capsys, command, old, new, detail):
+        text = (CONFIGS / "solve_constant.cfg").read_text()
+        assert old in text
+        cfg = write_cfg(tmp_path, text.replace(old, new))
+        literal = new.split()[-1]
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            f"thermistor: error: {cfg}: {detail}: expected a finite number, found number '{literal}'\n"
+        )
 
     @pytest.mark.parametrize("command", ["solve", "verify-tube", "identities", "sweep"])
     def test_output_path_errors_exit_four(self, tmp_path, capsys, command):

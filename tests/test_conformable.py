@@ -111,6 +111,14 @@ class TestGridFunction:
         with pytest.raises(ValueError, match="node 3"):
             th.GridFunction(grid, bad)
 
+    def test_equality_is_identity_not_grid_only(self):
+        grid = th.Grid(1.0, 2.0, 5)
+        zeros, ones = th.GridFunction.constant(grid, 0.0), th.GridFunction.constant(grid, 1.0)
+        assert zeros == zeros
+        assert zeros != ones
+        assert len({zeros, ones}) == 2
+        assert th.Tube(zeros, ones) != th.Tube(ones, zeros)
+
     def test_sample_and_constant(self):
         grid = th.Grid(1.0, 2.0, 5)
         u = th.GridFunction(grid, np.sin(grid.nodes))

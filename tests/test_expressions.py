@@ -207,6 +207,22 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="variable \\(t, u\\)"):
             parse_expr("x+1")
 
+    @pytest.mark.parametrize(
+        "src, offset, literal",
+        [("1e400", 0, "1e400"), ("u + 2e308*t", 4, "2e308"), ("1" + "0" * 309, 0, "1" + "0" * 309)],
+        ids=["alone", "inside", "long"],
+    )
+    def test_non_finite_literal_is_a_parse_error(self, src, offset, literal):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(src)
+        assert exc.value.offset == offset
+        assert str(exc.value) == (
+            f"parse error at byte {offset}: expected a finite number, found number '{literal}'"
+        )
+
+    def test_underflowing_literal_is_zero(self):
+        assert parse_expr("1e-400")(1.0, 0.0) == 0.0
+
     def test_never_other_exception_types(self):
         for src, _ in MALFORMED_CASES:
             try:

@@ -160,6 +160,17 @@ class TestSolveOptions:
         with pytest.raises(ValueError):
             th.SolveOptions(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value", [("max_iter", 2.5), ("max_iter", 200.0), ("grid_n", 51.0), ("grid_n", "51")]
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            th.SolveOptions(**{name: value})
+
+    def test_numpy_integers_are_counts(self):
+        opts = th.SolveOptions(max_iter=np.int64(5), grid_n=np.int32(11))
+        assert (opts.max_iter, opts.grid_n) == (5, 11)
+
 
 class TestApplyK:
     def test_output_starts_at_u_a_bitwise(self):
