@@ -37,7 +37,7 @@ from .config import ConfigError, LoadedConfig, float_list, load_config, prefixed
 from .conformable import Alpha, Grid
 from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, identity_table, table_passes
 from .model import ThermistorProblem
-from .solver import SolveOptions, SolveReport, equation_residual, picard_solve
+from .solver import SolveOptions, SolveReport, _picard_rows, equation_residual, picard_solve
 from .tube import Tube, TubeReport, verify_tube
 
 __all__ = ["entry", "main"]
@@ -49,6 +49,9 @@ EXIT_CONFIG = 4
 
 SOLUTION_COLUMNS = ("t", "u", "v", "M", "g", "residual")
 SWEEP_COLUMNS = ("lambda", "alpha", "converged", "iterations", "ode_residual", "member")
+# a sweep solves the points of one alpha in batches of 2**18 // n rows (at
+# least one), so that a batch's iterate array holds about 2**18 values
+_BATCH_NODES = 2**18
 
 
 def _fmt(cell: object) -> str:
@@ -95,10 +98,9 @@ def _build_tube(args: argparse.Namespace, cfg: LoadedConfig, problem: Thermistor
     return prefixed(args.config, cfg.tube.build, problem, grid, catch=ConfigError)
 
 
-def _solve(problem: ThermistorProblem, tube: Tube, options: SolveOptions) -> SolveReport:
-    """``picard_solve``, with a ``thermistor: warning:`` line on stderr when
-    the tube failed verification."""
-    report = picard_solve(problem, tube, options)
+def _warn_if_invalid(report: SolveReport) -> None:
+    """A ``thermistor: warning:`` line on stderr when the tube of a solve
+    failed verification."""
     tube_report = report.tube_report
     if not tube_report.valid:
         print(
@@ -107,7 +109,6 @@ def _solve(problem: ThermistorProblem, tube: Tube, options: SolveOptions) -> Sol
             f"{tube_report.boundary_node}); solving anyway",
             file=sys.stderr,
         )
-    return report
 
 
 def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) -> list[tuple]:
@@ -156,7 +157,8 @@ def _report_lines(
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg, problem, options, grid = _prepare(args)
     tube = _build_tube(args, cfg, problem, grid)
-    report = _solve(problem, tube, options)
+    report = picard_solve(problem, tube, options)
+    _warn_if_invalid(report)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,20 +222,45 @@ def cmd_identities(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Solve every (lambda, alpha) point, those of one alpha together, then
+    report them in the declared order: each invalid-tube warning, the first
+    error, or the rows of ``sweep.csv``, as solving them one by one would."""
     cfg, problem, options, grid = _prepare(args)
     lambdas = cfg.sweep_lambdas if cfg.sweep_lambdas is not None else [problem.lam]
     if args.alpha is None and cfg.sweep_alphas is not None:
         alphas = cfg.sweep_alphas
     else:
         alphas = [problem.alpha.value]
+    points = [replace(problem, lam=lam, alpha=Alpha(al)) for lam in lambdas for al in alphas]
+    tubes, build_error = [], None
+    for point in points:
+        try:
+            tubes.append(_build_tube(args, cfg, point, grid))
+        except Exception as err:  # raised below, after the points before it
+            build_error = err
+            break
+
+    outcomes: list = [None] * len(tubes)
+    groups: dict[float, list[int]] = {}
+    for i in range(len(tubes)):
+        groups.setdefault(points[i].alpha.value, []).append(i)
+    cap = max(1, _BATCH_NODES // grid.n)
+    for members in groups.values():
+        for start in range(0, len(members), cap):
+            batch = members[start : start + cap]
+            solved = _picard_rows([points[i] for i in batch], [tubes[i] for i in batch], options)
+            for i, outcome in zip(batch, solved):
+                outcomes[i] = outcome
+
     rows = []
-    for lam in lambdas:
-        for al in alphas:
-            point = replace(problem, lam=lam, alpha=Alpha(al))
-            report = _solve(point, _build_tube(args, cfg, point, grid), options)
-            rows.append(
-                (lam, al, report.converged, report.iterations, report.ode_residual, report.member_of_tube)
-            )
+    for point, report in zip(points, outcomes):
+        if isinstance(report, Exception):
+            raise report
+        _warn_if_invalid(report)
+        rows.append((point.lam, point.alpha.value, report.converged, report.iterations,
+                     report.ode_residual, report.member_of_tube))
+    if build_error is not None:
+        raise build_error
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -25,8 +25,9 @@ Example::
 The tube center is either an expression in t (key ``v``) or the built-in
 generator ``closed_form_center``; the radius ``M`` is an expression in t.
 The ``[solve]`` keys are the fields of ``SolveOptions``, and each one
-that is omitted keeps its default there.  Unknown keys, malformed
-numbers, and expressions that fail to parse are configuration errors.
+that is omitted keeps its default there.  Values are read literally, with
+no ``%`` interpolation.  Unknown keys, malformed numbers, and expressions
+that fail to parse are configuration errors.
 Each error names its key or section; ``load_config`` adds the file's
 path in front once, for every section.
 """
@@ -165,7 +166,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     starts with ``path``.
     """
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive: T and t differ
     try:
         with open(path, encoding="utf-8") as fh:

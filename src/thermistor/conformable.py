@@ -133,9 +133,14 @@ def conformable_derivative(u: GridFunction, alpha: Alpha | float) -> GridFunctio
     return GridFunction(u.grid, np.power(u.grid.nodes, 1.0 - a) * d)
 
 
-def trapezoid(values: np.ndarray, h: float) -> float:
-    """Trapezoidal rule for nodal ``values`` at uniform spacing ``h``."""
-    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
+def trapezoid(values: np.ndarray, h: float) -> float | np.ndarray:
+    """Trapezoidal rule for nodal ``values`` at uniform spacing ``h``.
+
+    Integrates over the last axis: a float for one row of values, one
+    integral per row for a ``(rows, n)`` array.
+    """
+    out = h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+    return float(out) if values.ndim == 1 else out
 
 
 def conformable_cumulative_integral(u: GridFunction, alpha: Alpha | float) -> GridFunction:

@@ -16,7 +16,7 @@ on the grid and ``alpha`` (the panel weights, the scan blocks with their
 rescaling factors, and the decay of ``x0``) as read-only arrays, and
 keeps the last plan in a one-entry cache: the Picard iteration solves on
 one grid and order many times in a row.  ``_scan`` does the work that
-depends on ``g``.
+depends on ``g``, on one row of values or on a ``(rows, n)`` array of them.
 """
 
 from __future__ import annotations
@@ -78,34 +78,31 @@ def _plan(grid: Grid, al: float) -> _Plan:
     return _Plan(a**al, _frozen(em), _frozen(slope), tuple(blocks), _frozen(decay))
 
 
-def _scan(plan: _Plan, g_values: np.ndarray, x0: float, grid: Grid) -> GridFunction:
-    """The ``g``-dependent part of ``solve_linear``, computed in place."""
-    x = np.empty(grid.n)
-    # Overflow shows up as inf or nan in x and is reported below.
+def _scan(plan: _Plan, g_values: np.ndarray, x0: float) -> np.ndarray:
+    """The ``g``-dependent part of ``solve_linear`` on the last axis of
+    ``g_values``, one row per leading index; overflow shows up as inf or nan
+    in the result, which the callers check."""
     with np.errstate(over="ignore", invalid="ignore"):
         # G is g rescaled so that d(phi) absorbs the t**(alpha-1) integration weight.
         big_g = plan.scale * g_values
-        panel = np.diff(big_g)
+        panel = np.diff(big_g, axis=-1)
         panel *= plan.slope
-        head = big_g[1:]
+        head = big_g[..., 1:]
         head *= plan.em
         panel -= head
         carry = 0.0
         for start, stop, down, up, rebase in plan.blocks:
-            scan = panel[start:stop]
+            scan = panel[..., start:stop]
             scan *= down
-            np.cumsum(scan, out=scan)
+            np.cumsum(scan, axis=-1, out=scan)
             scan += carry * rebase
             scan *= up
-            carry = scan[-1]
-        x[0] = x0
-        np.multiply(plan.decay, x0, out=x[1:])
-        x[1:] += panel
-
-    if not np.isfinite(x[1:]).all():
-        i = int(np.flatnonzero(~np.isfinite(x[1:]))[0]) + 1
-        raise ValueError(f"solve_linear: solution overflowed at node {i} (t={float(grid.nodes[i])!r})")
-    return GridFunction(grid, x)
+            carry = scan[..., -1:]
+        x = big_g  # spent; its buffer takes the solution
+        x[..., 0] = x0
+        np.multiply(plan.decay, x0, out=x[..., 1:])
+        x[..., 1:] += panel
+    return x
 
 
 def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFunction:
@@ -142,7 +139,11 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
             offending node is named).
     """
     grid = g.grid
-    return _scan(_plan(grid, _alpha_value(alpha)), g.values, x0, grid)
+    x = _scan(_plan(grid, _alpha_value(alpha)), g.values, x0)
+    if not np.isfinite(x[1:]).all():
+        i = int(np.flatnonzero(~np.isfinite(x[1:]))[0]) + 1
+        raise ValueError(f"solve_linear: solution overflowed at node {i} (t={float(grid.nodes[i])!r})")
+    return GridFunction(grid, x)
 
 
 def linear_residual(x: GridFunction, g: GridFunction, alpha: Alpha | float) -> float:

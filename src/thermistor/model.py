@@ -80,11 +80,22 @@ class ThermistorProblem:
         return Grid(self.a, self.T, n)
 
 
+def _source(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``f`` on the nodes ``t`` along ``u``, one row of values or a
+    ``(rows, n)`` array of them, as an array of the shape of ``u``."""
+    return np.asarray(f(t, u), dtype=float) * np.ones(u.shape)
+
+
+def _positive(fv: np.ndarray) -> bool:
+    """Whether every sampled value of ``f`` is positive and finite."""
+    return bool(fv.min() > 0.0 and fv.max() < math.inf)
+
+
 def sample_source(problem: ThermistorProblem, u: GridFunction) -> np.ndarray:
     """Evaluate ``f`` along the trajectory and enforce strict positivity."""
     t = u.grid.nodes
-    fv = np.asarray(problem.f(t, u.values), dtype=float) * np.ones(u.grid.n)
-    if not (fv.min() > 0.0 and fv.max() < math.inf):
+    fv = _source(problem.f, t, u.values)
+    if not _positive(fv):
         j = int(np.flatnonzero(~(fv > 0.0) | ~np.isfinite(fv))[0])
         raise SourcePositivityError(
             f"H1 violated: f(t, u) must be strictly positive, got "
@@ -98,7 +109,8 @@ def nonlocal_rhs(lam: float, fv: np.ndarray, integral: float | np.ndarray) -> np
     """The quotient ``lam * fv / integral**2``.
 
     ``integral`` is the unsquared integral of ``f`` over [a, T]: a scalar,
-    or one value per node when each node sees its own trajectory.
+    one value per node when each node sees its own trajectory, or one per
+    row (shape ``(rows, 1)``) when ``fv`` holds a row per trajectory.
     """
     return lam * fv / (integral * integral)
 
@@ -112,6 +124,23 @@ def evaluate_g(problem: ThermistorProblem, u: GridFunction) -> GridFunction:
     """
     fv = sample_source(problem, u)
     return GridFunction(u.grid, nonlocal_rhs(problem.lam, fv, trapezoid(fv, u.grid.h)))
+
+
+def _g_rows(f: SourceFn, t: np.ndarray, u: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray | None:
+    """``evaluate_g`` on each row of the ``(rows, n)`` array ``u``, with the
+    couplings ``lam`` of shape ``(rows, 1)`` and ``t`` of the shape of ``u``.
+
+    Returns None when ``sample_source`` or ``evaluate_g`` would raise on any
+    row: ``f`` raises, or is not positive and finite, or ``g`` is not finite.
+    """
+    try:
+        fv = _source(f, t, u)
+    except Exception:  # the caller redoes the rows one by one, for each row's own error
+        return None
+    if not _positive(fv):
+        return None
+    g = nonlocal_rhs(lam, fv, trapezoid(fv, h)[:, None])
+    return g if np.isfinite(g).all() else None
 
 
 class SourceBounds(NamedTuple):

@@ -6,7 +6,12 @@ damping term on both sides,
     K(u) = solve_linear(g(., u~) + u~ / a**alpha,  u_a),
 
 where ``u~`` is the iterate truncated into the tube.  Fixed points inside
-the tube solve the original problem.  ``oracle_solve`` answers the same
+the tube solve the original problem.  One loop, ``_picard_rows``, iterates
+K on a ``(rows, n)`` array of iterates that share the grid, alpha and
+source, through the private array cores of ``truncate``, ``evaluate_g``
+and ``solve_linear``; it builds no GridFunction inside an iteration.
+``picard_solve`` is a batch of one row, and the CLI's sweep passes the
+points of one alpha as the rows.  ``oracle_solve`` answers the same
 question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
 denominator D frozen per pass, and an outer loop that finds the D whose
@@ -27,17 +32,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformable import GridFunction, conformable_derivative
+from .conformable import Grid, GridFunction, conformable_derivative
 from .model import (
     SourceBounds,
     SourcePositivityError,
     ThermistorProblem,
+    _g_rows,
     bounds_estimate,
     evaluate_g,
     sample_source,
 )
-from .linear import solve_linear
-from .tube import Tube, TubeReport, default_condition_tol, membership, truncate, verify_tube
+from .linear import _plan, _scan, solve_linear
+from .tube import Tube, TubeReport, _project, default_condition_tol, membership, truncate, verify_tube
 
 __all__ = [
     "ConvergenceError",
@@ -124,9 +130,13 @@ def apply_k(u: GridFunction, tube: Tube, problem: ThermistorProblem) -> GridFunc
         raise ValueError("apply_k: tube grid does not span the problem interval")
     trunc = truncate(u, tube)
     g = evaluate_g(problem, trunc)
-    al = problem.alpha.value
-    rhs = GridFunction(u.grid, g.values + trunc.values / (problem.a**al))
+    rhs = GridFunction(u.grid, _rhs(problem, g.values, trunc.values))
     return solve_linear(rhs, problem.u_a, problem.alpha)
+
+
+def _rhs(problem: ThermistorProblem, g: np.ndarray, trunc: np.ndarray) -> np.ndarray:
+    """The right-hand side ``g + u~ / a**alpha`` that ``K`` solves with."""
+    return g + trunc / (problem.a**problem.alpha.value)
 
 
 def equation_residual(u: GridFunction, problem: ThermistorProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -157,40 +167,143 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     raise).  An invalid tube does not stop the iteration; only
     ``report.tube_report.valid`` carries the verdict.
 
+    The solve is a batch of one row through ``_picard_rows``, the loop
+    that also solves the points of a sweep together; each of those rows
+    equals this function's result bit for bit.
+
     Raises SourcePositivityError if the source turns nonpositive along
     any truncated iterate; the error names the iteration and node.
     """
-    grid = tube.grid
-    tube_report = verify_tube(tube, problem)
-    u = tube.v
-    residuals: list[float] = []
-    converged = False
-    for k in range(1, opts.max_iter + 1):
-        try:
-            ku = apply_k(u, tube, problem)
-        except SourcePositivityError as err:
-            raise SourcePositivityError(
-                f"iteration {k}: {err}", node=err.node, iteration=k
-            ) from err
-        nxt = GridFunction(grid, (1.0 - opts.damping) * u.values + opts.damping * ku.values)
-        r = float(np.max(np.abs(nxt.values - u.values)))
-        residuals.append(r)
-        u = nxt
-        if r <= opts.tol_fp:
-            converged = True
-            break
+    (outcome,) = _picard_rows([problem], [tube], opts)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    slack = default_condition_tol(grid)
-    return SolveReport(
-        u=u,
-        iterations=len(residuals),
-        fp_residuals=residuals,
-        converged=converged,
-        ode_residual=ode_residual(u, problem),
-        member_of_tube=membership(u, tube, slack),
-        bounds=bounds_estimate(problem, tube.v, tube.M),
-        tube_report=tube_report,
-    )
+
+def _picard_rows(
+    problems: list[ThermistorProblem], tubes: list[Tube], opts: SolveOptions
+) -> list[SolveReport | Exception]:
+    """``picard_solve`` on each (problem, tube) row, iterated as one array.
+
+    The rows must share the grid, ``alpha``, ``a``, ``T``, ``u_a`` and
+    ``f``; only ``lambda``, the center and the radius vary.  Returns, per
+    row, the report or the exception that ``picard_solve`` gives for that
+    row alone.
+
+    The iterates form a ``(rows, n)`` array, and a row leaves it when it
+    converges or fails.  Each step runs every check of ``apply_k`` once
+    over the whole array, with numpy's floating-point warnings routed to a
+    flag.  When a check fails or the flag is raised, the step is redone row
+    by row through ``apply_k``, which gives each row its own warnings and
+    its own exception, as in a standalone solve.  Every operation of the
+    step acts on each row alone, so the rows' bits do not depend on which
+    other rows share the array.
+    """
+    outcomes: list = [None] * len(problems)
+    tube_reports = {}
+    for i, (problem, tube) in enumerate(zip(problems, tubes)):
+        try:
+            tube_reports[i] = verify_tube(tube, problem)
+        except Exception as err:  # this row's outcome, as picard_solve would raise it
+            outcomes[i] = err
+    live = list(tube_reports)
+    if not live:
+        return outcomes
+    problem = problems[live[0]]
+    grid = tubes[live[0]].grid
+    # f is called with t and u of one shape, as ThermistorProblem says
+    t = np.tile(grid.nodes, (len(live), 1))
+    u = v = np.array([tubes[i].v.values for i in live])
+    m = np.array([tubes[i].M.values for i in live])
+    lam = np.array([[problems[i].lam] for i in live], dtype=float)
+    residuals: dict[int, list[float]] = {i: [] for i in live}
+    finals: dict[int, tuple[np.ndarray, bool]] = {}
+    events: list = []
+
+    def record(kind: str, flag: int) -> None:
+        events.append(kind)
+
+    for k in range(1, opts.max_iter + 1):
+        with np.errstate(all="call", under="ignore", call=record):
+            ku = _k_rows(problem, grid, t[: len(live)], u, v, m, lam)
+            if ku is not None:
+                nxt = (1.0 - opts.damping) * u + opts.damping * ku
+                r = np.max(np.abs(nxt - u), axis=1)
+        if ku is None or events:
+            events.clear()
+            nxt, r = np.empty_like(u), np.empty(len(live))
+            for j, i in enumerate(live):
+                try:
+                    nxt[j], r[j] = _picard_step(GridFunction(grid, u[j]), tubes[i], problems[i], opts, k)
+                except Exception as err:  # this row's outcome, as picard_solve would raise it
+                    outcomes[i] = err
+        for j, i in enumerate(live):
+            if outcomes[i] is None:
+                residuals[i].append(float(r[j]))
+                if r[j] <= opts.tol_fp:
+                    finals[i] = (nxt[j].copy(), True)
+        keep = np.array([outcomes[i] is None and i not in finals for i in live])
+        if not keep.all():
+            live = [i for i, kept in zip(live, keep) if kept]
+            nxt, v, m, lam = nxt[keep], v[keep], m[keep], lam[keep]
+        u = nxt
+        if not live:
+            break
+    for j, i in enumerate(live):
+        finals[i] = (u[j], False)
+
+    for i, (values, converged) in finals.items():
+        problem, tube = problems[i], tubes[i]
+        try:
+            u_i = GridFunction(tube.grid, values)
+            outcomes[i] = SolveReport(
+                u=u_i,
+                iterations=len(residuals[i]),
+                fp_residuals=residuals[i],
+                converged=converged,
+                ode_residual=ode_residual(u_i, problem),
+                member_of_tube=membership(u_i, tube, default_condition_tol(tube.grid)),
+                bounds=bounds_estimate(problem, tube.v, tube.M),
+                tube_report=tube_reports[i],
+            )
+        except Exception as err:  # this row's outcome, as picard_solve would raise it
+            outcomes[i] = err
+    return outcomes
+
+
+def _k_rows(
+    problem: ThermistorProblem,
+    grid: Grid,
+    t: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    m: np.ndarray,
+    lam: np.ndarray,
+) -> np.ndarray | None:
+    """``apply_k`` on each row of ``u``, with centers ``v``, radii ``m`` and
+    couplings ``lam`` (shape ``(rows, 1)``); None when a check that
+    ``apply_k`` makes fails on any row: ``f`` raises or is not positive and
+    finite, ``g`` is not finite, or the solve overflows (as it does when the
+    right-hand side is not finite)."""
+    trunc = _project(u, v, m)
+    g = _g_rows(problem.f, t, trunc, lam, grid.h)
+    if g is None:
+        return None
+    x = _scan(_plan(grid, problem.alpha.value), _rhs(problem, g, trunc), problem.u_a)
+    return x if np.isfinite(x).all() else None
+
+
+def _picard_step(
+    u: GridFunction, tube: Tube, problem: ThermistorProblem, opts: SolveOptions, k: int
+) -> tuple[np.ndarray, float]:
+    """Picard step ``k`` of one row through ``apply_k``: the next iterate and
+    its update's sup norm."""
+    try:
+        ku = apply_k(u, tube, problem)
+    except SourcePositivityError as err:
+        raise SourcePositivityError(f"iteration {k}: {err}", node=err.node, iteration=k) from err
+    nxt = GridFunction(u.grid, (1.0 - opts.damping) * u.values + opts.damping * ku.values)
+    return nxt.values, float(np.max(np.abs(nxt.values - u.values)))
 
 
 # The oracle first settles D on a grid this many times coarser, when that grid

@@ -59,18 +59,23 @@ def truncate(u: GridFunction, tube: Tube) -> GridFunction:
     """
     if u.grid != tube.grid:
         raise ValueError("truncate: u is not on the tube's grid")
-    v = tube.v.values
-    m = tube.M.values
-    d = u.values - v
+    out = _project(u.values, tube.v.values, tube.M.values)
+    return u if out is u.values else GridFunction(u.grid, out)
+
+
+def _project(u: np.ndarray, v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The node-by-node projection of ``truncate`` on arrays of one shape,
+    one row or ``(rows, n)``; ``u`` itself when no node is outside."""
+    d = u - v
     inside = np.abs(d) <= m
     if inside.all():
         return u
-    out = np.where(inside, u.values, v + np.clip(d, -m, m))
+    out = np.where(inside, u, v + np.clip(d, -m, m))
     over = np.abs(out - v) > m
     while np.any(over):
         out[over] = np.nextafter(out[over], v[over])
         over = np.abs(out - v) > m
-    return GridFunction(u.grid, out)
+    return out
 
 
 def membership(u: GridFunction, tube: Tube, slack: float = 0.0) -> bool:

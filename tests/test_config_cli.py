@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import thermistor as th
+import thermistor.cli
 from thermistor.cli import SOLUTION_COLUMNS, SWEEP_COLUMNS, main
 from thermistor.config import ConfigError, load_config
 from thermistor.identities import CSV_COLUMNS
+from thermistor.solver import _picard_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -233,6 +235,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == f"{path}: {detail}"
+
+    @pytest.mark.parametrize(
+        "source, byte",
+        [("2 % u", 2), ("2 + %(a)s*u", 4)],
+        ids=["bare-percent", "interpolation-syntax"],
+    )
+    def test_percent_reaches_the_expression_parser(self, tmp_path, capsys, source, byte):
+        # no interpolation: the first once escaped as a configparser
+        # traceback, the second once ran as f = 2 + 1.0*u
+        path = write_cfg(tmp_path, self.PROBLEM.replace("f=1", f"f={source}") + "[tube]\nv = 0\nM = 1\n")
+        assert main(["verify-tube", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            f"thermistor: error: {path}: [problem] f: parse error at byte {byte}: "
+            "expected a number, name, operator, or parenthesis, found character '%'\n"
+        )
 
     def test_negative_radius_rejected_at_build(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, self.PROBLEM + "[tube]\nv = 0\nM = 0 - 1\n"))
@@ -463,15 +480,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(with_env)]) == 0
         assert (plain / "sweep.csv").read_bytes() == (with_env / "sweep.csv").read_bytes()
 
-    def test_rows_match_standalone_solves(self, tmp_path):
-        assert main(["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg"), "--out", str(tmp_path)]) == 0
-        rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
-        cfg = load_config(CONFIGS / "sweep_ramp.cfg")
+    @staticmethod
+    def assert_rows_match_standalone_solves(path, out, grid_n=None):
+        flags = [] if grid_n is None else ["--grid-n", str(grid_n)]
+        assert main(["sweep", "--config", str(path), "--out", str(out), *flags]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        cfg = load_config(path)
         points = list(itertools.product(cfg.sweep_lambdas, cfg.sweep_alphas))
         assert len(rows) == len(points)
         for row, (lam, al) in zip(rows, points):
             problem = replace(cfg.problem, lam=lam, alpha=th.Alpha(al))
-            tube = cfg.tube.build(problem, problem.grid(cfg.options.grid_n))
+            tube = cfg.tube.build(problem, problem.grid(grid_n or cfg.options.grid_n))
             report = th.picard_solve(problem, tube, cfg.options)
             assert row == [
                 repr(lam),
@@ -481,6 +500,94 @@ class TestSweepCommand:
                 repr(report.ode_residual),
                 str(report.member_of_tube).lower(),
             ]
+
+    def test_rows_match_standalone_solves(self, tmp_path):
+        self.assert_rows_match_standalone_solves(CONFIGS / "sweep_ramp.cfg", tmp_path)
+
+    def test_repeated_entries_match_standalone_solves(self, tmp_path, monkeypatch):
+        # alpha 0.9 has six points and alpha 0.5 three; at this n a batch
+        # holds two rows (2**18 // n), so both groups are split
+        batches = []
+
+        def recording(problems, tubes, opts):
+            batches.append([(p.lam, p.alpha.value) for p in problems])
+            return _picard_rows(problems, tubes, opts)
+
+        monkeypatch.setattr(thermistor.cli, "_picard_rows", recording)
+        text = (CONFIGS / "sweep_ramp.cfg").read_text()
+        text = text[: text.index("[sweep]")] + "[sweep]\nlambda = 2.0, 0.5, 2.0\nalpha = 0.9, 0.5, 0.9\n"
+        self.assert_rows_match_standalone_solves(write_cfg(tmp_path, text), tmp_path, grid_n=100001)
+        assert batches == [
+            [(2.0, 0.9), (2.0, 0.9)], [(0.5, 0.9), (0.5, 0.9)], [(2.0, 0.9), (2.0, 0.9)],
+            [(2.0, 0.5), (0.5, 0.5)], [(2.0, 0.5)],
+        ]
+
+    # the tube fails verification at every lambda; the iterates climb into the
+    # dead zone of f around u = 0.5 at iteration 7 for lambda = 0.2 and at
+    # iteration 2 for lambda = 1, and stay below it for lambda = 0.01
+    DEAD_ZONE = """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 1.0
+alpha = 0.5
+u_a = 0.0
+f = (2*u - 1)^2 - 0.01
+
+[tube]
+v = 0
+M = 1
+
+[solve]
+grid_n = 101
+
+[sweep]
+lambda = 0.01, 0.2, 1.0
+"""
+
+    def test_first_error_in_sweep_order_wins(self, tmp_path, capsys):
+        # solved together, the third point fails first; the sweep still
+        # reports the first point's warning and then the second point's error
+        cfg = write_cfg(tmp_path, self.DEAD_ZONE)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert capsys.readouterr().err == (
+            "thermistor: warning: tube conditions not satisfied "
+            "(boundary margin 0.010101010101010104 at node 0); solving anyway\n"
+            "thermistor: error: iteration 7: H1 violated: f(t, u) must be strictly positive, "
+            "got f(1.1, 0.46269451340722406) = -0.004433202680304859 at node 10\n"
+        )
+        assert not (tmp_path / "run").exists()
+
+    def test_tube_build_error_after_a_warned_point(self, tmp_path, capsys):
+        # M decreases, so every tube fails verification; at lambda = 1e308
+        # the closed-form center's lambda * f overflows and its tube cannot
+        # be built, which stops the sweep before lambda = 2
+        cfg = write_cfg(tmp_path, """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 1.0
+alpha = 0.5
+u_a = 0.0
+f = 2
+
+[tube]
+generator = closed_form_center
+M = 2.5 - t
+
+[solve]
+grid_n = 101
+
+[sweep]
+lambda = 1.0, 1e308, 2.0
+""")
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert capsys.readouterr().err == (
+            "thermistor: warning: tube conditions not satisfied "
+            "(boundary margin 1.500013717979382 at node 0); solving anyway\n"
+            "thermistor: error: grid function has non-finite value at node 0\n"
+        )
 
     def test_defaults_to_single_tuple_without_sweep_section(self, tmp_path):
         out = tmp_path / "run"

@@ -15,7 +15,7 @@ import thermistor as th
 from thermistor.expressions import Expr
 from thermistor.linear import _plan
 from thermistor.model import sample_source
-from thermistor.solver import equation_residual
+from thermistor.solver import _picard_rows, equation_residual
 
 from conftest import constant_problem, ramp_problem, sin_offset_source, sin_problem, u_star
 from test_expressions import _reference_eval
@@ -396,6 +396,124 @@ class TestPicardSolve:
         report = th.picard_solve(p, tube, th.SolveOptions())
         assert report.bounds == (1.0, 1.0, 1.0)
         assert report.ode_residual <= 1e-4
+
+
+def _solve_fields(report):
+    """Everything a solve reports, as values that compare bit for bit."""
+    return (
+        report.u.values.tobytes(),
+        repr(report.fp_residuals),
+        report.iterations,
+        repr(report.ode_residual),
+        report.member_of_tube,
+        repr(report.bounds),
+        repr(report.tube_report),
+    )
+
+
+def _sin_rows(alpha, n, rows):
+    """``2 + sin(u)`` problems at one alpha, one per ``(lambda, scale)`` row,
+    each with the closed-form center and the radius ``scale * exp(t - 1)``."""
+    problems, tubes = [], []
+    for lam, scale in rows:
+        p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
+        grid = p.grid(n)
+        problems.append(p)
+        tubes.append(th.Tube(th.closed_form_center(p, grid), th.GridFunction(grid, scale * np.exp(grid.nodes - 1.0))))
+    return problems, tubes
+
+
+# lambda, and the scale of the radius exp(t - 1): at 0.02 the iterates of
+# larger lambdas are clipped, at 1.0 none is
+_ROWS = st.lists(st.tuples(st.floats(0.5, 8.0), st.sampled_from([1.0, 0.02])), min_size=1, max_size=5)
+
+
+class TestPicardRows:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(0.3, 1.0),
+        n=st.sampled_from([201, 2001]),
+        damping=st.sampled_from([1.0, 0.5]),
+        rows=_ROWS,
+    )
+    def test_each_row_equals_its_one_row_solve(self, alpha, n, damping, rows):
+        problems, tubes = _sin_rows(alpha, n, rows)
+        opts = th.SolveOptions(damping=damping)
+        batch = _picard_rows(problems, tubes, opts)
+        for p, tube, report in zip(problems, tubes, batch):
+            assert _solve_fields(report) == _solve_fields(th.picard_solve(p, tube, opts))
+
+    @pytest.mark.parametrize("n", [201, 2001])
+    def test_rows_that_finish_and_clip_apart(self, n):
+        # clipped rows (radius 0.02*exp(t - 1), lambda >= 2) and free ones
+        # converge after 6, 7, 12 and 30 iterations; the order puts the
+        # longest row first and last
+        rows = [(8.0, 1.0), (8.0, 0.02), (0.5, 1.0), (2.0, 0.02), (8.0, 1.0)]
+        problems, tubes = _sin_rows(0.7, n, rows)
+        opts = th.SolveOptions()
+        batch = _picard_rows(problems, tubes, opts)
+        singles = [th.picard_solve(p, tube, opts) for p, tube in zip(problems, tubes)]
+        assert [_solve_fields(r) for r in batch] == [_solve_fields(r) for r in singles]
+        assert [r.iterations for r in batch] == [30, 6, 12, 7, 30]
+        # a converged row whose last iterate lies outside its tube was clipped
+        clipped = [th.truncate(r.u, tube) is not r.u for r, tube in zip(batch, tubes)]
+        assert clipped == [False, True, False, True, False]
+
+    def test_fine_grid_batch_of_three(self):
+        problems, tubes = _sin_rows(0.3, 20001, [(8.0, 0.02), (0.5, 1.0), (8.0, 1.0)])
+        opts = th.SolveOptions()
+        batch = _picard_rows(problems, tubes, opts)
+        for p, tube, report in zip(problems, tubes, batch):
+            assert report.converged
+            assert _solve_fields(report) == _solve_fields(th.picard_solve(p, tube, opts))
+
+    def test_failing_rows_get_their_standalone_errors(self):
+        # the dead zone of f around u = 0.5 is reached at iteration 7 for
+        # lambda = 0.2 and at iteration 2 for lambda = 1; lambda = 0.01 stays
+        # below it
+        f = th.parse_expr("(2*u - 1)^2 - 0.01")
+        problems = [th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(0.5), 0.0, f) for lam in (0.2, 0.01, 1.0)]
+        grid = problems[0].grid(101)
+        tube = th.Tube(th.GridFunction.constant(grid, 0.0), th.GridFunction.constant(grid, 1.0))
+        opts = th.SolveOptions()
+        failed, solved, early = _picard_rows(problems, [tube] * 3, opts)
+        for p, outcome in ((problems[0], failed), (problems[2], early)):
+            with pytest.raises(th.SourcePositivityError) as alone:
+                th.picard_solve(p, tube, opts)
+            assert type(outcome) is type(alone.value)
+            assert (str(outcome), outcome.node, outcome.iteration) == (
+                str(alone.value), alone.value.node, alone.value.iteration
+            )
+        assert (failed.iteration, early.iteration) == (7, 2)
+        assert _solve_fields(solved) == _solve_fields(th.picard_solve(problems[1], tube, opts))
+
+    def test_a_step_that_only_warns_warns_for_its_row(self):
+        # at lambda = 0.5 the second iterate reaches u ~ 1.5, where f is near
+        # 1e307 at enough nodes for the trapezoid sum to overflow: numpy warns
+        # and the integral is inf, which no check rejects; at lambda = 0.01
+        # the iterates stay near u = 1
+        f = th.parse_expr("1 + 1e308*(u*(2 - u)*(1 - u))^2")
+        problems = [th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(1.0), 1.0, f) for lam in (0.01, 0.5)]
+        grid = problems[0].grid(101)
+        tube = th.Tube(th.GridFunction.constant(grid, 1.0), th.GridFunction.constant(grid, 1.0))
+        opts = th.SolveOptions()
+        # under this suite's error::RuntimeWarning filter the warning is the outcome
+        with pytest.raises(RuntimeWarning) as alone:
+            th.picard_solve(problems[1], tube, opts)
+        quiet, warned = _picard_rows(problems, [tube, tube], opts)
+        assert type(warned) is RuntimeWarning
+        assert str(warned) == str(alone.value) == "overflow encountered in reduce"
+        assert _solve_fields(quiet) == _solve_fields(th.picard_solve(problems[0], tube, opts))
+
+        def solve_recording(solve):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reports = solve()
+            return [_solve_fields(r) for r in reports], [str(w.message) for w in caught]
+
+        batch = solve_recording(lambda: _picard_rows(problems, [tube, tube], opts))
+        assert batch == solve_recording(lambda: [th.picard_solve(p, tube, opts) for p in problems])
+        assert batch[1] == ["overflow encountered in reduce"]
 
 
 class TestOracle:
