@@ -49,9 +49,11 @@ EXIT_CONFIG = 4
 
 SOLUTION_COLUMNS = ("t", "u", "v", "M", "g", "residual")
 SWEEP_COLUMNS = ("lambda", "alpha", "converged", "iterations", "ode_residual", "member")
-# a sweep solves the points of one alpha in batches of 2**18 // n rows (at
-# least one), so that a batch's iterate array holds about 2**18 values
-_BATCH_NODES = 2**18
+# A sweep solves the points of one alpha in batches of 2**15 // n rows, at
+# least one: the batch's arrays stay near 256 KB each, and from n = 16385 on
+# the points are solved one at a time, where batching them saved no time and
+# cost memory (BENCH_15.json, "batch_cap").
+_BATCH_NODES = 2**15
 
 
 def _fmt(cell: object) -> str:
@@ -98,10 +100,9 @@ def _build_tube(args: argparse.Namespace, cfg: LoadedConfig, problem: Thermistor
     return prefixed(args.config, cfg.tube.build, problem, grid, catch=ConfigError)
 
 
-def _warn_if_invalid(report: SolveReport) -> None:
+def _warn_if_invalid(tube_report: TubeReport) -> None:
     """A ``thermistor: warning:`` line on stderr when the tube of a solve
     failed verification."""
-    tube_report = report.tube_report
     if not tube_report.valid:
         print(
             "thermistor: warning: tube conditions not satisfied "
@@ -158,7 +159,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg, problem, options, grid = _prepare(args)
     tube = _build_tube(args, cfg, problem, grid)
     report = picard_solve(problem, tube, options)
-    _warn_if_invalid(report)
+    _warn_if_invalid(report.tube_report)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -232,35 +233,45 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         alphas = [problem.alpha.value]
     points = [replace(problem, lam=lam, alpha=Alpha(al)) for lam in lambdas for al in alphas]
-    tubes, build_error = [], None
-    for point in points:
-        try:
-            tubes.append(_build_tube(args, cfg, point, grid))
-        except Exception as err:  # raised below, after the points before it
-            build_error = err
-            break
-
-    outcomes: list = [None] * len(tubes)
     groups: dict[float, list[int]] = {}
-    for i in range(len(tubes)):
-        groups.setdefault(points[i].alpha.value, []).append(i)
+    for i, point in enumerate(points):
+        groups.setdefault(point.alpha.value, []).append(i)
+
+    # per point, the sweep.csv row and the tube report, or the error that
+    # solving the points one by one raises there; no point after the first
+    # error is built or solved
+    outcomes: list = [None] * len(points)
+    first_error = len(points)
     cap = max(1, _BATCH_NODES // grid.n)
     for members in groups.values():
         for start in range(0, len(members), cap):
-            batch = members[start : start + cap]
-            solved = _picard_rows([points[i] for i in batch], [tubes[i] for i in batch], options)
-            for i, outcome in zip(batch, solved):
-                outcomes[i] = outcome
+            batch, tubes = [], []
+            for i in members[start : start + cap]:
+                if i > first_error:
+                    break
+                try:
+                    tubes.append(_build_tube(args, cfg, points[i], grid))
+                except Exception as err:  # raised below, after the points before it
+                    outcomes[i], first_error = err, i
+                    break
+                batch.append(i)
+            if not batch:
+                continue
+            for i, report in zip(batch, _picard_rows([points[i] for i in batch], tubes, options)):
+                if isinstance(report, Exception):
+                    outcomes[i], first_error = report, min(first_error, i)
+                else:
+                    row = (points[i].lam, points[i].alpha.value, report.converged,
+                           report.iterations, report.ode_residual, report.member_of_tube)
+                    outcomes[i] = (row, report.tube_report)
 
     rows = []
-    for point, report in zip(points, outcomes):
-        if isinstance(report, Exception):
-            raise report
-        _warn_if_invalid(report)
-        rows.append((point.lam, point.alpha.value, report.converged, report.iterations,
-                     report.ode_residual, report.member_of_tube))
-    if build_error is not None:
-        raise build_error
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        row, tube_report = outcome
+        _warn_if_invalid(tube_report)
+        rows.append(row)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -53,8 +53,14 @@ class ThermistorProblem:
         lam: coupling constant, strictly positive.
         alpha: conformable derivative order in (0, 1].
         u_a: initial value at ``t = a``.
-        f: source term; called with (t, u) arrays of equal shape and
-            expected to broadcast (expression trees qualify).
+        f: source term; called with (t, u) arrays of equal shape, of
+            any number of dimensions, and expected to act node by node:
+            the value at a node may depend only on ``t`` and ``u`` there
+            (config expressions qualify).  ``picard_solve`` and the
+            other public functions pass one row of nodes, or a lattice
+            (``bounds_estimate``); the CLI's sweep passes a ``(rows, n)``
+            array of iterates, one row per point, where a reduction such
+            as ``u.max()`` would mix the points.
     """
 
     a: float
@@ -132,9 +138,11 @@ def _g_rows(f: SourceFn, t: np.ndarray, u: np.ndarray, lam: np.ndarray, h: float
 
     Returns None when ``sample_source`` or ``evaluate_g`` would raise on any
     row: ``f`` raises, or is not positive and finite, or ``g`` is not finite.
+    A single row is passed to ``f`` as one row of nodes, as ``evaluate_g``
+    passes it.
     """
     try:
-        fv = _source(f, t, u)
+        fv = _source(f, t, u) if len(u) > 1 else _source(f, t[0], u[0])[None]
     except Exception:  # the caller redoes the rows one by one, for each row's own error
         return None
     if not _positive(fv):

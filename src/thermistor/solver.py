@@ -134,9 +134,12 @@ def apply_k(u: GridFunction, tube: Tube, problem: ThermistorProblem) -> GridFunc
     return solve_linear(rhs, problem.u_a, problem.alpha)
 
 
-def _rhs(problem: ThermistorProblem, g: np.ndarray, trunc: np.ndarray) -> np.ndarray:
-    """The right-hand side ``g + u~ / a**alpha`` that ``K`` solves with."""
-    return g + trunc / (problem.a**problem.alpha.value)
+def _rhs(
+    problem: ThermistorProblem, g: np.ndarray, trunc: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The right-hand side ``g + u~ / a**alpha`` that ``K`` solves with,
+    written into ``out`` when given."""
+    return np.add(g, trunc / (problem.a**problem.alpha.value), out=out)
 
 
 def equation_residual(u: GridFunction, problem: ThermistorProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +216,8 @@ def _picard_rows(
     grid = tubes[live[0]].grid
     # f is called with t and u of one shape, as ThermistorProblem says
     t = np.tile(grid.nodes, (len(live), 1))
-    u = v = np.array([tubes[i].v.values for i in live])
+    v = np.array([tubes[i].v.values for i in live])
+    u, spare = v.copy(), np.empty_like(v)  # a step writes its iterate into spare
     m = np.array([tubes[i].M.values for i in live])
     lam = np.array([[problems[i].lam] for i in live], dtype=float)
     residuals: dict[int, list[float]] = {i: [] for i in live}
@@ -227,8 +231,10 @@ def _picard_rows(
         with np.errstate(all="call", under="ignore", call=record):
             ku = _k_rows(problem, grid, t[: len(live)], u, v, m, lam)
             if ku is not None:
-                nxt = (1.0 - opts.damping) * u + opts.damping * ku
-                r = np.max(np.abs(nxt - u), axis=1)
+                nxt = np.multiply(u, 1.0 - opts.damping, out=spare)
+                ku *= opts.damping
+                nxt += ku
+                r = np.max(np.abs(np.subtract(nxt, u, out=ku), out=ku), axis=1)
         if ku is None or events:
             events.clear()
             nxt, r = np.empty_like(u), np.empty(len(live))
@@ -245,8 +251,8 @@ def _picard_rows(
         keep = np.array([outcomes[i] is None and i not in finals for i in live])
         if not keep.all():
             live = [i for i, kept in zip(live, keep) if kept]
-            nxt, v, m, lam = nxt[keep], v[keep], m[keep], lam[keep]
-        u = nxt
+            nxt, v, m, lam, u = nxt[keep], v[keep], m[keep], lam[keep], u[keep]
+        u, spare = nxt, u
         if not live:
             break
     for j, i in enumerate(live):
@@ -289,7 +295,7 @@ def _k_rows(
     g = _g_rows(problem.f, t, trunc, lam, grid.h)
     if g is None:
         return None
-    x = _scan(_plan(grid, problem.alpha.value), _rhs(problem, g, trunc), problem.u_a)
+    x = _scan(_plan(grid, problem.alpha.value), _rhs(problem, g, trunc, out=g), problem.u_a)
     return x if np.isfinite(x).all() else None
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import thermistor as th
 import thermistor.cli
-from thermistor.cli import SOLUTION_COLUMNS, SWEEP_COLUMNS, main
+from thermistor.cli import SOLUTION_COLUMNS, SWEEP_COLUMNS, _build_tube, main
 from thermistor.config import ConfigError, load_config
 from thermistor.identities import CSV_COLUMNS
 from thermistor.solver import _picard_rows
@@ -506,7 +506,7 @@ class TestSweepCommand:
 
     def test_repeated_entries_match_standalone_solves(self, tmp_path, monkeypatch):
         # alpha 0.9 has six points and alpha 0.5 three; at this n a batch
-        # holds two rows (2**18 // n), so both groups are split
+        # holds two rows (2**15 // n), so both groups are split
         batches = []
 
         def recording(problems, tubes, opts):
@@ -516,7 +516,7 @@ class TestSweepCommand:
         monkeypatch.setattr(thermistor.cli, "_picard_rows", recording)
         text = (CONFIGS / "sweep_ramp.cfg").read_text()
         text = text[: text.index("[sweep]")] + "[sweep]\nlambda = 2.0, 0.5, 2.0\nalpha = 0.9, 0.5, 0.9\n"
-        self.assert_rows_match_standalone_solves(write_cfg(tmp_path, text), tmp_path, grid_n=100001)
+        self.assert_rows_match_standalone_solves(write_cfg(tmp_path, text), tmp_path, grid_n=16001)
         assert batches == [
             [(2.0, 0.9), (2.0, 0.9)], [(0.5, 0.9), (0.5, 0.9)], [(2.0, 0.9), (2.0, 0.9)],
             [(2.0, 0.5), (0.5, 0.5)], [(2.0, 0.5)],
@@ -557,6 +557,28 @@ lambda = 0.01, 0.2, 1.0
             "got f(1.1, 0.46269451340722406) = -0.004433202680304859 at node 10\n"
         )
         assert not (tmp_path / "run").exists()
+
+    def test_no_point_after_the_first_error_is_built_or_solved(self, tmp_path, capsys, monkeypatch):
+        # with one row a batch, each tube is built just before its batch is
+        # solved, and the second point's error is known before the third
+        # point comes up, which is then skipped
+        calls = []
+
+        def building(args, cfg, problem, grid):
+            calls.append(("build", problem.lam))
+            return _build_tube(args, cfg, problem, grid)
+
+        def solving(problems, tubes, opts):
+            calls.append(("solve", [p.lam for p in problems]))
+            return _picard_rows(problems, tubes, opts)
+
+        monkeypatch.setattr(thermistor.cli, "_BATCH_NODES", 101)
+        monkeypatch.setattr(thermistor.cli, "_build_tube", building)
+        monkeypatch.setattr(thermistor.cli, "_picard_rows", solving)
+        cfg = write_cfg(tmp_path, self.DEAD_ZONE)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert capsys.readouterr().err.splitlines()[1].startswith("thermistor: error: iteration 7: ")
+        assert calls == [("build", 0.01), ("solve", [0.01]), ("build", 0.2), ("solve", [0.2])]
 
     def test_tube_build_error_after_a_warned_point(self, tmp_path, capsys):
         # M decreases, so every tube fails verification; at lambda = 1e308

@@ -515,6 +515,27 @@ class TestPicardRows:
         assert batch == solve_recording(lambda: [th.picard_solve(p, tube, opts) for p in problems])
         assert batch[1] == ["overflow encountered in reduce"]
 
+    def test_one_row_passes_f_the_nodes_as_apply_k_does(self):
+        # u[-1] is the last node of a row of nodes but the whole row of a
+        # (1, n) array, so this f tells the two calls apart
+        p = replace(sin_problem(), lam=2.0, f=lambda t, u: 2.0 + np.sin(u) + 0.25 * u[-1])
+        grid = p.grid(201)
+        tube = th.Tube(th.closed_form_center(p, grid), th.GridFunction(grid, np.exp(grid.nodes - 1.0)))
+        opts = th.SolveOptions()
+        report = th.picard_solve(p, tube, opts)
+
+        u = tube.v
+        residuals = []
+        while len(residuals) < opts.max_iter:
+            nxt = th.apply_k(u, tube, p)
+            residuals.append(float(np.max(np.abs(nxt.values - u.values))))
+            u = nxt
+            if residuals[-1] <= opts.tol_fp:
+                break
+        assert report.converged
+        assert report.fp_residuals == residuals
+        assert report.u.values.tobytes() == u.values.tobytes()
+
 
 class TestOracle:
     def test_matches_closed_form_on_constant_source(self):
