@@ -171,11 +171,27 @@ def load_config(path: str | Path) -> LoadedConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except (OSError, UnicodeDecodeError) as err:
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read config: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: cannot read config: {err}") from err
     except configparser.Error as err:
-        raise ConfigError(f"{path}: malformed config: {err}") from err
+        raise ConfigError(f"{path}: malformed config: {_malformed(err)}") from err
     return prefixed(path, _interpret, parser)
+
+
+def _malformed(err: configparser.Error) -> str:
+    """configparser's error on one line, with its line number and without
+    the file name that its own message quotes."""
+    if isinstance(err, configparser.MissingSectionHeaderError):
+        return f"line {err.lineno}: File contains no section headers."
+    if isinstance(err, configparser.ParsingError):
+        return "; ".join(f"line {lineno}: cannot parse {line}" for lineno, line in err.errors)
+    if isinstance(err, configparser.DuplicateOptionError):
+        return f"line {err.lineno}: option {err.option!r} in section {err.section!r} already exists"
+    if isinstance(err, configparser.DuplicateSectionError):
+        return f"line {err.lineno}: section {err.section!r} already exists"
+    return " ".join(str(err).split())
 
 
 def _interpret(parser: configparser.ConfigParser) -> LoadedConfig:

@@ -18,7 +18,8 @@ by zero, sqrt of a negative, overflow) carry the source span of the
 offending subexpression instead of leaking NaNs.  On its first call in
 each evaluation mode (Python floats or numpy arrays) a tree generates one
 Python function, in which each node checks its own value and raises its
-own error.
+own error.  ``Expr.scalar`` is the float-mode function itself, for loops
+that call it many times without the dispatch of ``Expr.__call__``.
 """
 
 from __future__ import annotations
@@ -144,7 +145,13 @@ class Expr:
             fn = self._array_fn or self._generate(scalar=False)
             with np.errstate(all="ignore"):
                 return fn(t, u)
-        return (self._scalar_fn or self._generate(scalar=True))(t, u)
+        return self.scalar(t, u)
+
+    @property
+    def scalar(self):
+        """The generated float-mode function ``fn(t, u)``, which is what a
+        call on scalars runs, without the dispatch; built on first use."""
+        return self._scalar_fn or self._generate(scalar=True)
 
     def _generate(self, scalar: bool):
         # error snippets slice the source of the expression being called

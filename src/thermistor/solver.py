@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformable import Grid, GridFunction, conformable_derivative
+from .expressions import Expr
 from .model import (
     SourceBounds,
     SourcePositivityError,
@@ -329,7 +330,10 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     reproduces itself within ``tol_fp * min(1, D)``: an absolute test for
     ``D >= 1`` and a relative one below, so that a source close to zero
     still settles to the same trajectory from any start.  No conformable
-    operators or exponential weights appear anywhere on this path.
+    operators or exponential weights appear anywhere on this path.  The
+    RK4 stages call ``f.scalar`` when ``f`` is an ``Expr`` (``f`` itself
+    otherwise), and step over Python floats and lists; each pass builds
+    one array, for D.
 
     The outer loop solves ``F(D) = D(traj(D)) - D = 0`` by a safeguarded
     secant method.  A sign bracket ``lo < D* < hi`` starts as ``(0, inf)``
@@ -370,12 +374,12 @@ def _oracle_settle(
     and in ``F(D)`` that give the last secant slope (NaN without one).
     """
     grid = problem.grid(n)
-    t = grid.nodes
+    starts = grid.nodes[:-1].tolist()  # each RK4 step's start time, as a float
     h = grid.h
     half = 0.5 * h
     lam = problem.lam
     power = problem.alpha.value - 1.0
-    f = problem.f
+    f = problem.f.scalar if isinstance(problem.f, Expr) else problem.f
 
     def denominator(u: np.ndarray) -> float:
         # squared as a Python float, which overflows to inf without a warning
@@ -399,11 +403,9 @@ def _oracle_settle(
     prev_d = prev_step = math.nan
     for passes in range(1, opts.max_iter + 1):
         scale = lam / d_sq
-        u = np.empty(grid.n)
-        u[0] = problem.u_a
         yi = float(problem.u_a)
-        for i in range(grid.n - 1):
-            ti = float(t[i])
+        traj = [yi]
+        for ti in starts:
             tm = ti + half
             te = ti + h
             w_mid = scale * tm**power
@@ -412,7 +414,8 @@ def _oracle_settle(
             k3 = w_mid * f(tm, yi + half * k2)
             k4 = scale * te**power * f(te, yi + h * k3)
             yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            u[i + 1] = yi
+            traj.append(yi)
+        u = np.array(traj, dtype=float)
 
         new_d = denominator(u)
         step = new_d - d_sq

@@ -191,17 +191,33 @@ class TestLoadConfig:
 
     def test_unreadable_and_malformed_files(self, tmp_path):
         # the OS and configparser errors quote the file name themselves;
-        # load_config adds it once, in front
+        # load_config names it once, in front, on one line
         missing = tmp_path / "missing.cfg"
         with pytest.raises(ConfigError, match="cannot read") as info:
             load_config(missing)
         assert isinstance(info.value.__cause__, FileNotFoundError)
-        assert str(info.value) == f"{missing}: cannot read config: {info.value.__cause__}"
+        assert str(info.value) == f"{missing}: cannot read config: No such file or directory"
         malformed = write_cfg(tmp_path, "a = 1 with no section\n")
         with pytest.raises(ConfigError, match="malformed config") as info:
             load_config(malformed)
         assert isinstance(info.value.__cause__, configparser.Error)
-        assert str(info.value) == f"{malformed}: malformed config: {info.value.__cause__}"
+        assert str(info.value) == f"{malformed}: malformed config: line 1: File contains no section headers."
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("[problem]\n[problem]\n", "line 2: section 'problem' already exists"),
+            ("[problem]\na=1\na=2\n", "line 3: option 'a' in section 'problem' already exists"),
+            ("[problem]\nnot a key\nnor this\n",
+             "line 2: cannot parse 'not a key\\n'; line 3: cannot parse 'nor this\\n'"),
+        ],
+        ids=["duplicate-section", "duplicate-key", "no-equals"],
+    )
+    def test_malformed_file_errors_are_one_line(self, tmp_path, text, detail):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: malformed config: {detail}"
 
     def test_file_that_is_not_utf8_is_unreadable(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"

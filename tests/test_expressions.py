@@ -461,6 +461,47 @@ class TestCompiledCache:
             pending.extend(cls.__subclasses__())
 
 
+class TestScalarFunction:
+    """``Expr.scalar`` is the function a call on floats runs, without the dispatch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(src=_SOURCES, t=_SCALARS, u=_SCALARS)
+    @example(src="1/(t - 1) + sqrt(u)", t=1.0, u=4.0)
+    @example(src="(t) ^ (0.5)", t=-2.5, u=0.0)
+    @example(src="-(1.7976931348623157e308*2)", t=0.0, u=0.0)
+    def test_matches_the_call_bit_for_bit(self, src, t, u):
+        e = parse_expr(src)
+        # each side evaluates a copy of its own, so that neither reuses the
+        # function the other generated
+        copies = [
+            lambda: parse_expr(src),
+            lambda: pickle.loads(pickle.dumps(e)),
+            lambda: dataclasses.replace(e, span=(0, 1)),
+        ]
+        assert callable(e.scalar)  # the pickled and replaced copies start from a generated e
+        for make in copies:
+            want, want_err = _outcome(lambda x, t, u: x(t, u), make(), t, u)
+            got, got_err = _outcome(lambda x, t, u: x.scalar(t, u), make(), t, u)
+            if want_err is not None:
+                assert isinstance(want_err, EvalError)
+                assert type(got_err) is EvalError
+                assert (got_err.span, str(got_err)) == (want_err.span, str(want_err))
+                continue
+            assert got_err is None, got_err
+            assert type(got) is float and got.hex() == want.hex()
+
+    def test_replace_generates_its_own_function(self):
+        e = parse_expr("1/(t - 1)")
+        with pytest.raises(EvalError) as before:
+            e.scalar(1.0, 0.0)
+        moved = dataclasses.replace(e, span=(0, 1))
+        assert moved.scalar is not e.scalar
+        with pytest.raises(EvalError) as after:
+            moved.scalar(1.0, 0.0)
+        assert (before.value.span, after.value.span) == ((0, 9), (0, 1))
+        assert after.value.snippet == "1"
+
+
 # the names a generated function may use besides its own c<k> bindings
 _FIXED_NAMES = {
     "EvalError", "OverflowError", "ValueError", "ZeroDivisionError",

@@ -568,6 +568,30 @@ class TestOracle:
         out = th.oracle_solve(p, opts)
         assert out.values.tobytes() == _nested_reference_oracle(p, opts)[0].tobytes()
 
+    def test_rk4_stages_skip_the_expression_dispatch(self, monkeypatch):
+        # the RK4 stages call the generated scalar function; Expr.__call__
+        # sees only the array evaluation of each sample_source
+        calls = collections.Counter()
+        samples = []
+        call = Expr.__call__
+
+        def counting_call(e, t, u):
+            calls["array" if isinstance(t, np.ndarray) or isinstance(u, np.ndarray) else "float"] += 1
+            return call(e, t, u)
+
+        def counting_sample_source(problem, u):
+            samples.append(u.grid.n)
+            return sample_source(problem, u)
+
+        monkeypatch.setattr(Expr, "__call__", counting_call)
+        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
+        p = replace(sin_problem(), f=th.parse_expr("2 + sin(u)"))
+        out = th.oracle_solve(p, th.SolveOptions(grid_n=2001))
+        assert calls["float"] == 0
+        assert calls["array"] == len(samples) > 0
+        assert set(samples) == {201, 2001}
+        assert out.values.tobytes() == _nested_reference_oracle(p, th.SolveOptions(grid_n=2001))[0].tobytes()
+
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     @pytest.mark.parametrize("lam", [20.0, 40.0])
     def test_failed_coarse_solve_leaves_the_answer_unchanged(self, lam, alpha):
