@@ -14,8 +14,9 @@ O(n) array passes.
 The solve has two parts.  ``_plan`` builds everything that depends only
 on the grid and ``alpha`` (the panel weights, the scan blocks with their
 rescaling factors, and the decay of ``x0``) as read-only arrays, and
-keeps the last plan in a one-entry cache: the Picard iteration solves on
-one grid and order many times in a row.  ``_scan`` does the work that
+keeps the last two plans in a cache: the Picard iteration solves on one
+grid and order many times in a row, and a nested Picard solve alternates
+between its coarse and its fine grid.  ``_scan`` does the work that
 depends on ``g``, on one row of values or on a ``(rows, n)`` array of them.
 """
 
@@ -52,7 +53,7 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _plan(grid: Grid, al: float) -> _Plan:
     """Panel weights, scan blocks and decay for ``grid`` and order ``al``."""
     a = grid.a
@@ -122,7 +123,7 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
     that the exact sum would not; a scalar carry crosses block boundaries.
 
     The weights, blocks and rescaling factors depend only on the grid and
-    ``alpha``.  They come from ``_plan``, which caches the last
+    ``alpha``.  They come from ``_plan``, which caches the last two
     ``(grid, alpha)`` it built (grids compare by ``(a, T, n)``), so
     repeated solves on one grid and order pay only for the scan.
 

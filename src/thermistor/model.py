@@ -89,7 +89,10 @@ class ThermistorProblem:
 def _source(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``f`` on the nodes ``t`` along ``u``, one row of values or a
     ``(rows, n)`` array of them, as an array of the shape of ``u``."""
-    return np.asarray(f(t, u), dtype=float) * np.ones(u.shape)
+    fv = np.asarray(f(t, u), dtype=float)
+    # broadcasting a constant or a scalar costs a pass, and an array of u's
+    # shape needs none
+    return fv if fv.shape == u.shape else fv * np.ones(u.shape)
 
 
 def _positive(fv: np.ndarray) -> bool:
@@ -176,7 +179,7 @@ def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction
     tt, ss = np.meshgrid(v.grid.nodes[idx], np.linspace(-1.0, 1.0, _BAND_SAMPLES))
     uu = v.values[idx] + ss * M.values[idx]
     try:
-        fv = np.asarray(problem.f(tt, uu), dtype=float) * np.ones_like(uu)
+        fv = _source(problem.f, tt, uu)
     except ValueError:
         fv = np.full_like(uu, math.nan)
     f_min = float(fv.min())

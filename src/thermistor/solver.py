@@ -6,13 +6,14 @@ damping term on both sides,
     K(u) = solve_linear(g(., u~) + u~ / a**alpha,  u_a),
 
 where ``u~`` is the iterate truncated into the tube.  Fixed points inside
-the tube solve the original problem.  One loop, ``_picard_rows``, iterates
+the tube solve the original problem.  One loop, ``_iterate``, iterates
 K on a ``(rows, n)`` array of iterates that share the grid, alpha and
 source, through the private array cores of ``truncate``, ``evaluate_g``
 and ``solve_linear``; it builds no GridFunction inside an iteration.
 ``picard_solve`` is a batch of one row, and the CLI's sweep passes the
-points of one alpha as the rows.  ``oracle_solve`` answers the same
-question through a completely separate route: classical RK4 on
+points of one alpha as the rows.  From 10001 nodes the loop starts each
+row from its fixed point on a grid 10 times coarser.  ``oracle_solve``
+answers the same question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
 denominator D frozen per pass, and an outer loop that finds the D whose
 trajectory reproduces it (within ``tol_fp``, relative to D when D < 1) by a
@@ -27,6 +28,7 @@ meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +60,14 @@ __all__ = [
 ]
 
 
+# Both solvers start by nested iteration on a grid this many times coarser.
+_NEST_RATIO = 10
+# picard_solve nests when that grid has this many nodes (n >= 10001): a step
+# costs ~0.1 ms at any n, so nested/plain solve time is 1.31 at n = 1001, 1.22
+# at 2001, 1.02 at 4001, 0.85 at 10001 and 0.72 at 20001 (BENCH_17.json).
+_PICARD_NEST_FLOOR = 1001
+
+
 class ConvergenceError(RuntimeError):
     """An iteration that must converge to be usable did not."""
 
@@ -69,7 +79,7 @@ class SolveOptions:
     damping is the fraction of the new operator value mixed into the
     iterate (1.0 is the undamped map).  max_iter bounds the iterations of
     ``picard_solve`` and the RK4 passes of ``oracle_solve`` on each grid
-    level of its nested start; both check every one of them for
+    level of their nested starts; both check every one of them for
     convergence.  tol_fp bounds the last update of ``picard_solve`` and
     the change in the oracle's D over one pass, ``tol_fp * min(1, D)``:
     absolute for ``D >= 1`` and relative below.  grid_n sets the size of
@@ -171,6 +181,13 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     raise).  An invalid tube does not stop the iteration; only
     ``report.tube_report.valid`` carries the verdict.
 
+    On a grid of at least 10001 nodes the start is nested: the loop first
+    runs silently, with no report, on the grid 10 times coarser (recursively,
+    while that has 1001 nodes) in the ``np.interp`` of the tube, and starts
+    from its converged iterate, prolonged by ``np.interp``, or from ``v`` if
+    that loop raises, sets a numpy flag or does not converge.  The report
+    counts the iterations on the tube's grid, and ``max_iter`` bounds each.
+
     The solve is a batch of one row through ``_picard_rows``, the loop
     that also solves the points of a sweep together; each of those rows
     equals this function's result bit for bit.
@@ -192,16 +209,8 @@ def _picard_rows(
     The rows must share the grid, ``alpha``, ``a``, ``T``, ``u_a`` and
     ``f``; only ``lambda``, the center and the radius vary.  Returns, per
     row, the report or the exception that ``picard_solve`` gives for that
-    row alone.
-
-    The iterates form a ``(rows, n)`` array, and a row leaves it when it
-    converges or fails.  Each step runs every check of ``apply_k`` once
-    over the whole array, with numpy's floating-point warnings routed to a
-    flag.  When a check fails or the flag is raised, the step is redone row
-    by row through ``apply_k``, which gives each row its own warnings and
-    its own exception, as in a standalone solve.  Every operation of the
-    step acts on each row alone, so the rows' bits do not depend on which
-    other rows share the array.
+    row alone: ``_iterate`` runs the loop, and this function adds the tube
+    verification before it and the diagnostics after it.
     """
     outcomes: list = [None] * len(problems)
     tube_reports = {}
@@ -210,19 +219,60 @@ def _picard_rows(
             tube_reports[i] = verify_tube(tube, problem)
         except Exception as err:  # this row's outcome, as picard_solve would raise it
             outcomes[i] = err
-    live = list(tube_reports)
-    if not live:
-        return outcomes
+    settled = _iterate(problems, {i: tubes[i] for i in tube_reports}, opts) if tube_reports else {}
+    for i, result in settled.items():
+        if isinstance(result, Exception):
+            outcomes[i] = result
+            continue
+        values, residuals, converged = result
+        problem, tube = problems[i], tubes[i]
+        try:
+            u_i = GridFunction(tube.grid, values)
+            outcomes[i] = SolveReport(
+                u=u_i,
+                iterations=len(residuals),
+                fp_residuals=residuals,
+                converged=converged,
+                ode_residual=ode_residual(u_i, problem),
+                member_of_tube=membership(u_i, tube, default_condition_tol(tube.grid)),
+                bounds=bounds_estimate(problem, tube.v, tube.M),
+                tube_report=tube_reports[i],
+            )
+        except Exception as err:  # this row's outcome, as picard_solve would raise it
+            outcomes[i] = err
+    return outcomes
+
+
+def _iterate(
+    problems: list[ThermistorProblem], tubes: dict[int, Tube], opts: SolveOptions, quiet: bool = False
+) -> dict[int, tuple[np.ndarray, list[float], bool] | Exception]:
+    """The Picard loop on the rows ``i`` that ``tubes`` names, all on one grid.
+
+    Returns, per row, the last iterate, the update norms and whether the
+    last one reached ``tol_fp``, or the exception that a standalone solve
+    raises for the row.  Each row starts from ``_start``.
+
+    The iterates form a ``(rows, n)`` array, and a row leaves it when it
+    converges or fails.  Each step runs every check of ``apply_k`` once
+    over the whole array, with numpy's floating-point warnings routed to a
+    flag.  When a check fails or the flag is raised, the step is redone row
+    by row through ``apply_k``, which gives each row its own warnings and
+    its own exception, as in a standalone solve; when ``quiet``, a flag
+    raises FloatingPointError for its row instead, and nothing is printed.
+    Every operation of the step acts on each row alone, so the rows' bits
+    do not depend on which other rows share the array.
+    """
+    live = list(tubes)
     problem = problems[live[0]]
     grid = tubes[live[0]].grid
     # f is called with t and u of one shape, as ThermistorProblem says
     t = np.tile(grid.nodes, (len(live), 1))
     v = np.array([tubes[i].v.values for i in live])
-    u, spare = v.copy(), np.empty_like(v)  # a step writes its iterate into spare
     m = np.array([tubes[i].M.values for i in live])
     lam = np.array([[problems[i].lam] for i in live], dtype=float)
+    u, spare = _start(problems, tubes, v, opts), np.empty_like(v)  # a step writes its iterate into spare
     residuals: dict[int, list[float]] = {i: [] for i in live}
-    finals: dict[int, tuple[np.ndarray, bool]] = {}
+    results: dict = {}
     events: list = []
 
     def record(kind: str, flag: int) -> None:
@@ -239,17 +289,18 @@ def _picard_rows(
         if ku is None or events:
             events.clear()
             nxt, r = np.empty_like(u), np.empty(len(live))
-            for j, i in enumerate(live):
-                try:
-                    nxt[j], r[j] = _picard_step(GridFunction(grid, u[j]), tubes[i], problems[i], opts, k)
-                except Exception as err:  # this row's outcome, as picard_solve would raise it
-                    outcomes[i] = err
+            with np.errstate(all="raise", under="ignore") if quiet else contextlib.nullcontext():
+                for j, i in enumerate(live):
+                    try:
+                        nxt[j], r[j] = _picard_step(GridFunction(grid, u[j]), tubes[i], problems[i], opts, k)
+                    except Exception as err:  # this row's outcome, as picard_solve would raise it
+                        results[i] = err
         for j, i in enumerate(live):
-            if outcomes[i] is None:
+            if i not in results:
                 residuals[i].append(float(r[j]))
                 if r[j] <= opts.tol_fp:
-                    finals[i] = (nxt[j].copy(), True)
-        keep = np.array([outcomes[i] is None and i not in finals for i in live])
+                    results[i] = (nxt[j].copy(), residuals[i], True)
+        keep = np.array([i not in results for i in live])
         if not keep.all():
             live = [i for i, kept in zip(live, keep) if kept]
             nxt, v, m, lam, u = nxt[keep], v[keep], m[keep], lam[keep], u[keep]
@@ -257,25 +308,34 @@ def _picard_rows(
         if not live:
             break
     for j, i in enumerate(live):
-        finals[i] = (u[j], False)
+        results[i] = (u[j], residuals[i], False)
+    return results
 
-    for i, (values, converged) in finals.items():
-        problem, tube = problems[i], tubes[i]
-        try:
-            u_i = GridFunction(tube.grid, values)
-            outcomes[i] = SolveReport(
-                u=u_i,
-                iterations=len(residuals[i]),
-                fp_residuals=residuals[i],
-                converged=converged,
-                ode_residual=ode_residual(u_i, problem),
-                member_of_tube=membership(u_i, tube, default_condition_tol(tube.grid)),
-                bounds=bounds_estimate(problem, tube.v, tube.M),
-                tube_report=tube_reports[i],
-            )
-        except Exception as err:  # this row's outcome, as picard_solve would raise it
-            outcomes[i] = err
-    return outcomes
+
+def _start(problems: list[ThermistorProblem], tubes: dict[int, Tube], v: np.ndarray, opts: SolveOptions) -> np.ndarray:
+    """The first iterates of ``_iterate``: ``v``, or, when the grid 10 times
+    coarser has ``_PICARD_NEST_FLOOR`` nodes, each row's converged iterate of
+    the quiet loop there, in the ``np.interp`` of its tube, prolonged by
+    ``np.interp``; ``v`` for a row whose coarse loop fails."""
+    start = v.copy()
+    grid = next(iter(tubes.values())).grid
+    coarse_n = (grid.n - 1) // _NEST_RATIO + 1
+    if coarse_n < _PICARD_NEST_FLOOR:
+        return start
+    coarse = Grid(grid.a, grid.T, coarse_n)
+
+    def restrict(w: GridFunction) -> GridFunction:
+        return GridFunction(coarse, np.interp(coarse.nodes, grid.nodes, w.values))
+
+    coarse_tubes = {}
+    for i, tube in tubes.items():
+        with contextlib.suppress(ValueError):  # a radius that rounds below zero
+            coarse_tubes[i] = Tube(restrict(tube.v), restrict(tube.M))
+    settled = _iterate(problems, coarse_tubes, opts, quiet=True) if coarse_tubes else {}
+    for j, i in enumerate(tubes):
+        if isinstance(settled.get(i), tuple) and settled[i][2]:
+            start[j] = np.interp(grid.nodes, coarse.nodes, settled[i][0])
+    return start
 
 
 def _k_rows(
@@ -313,9 +373,8 @@ def _picard_step(
     return nxt.values, float(np.max(np.abs(nxt.values - u.values)))
 
 
-# The oracle first settles D on a grid this many times coarser, when that grid
+# The oracle first settles D on a grid _NEST_RATIO times coarser, when that grid
 # has at least _NEST_FLOOR nodes, and starts the finer loop from its answer.
-_NEST_RATIO = 10
 _NEST_FLOOR = 101
 
 

@@ -305,12 +305,21 @@ def test_plan_cache_serves_equal_grids_and_replaces_its_entry():
         cold += _solve_each([key])
     assert interleaved == cold == _solve_each(keys, _reference_array_scan)
     info = _plan.cache_info()
-    assert info.maxsize == 1 and info.currsize == 1
+    assert info.maxsize == 2 and info.currsize == 1
 
-    # equal-but-distinct grids hit the one entry
+    # equal-but-distinct grids hit the same entry
     _plan.cache_clear()
     _solve_each([keys[0]] * 3)
     assert _plan.cache_info().hits == 2
+
+    # two keys in turn, as a nested Picard solve's coarse and fine levels,
+    # keep both entries; a cycle of four keys replaces an entry every time
+    _plan.cache_clear()
+    _solve_each(keys[2:4] * 3)
+    assert _plan.cache_info()[:2] == (4, 2)
+    _plan.cache_clear()
+    _solve_each(keys)
+    assert _plan.cache_info()[:2] == (0, 8)
 
 
 def test_plan_arrays_are_read_only():

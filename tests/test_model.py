@@ -8,7 +8,7 @@ import pytest
 
 import thermistor as th
 from thermistor.conformable import trapezoid
-from thermistor.model import nonlocal_rhs, sample_source
+from thermistor.model import _g_rows, _source, nonlocal_rhs, sample_source
 
 from conftest import constant_problem, ones_source, ramp_problem, sin_problem, u_star
 
@@ -67,6 +67,31 @@ class TestSourceSampling:
         with pytest.raises(th.SourcePositivityError):
             sample_source(p, th.GridFunction.constant(grid, 0.0))
 
+    @pytest.mark.parametrize(
+        "f",
+        [th.parse_expr("1.5"), lambda t, u: 1.5, lambda t, u: np.float64(1.5), lambda t, u: np.full(u.shape[-1:], 1.5)],
+        ids=["constant-expr", "python-float", "numpy-scalar", "one-row-of-values"],
+    )
+    @pytest.mark.parametrize("shape", [(11,), (3, 11)])
+    def test_sources_of_other_shapes_fill_the_shape_of_u(self, f, shape):
+        t = np.broadcast_to(np.linspace(1.0, 2.0, 11), shape)
+        u = np.linspace(-1.0, 1.0, 33)[: math.prod(shape)].reshape(shape)
+        fv = _source(f, t, u)
+        assert fv.shape == shape and fv.dtype == np.float64
+        assert np.all(fv == 1.5)
+
+    def test_a_source_returning_u_leaves_u_unchanged(self):
+        p = replace(constant_problem(), u_a=1.0, f=lambda t, u: u)
+        grid = p.grid(11)
+        u = th.GridFunction(grid, np.linspace(1.0, 2.0, 11))
+        assert sample_source(p, u) is u.values
+        assert np.array_equal(th.evaluate_g(p, u).values, nonlocal_rhs(p.lam, u.values, trapezoid(u.values, grid.h)))
+        rows = np.array([np.linspace(1.0, 2.0, 11), np.linspace(2.0, 3.0, 11)])
+        before = rows.copy()
+        g = _g_rows(p.f, np.tile(grid.nodes, (2, 1)), rows, np.array([[1.0], [2.0]]), grid.h)
+        assert rows.tobytes() == before.tobytes()
+        assert g.tobytes() == np.array([th.evaluate_g(replace(p, lam=lam), th.GridFunction(grid, row)).values
+                                        for lam, row in ((1.0, before[0]), (2.0, before[1]))]).tobytes()
 
     @pytest.mark.parametrize("node", [0, 5, 10])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.0, -2.5])
@@ -142,6 +167,12 @@ class TestBoundsEstimate:
         grid = p.grid(101)
         b = th.bounds_estimate(p, u_star(grid), th.GridFunction.constant(grid, 0.5))
         assert b == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("f", [th.parse_expr("2"), lambda t, u: 2.0], ids=["constant-expr", "python-float"])
+    def test_constant_source_fills_the_lattice(self, f):
+        p = replace(constant_problem(), f=f)
+        b = th.bounds_estimate(p, *band(p.grid(101), 0.0, 1.0))
+        assert b == (2.0, 2.0, 0.5)
 
     def test_formula_consistency_on_monotone_source(self):
         p = ramp_problem()

@@ -537,6 +537,142 @@ class TestPicardRows:
         assert report.u.values.tobytes() == u.values.tobytes()
 
 
+def _nested_reference_picard(problem, tube, opts):
+    """``picard_solve``'s nested start written out: ``picard_solve`` on the
+    tube's ``np.interp`` onto a 10 times coarser grid, the converged iterate
+    prolonged by ``np.interp`` (the center if the coarse solve fails), then
+    the damped ``apply_k`` loop from there.  Returns the last iterate and the
+    update norms."""
+    grid = tube.grid
+    coarse = problem.grid((grid.n - 1) // 10 + 1)
+
+    def restrict(w):
+        return th.GridFunction(coarse, np.interp(coarse.nodes, grid.nodes, w.values))
+
+    u = tube.v
+    coarse_report = th.picard_solve(problem, th.Tube(restrict(tube.v), restrict(tube.M)), opts)
+    if coarse_report.converged:
+        u = th.GridFunction(grid, np.interp(grid.nodes, coarse.nodes, coarse_report.u.values))
+    residuals = []
+    while len(residuals) < opts.max_iter:
+        ku = th.apply_k(u, tube, problem)
+        nxt = (1.0 - opts.damping) * u.values + opts.damping * ku.values
+        residuals.append(float(np.max(np.abs(nxt - u.values))))
+        u = th.GridFunction(grid, nxt)
+        if residuals[-1] <= opts.tol_fp:
+            break
+    return u, residuals
+
+
+def _sin_corners(n):
+    """The box corners lambda in {0.5, 8} x alpha in {0.3, 1} of the ``2 + sin(u)``
+    family, with the closed-form center and the radius ``exp(t - 1)``."""
+    return [_sin_rows(alpha, n, [(lam, 1.0)]) for lam in (0.5, 8.0) for alpha in (0.3, 1.0)]
+
+
+def _outcome(result):
+    """A report's fields, or an exception's type, message, node and iteration."""
+    if isinstance(result, Exception):
+        return type(result), str(result), result.node, result.iteration
+    return _solve_fields(result)
+
+
+def _solve_or_error(problem, tube, opts):
+    try:
+        return th.picard_solve(problem, tube, opts)
+    except th.SourcePositivityError as err:
+        return err
+
+
+class TestNestedStart:
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_bit_identical_to_reference_loop(self, damping):
+        problems, tubes = _sin_rows(0.6, 10001, [(4.0, 1.0)])
+        opts = th.SolveOptions(damping=damping)
+        report = th.picard_solve(problems[0], tubes[0], opts)
+        u, residuals = _nested_reference_picard(problems[0], tubes[0], opts)
+        assert report.converged
+        assert report.fp_residuals == residuals
+        assert report.u.values.tobytes() == u.values.tobytes()
+
+    def test_halves_the_fine_iterations(self, monkeypatch):
+        opts = th.SolveOptions()
+        nested = [th.picard_solve(p, tube, opts) for (p,), (tube,) in _sin_corners(20001)]
+        monkeypatch.setattr(th.solver, "_PICARD_NEST_FLOOR", math.inf)
+        plain = [th.picard_solve(p, tube, opts) for (p,), (tube,) in _sin_corners(20001)]
+        assert sum(r.iterations for r in nested) <= 0.5 * sum(r.iterations for r in plain)
+        for a, b in zip(nested, plain):
+            assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-9
+            assert (a.converged, a.member_of_tube) == (b.converged, b.member_of_tube) == (True, True)
+
+    def test_failing_coarse_rows_start_from_the_center(self, monkeypatch, capsys):
+        # the dead zone of f around u = 0.5 is reached at iteration 7 for
+        # lambda = 0.2 and at iteration 2 for lambda = 1; lambda = 0.01 stays
+        # below it
+        f = th.parse_expr("(2*u - 1)^2 - 0.01")
+        problems = [th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(0.5), 0.0, f) for lam in (0.2, 0.01, 1.0)]
+        grid = problems[0].grid(10001)
+        tube = th.Tube(th.GridFunction.constant(grid, 0.0), th.GridFunction.constant(grid, 1.0))
+        opts = th.SolveOptions()
+
+        def solve_all():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcomes = [_outcome(_solve_or_error(p, tube, opts)) for p in problems]
+                batch = [_outcome(r) for r in _picard_rows(problems, [tube] * 3, opts)]
+            return outcomes, batch, [str(w.message) for w in caught], capsys.readouterr()
+
+        nested, nested_batch, nested_warned, nested_out = solve_all()
+        monkeypatch.setattr(th.solver, "_PICARD_NEST_FLOOR", math.inf)
+        plain, _, plain_warned, plain_out = solve_all()
+        failed, solved, early = nested
+        assert (failed[0], failed[3], early[3]) == (th.SourcePositivityError, 7, 2)
+        assert [failed, early] == [plain[0], plain[2]]
+        assert solved[2] < plain[1][2]  # iterations: the row below the dead zone nests
+        assert nested_batch == nested
+        assert nested_warned == plain_warned == []
+        assert nested_out == plain_out == ("", "")
+
+    def test_a_coarse_row_that_only_warns_is_quiet(self, monkeypatch, capsys):
+        # the overflowing source of test_a_step_that_only_warns_warns_for_its_row:
+        # the coarse loop's step sets the overflow flag, so the row starts
+        # from the center and warns only on its own grid
+        f = th.parse_expr("1 + 1e308*(u*(2 - u)*(1 - u))^2")
+        p = th.ThermistorProblem(1.0, 2.0, 0.5, th.Alpha(1.0), 1.0, f)
+        grid = p.grid(10001)
+        tube = th.Tube(th.GridFunction.constant(grid, 1.0), th.GridFunction.constant(grid, 1.0))
+        opts = th.SolveOptions()
+
+        def solve():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = th.picard_solve(p, tube, opts)
+            return _solve_fields(report), [str(w.message) for w in caught], capsys.readouterr()
+
+        nested = solve()
+        monkeypatch.setattr(th.solver, "_PICARD_NEST_FLOOR", math.inf)
+        assert nested == solve()
+        assert nested[1] and set(nested[1]) == {"overflow encountered in reduce"}
+
+    def test_unconverged_coarse_rows_start_from_the_center(self, monkeypatch):
+        # at lambda = 8 and alpha = 1 the loop needs about 45 iterations on
+        # either grid, so five leave both levels unconverged
+        problems, tubes = _sin_rows(1.0, 10001, [(8.0, 1.0), (8.0, 0.02)])
+        opts = th.SolveOptions(max_iter=5)
+        nested = _picard_rows(problems, tubes, opts)
+        monkeypatch.setattr(th.solver, "_PICARD_NEST_FLOOR", math.inf)
+        plain = _picard_rows(problems, tubes, opts)
+        assert [_solve_fields(r) for r in nested] == [_solve_fields(r) for r in plain]
+        assert [(r.converged, r.iterations) for r in nested] == [(False, 5)] * 2
+
+    def test_below_the_floor_is_unchanged(self, monkeypatch):
+        problems, tubes = _sin_rows(0.3, 9991, [(8.0, 0.02), (0.5, 1.0), (8.0, 1.0)])
+        opts = th.SolveOptions()
+        nested = [_solve_fields(r) for r in _picard_rows(problems, tubes, opts)]
+        monkeypatch.setattr(th.solver, "_PICARD_NEST_FLOOR", math.inf)
+        assert nested == [_solve_fields(r) for r in _picard_rows(problems, tubes, opts)]
+
+
 class TestOracle:
     def test_matches_closed_form_on_constant_source(self):
         p = constant_problem()
