@@ -108,6 +108,16 @@ class GridFunction:
         return cls(grid, np.full(grid.n, float(c)))
 
 
+def _check_finite(values: np.ndarray, nodes: np.ndarray, what: str) -> np.ndarray:
+    """``values``, one row of nodal values or a ``(rows, n)`` array of them;
+    raises ValueError naming ``what`` and the first node, in row order,
+    where a value is not finite."""
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0]) % values.shape[-1]
+        raise ValueError(f"{what} overflowed at node {i} (t={float(nodes[i])!r})")
+    return values
+
+
 def _stencil_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order first derivative: central inside, one-sided at the ends.
 

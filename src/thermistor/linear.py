@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conformable import Alpha, Grid, GridFunction, _alpha_value, conformable_derivative, weight_exponent
+from .conformable import Alpha, Grid, GridFunction, _alpha_value, _check_finite, conformable_derivative, weight_exponent
 
 __all__ = ["solve_linear", "linear_residual"]
 
@@ -141,10 +141,7 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
     """
     grid = g.grid
     x = _scan(_plan(grid, _alpha_value(alpha)), g.values, x0)
-    if not np.isfinite(x[1:]).all():
-        i = int(np.flatnonzero(~np.isfinite(x[1:]))[0]) + 1
-        raise ValueError(f"solve_linear: solution overflowed at node {i} (t={float(grid.nodes[i])!r})")
-    return GridFunction(grid, x)
+    return GridFunction(grid, _check_finite(x, grid.nodes, "solve_linear: solution"))
 
 
 def linear_residual(x: GridFunction, g: GridFunction, alpha: Alpha | float) -> float:

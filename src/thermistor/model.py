@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .conformable import Alpha, Grid, GridFunction, trapezoid
+from .conformable import Alpha, Grid, GridFunction, _check_finite, trapezoid
 
 __all__ = [
     "SourceBounds",
@@ -95,23 +95,23 @@ def _source(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return fv if fv.shape == u.shape else fv * np.ones(u.shape)
 
 
-def _positive(fv: np.ndarray) -> bool:
-    """Whether every sampled value of ``f`` is positive and finite."""
-    return bool(fv.min() > 0.0 and fv.max() < math.inf)
+def _check_positive(t: np.ndarray, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    """``fv``, the samples of ``f`` along ``u``; raises SourcePositivityError
+    at the first node, in row order, where one is not positive and finite."""
+    if not (fv.min() > 0.0 and fv.max() < math.inf):
+        j = int(np.flatnonzero(~(fv > 0.0) | ~np.isfinite(fv))[0])
+        node = j % fv.shape[-1]
+        raise SourcePositivityError(
+            f"H1 violated: f(t, u) must be strictly positive, got "
+            f"f({float(t.flat[j])!r}, {float(u.flat[j])!r}) = {float(fv.flat[j])!r} at node {node}",
+            node=node,
+        )
+    return fv
 
 
 def sample_source(problem: ThermistorProblem, u: GridFunction) -> np.ndarray:
     """Evaluate ``f`` along the trajectory and enforce strict positivity."""
-    t = u.grid.nodes
-    fv = _source(problem.f, t, u.values)
-    if not _positive(fv):
-        j = int(np.flatnonzero(~(fv > 0.0) | ~np.isfinite(fv))[0])
-        raise SourcePositivityError(
-            f"H1 violated: f(t, u) must be strictly positive, got "
-            f"f({float(t[j])!r}, {float(u.values[j])!r}) = {float(fv[j])!r} at node {j}",
-            node=j,
-        )
-    return fv
+    return _check_positive(u.grid.nodes, u.values, _source(problem.f, u.grid.nodes, u.values))
 
 
 def nonlocal_rhs(lam: float, fv: np.ndarray, integral: float | np.ndarray) -> np.ndarray:
@@ -129,29 +129,29 @@ def evaluate_g(problem: ThermistorProblem, u: GridFunction) -> GridFunction:
 
     The integral is the plain trapezoidal one, with no conformable weight.
     Scaling ``f`` by a constant ``c`` scales the output by ``1/c``: the
-    numerator gains ``c`` and the squared integral gains ``c**2``.
+    numerator gains ``c`` and the squared integral gains ``c**2``.  Where
+    the integral or its square overflows, ``g = 0`` exactly: the true ``g``
+    is then below ``lambda * f / 1.8e308``.  The one-row call of ``_g_rows``,
+    with numpy's floating-point warnings off, whose errors it raises.
     """
-    fv = sample_source(problem, u)
-    return GridFunction(u.grid, nonlocal_rhs(problem.lam, fv, trapezoid(fv, u.grid.h)))
+    with np.errstate(all="ignore"):
+        g = _g_rows(problem.f, u.grid.nodes[None], u.values[None], problem.lam, u.grid.h)
+    return GridFunction(u.grid, g[0])
 
 
-def _g_rows(f: SourceFn, t: np.ndarray, u: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray | None:
-    """``evaluate_g`` on each row of the ``(rows, n)`` array ``u``, with the
+def _g_rows(f: SourceFn, t: np.ndarray, u: np.ndarray, lam: float | np.ndarray, h: float) -> np.ndarray:
+    """``evaluate_g`` on each row of the ``(rows, n)`` array ``u``, with
     couplings ``lam`` of shape ``(rows, 1)`` and ``t`` of the shape of ``u``.
 
-    Returns None when ``sample_source`` or ``evaluate_g`` would raise on any
-    row: ``f`` raises, or is not positive and finite, or ``g`` is not finite.
-    A single row is passed to ``f`` as one row of nodes, as ``evaluate_g``
-    passes it.
+    Raises, for the first row that fails the first check that fails, what
+    ``f`` raises, SourcePositivityError if ``f`` is not positive and
+    finite, or ValueError naming the node if ``g`` is not finite.  A single
+    row is passed to ``f`` as one row of nodes.  Callers turn numpy's
+    warnings off, so that an integral that overflows is inf and gives 0.
     """
-    try:
-        fv = _source(f, t, u) if len(u) > 1 else _source(f, t[0], u[0])[None]
-    except Exception:  # the caller redoes the rows one by one, for each row's own error
-        return None
-    if not _positive(fv):
-        return None
+    fv = _check_positive(t, u, _source(f, t, u) if len(u) > 1 else _source(f, t[0], u[0])[None])
     g = nonlocal_rhs(lam, fv, trapezoid(fv, h)[:, None])
-    return g if np.isfinite(g).all() else None
+    return _check_finite(g, t[0], "evaluate_g: g = lambda*f/D**2")
 
 
 class SourceBounds(NamedTuple):

@@ -6,13 +6,14 @@ damping term on both sides,
     K(u) = solve_linear(g(., u~) + u~ / a**alpha,  u_a),
 
 where ``u~`` is the iterate truncated into the tube.  Fixed points inside
-the tube solve the original problem.  One loop, ``_iterate``, iterates
-K on a ``(rows, n)`` array of iterates that share the grid, alpha and
+the tube solve the original problem.  One step, ``_k_rows``, applies K
+to a ``(rows, n)`` array of iterates that share the grid, alpha and
 source, through the private array cores of ``truncate``, ``evaluate_g``
-and ``solve_linear``; it builds no GridFunction inside an iteration.
-``picard_solve`` is a batch of one row, and the CLI's sweep passes the
-points of one alpha as the rows.  From 10001 nodes the loop starts each
-row from its fixed point on a grid 10 times coarser.  ``oracle_solve``
+and ``solve_linear``; each failure is a named error, never a numpy
+warning.  ``apply_k`` is its one-row call, and one loop, ``_iterate``,
+runs it: ``picard_solve`` is a batch of one row, and the CLI's sweep
+passes the points of one alpha as the rows.  From 10001 nodes the loop
+starts each row from its fixed point on a grid 10 times coarser.  ``oracle_solve``
 answers the same question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
 denominator D frozen per pass, and an outer loop that finds the D whose
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, conformable_derivative
+from .conformable import Grid, GridFunction, _check_finite, conformable_derivative
 from .expressions import Expr
 from .model import (
     SourceBounds,
@@ -45,8 +46,8 @@ from .model import (
     evaluate_g,
     sample_source,
 )
-from .linear import _plan, _scan, solve_linear
-from .tube import Tube, TubeReport, _project, default_condition_tol, membership, truncate, verify_tube
+from .linear import _plan, _scan
+from .tube import Tube, TubeReport, _project, default_condition_tol, membership, verify_tube
 
 __all__ = [
     "ConvergenceError",
@@ -133,24 +134,15 @@ def apply_k(u: GridFunction, tube: Tube, problem: ThermistorProblem) -> GridFunc
     ``g(., u~) + u~ / a**alpha``, and returns the closed-form solve with
     initial value ``u_a``.  Because truncation is idempotent bit for bit,
     ``apply_k(u) == apply_k(truncate(u))`` exactly, and the output starts
-    at ``u_a`` exactly.
+    at ``u_a`` exactly.  The one-row call of ``_k_rows``, whose errors it raises.
     """
     if u.grid != tube.grid:
         raise ValueError("apply_k: u is not on the tube's grid")
     if tube.grid.a != problem.a or tube.grid.T != problem.T:
         raise ValueError("apply_k: tube grid does not span the problem interval")
-    trunc = truncate(u, tube)
-    g = evaluate_g(problem, trunc)
-    rhs = GridFunction(u.grid, _rhs(problem, g.values, trunc.values))
-    return solve_linear(rhs, problem.u_a, problem.alpha)
-
-
-def _rhs(
-    problem: ThermistorProblem, g: np.ndarray, trunc: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The right-hand side ``g + u~ / a**alpha`` that ``K`` solves with,
-    written into ``out`` when given."""
-    return np.add(g, trunc / (problem.a**problem.alpha.value), out=out)
+    rows = (row[None] for row in (u.grid.nodes, u.values, tube.v.values, tube.M.values))
+    with np.errstate(all="ignore"):
+        return GridFunction(u.grid, _k_rows(problem, u.grid, *rows, problem.lam)[0])
 
 
 def equation_residual(u: GridFunction, problem: ThermistorProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -182,18 +174,19 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     ``report.tube_report.valid`` carries the verdict.
 
     On a grid of at least 10001 nodes the start is nested: the loop first
-    runs silently, with no report, on the grid 10 times coarser (recursively,
-    while that has 1001 nodes) in the ``np.interp`` of the tube, and starts
-    from its converged iterate, prolonged by ``np.interp``, or from ``v`` if
-    that loop raises, sets a numpy flag or does not converge.  The report
-    counts the iterations on the tube's grid, and ``max_iter`` bounds each.
+    runs, with no report, on the grid 10 times coarser (recursively, while
+    that has 1001 nodes) in the ``np.interp`` of the tube, and starts from
+    its converged iterate, prolonged by ``np.interp``, or from ``v`` if that
+    loop raises or does not converge.  The report counts the iterations on
+    the tube's grid, and ``max_iter`` bounds each.
 
     The solve is a batch of one row through ``_picard_rows``, the loop
     that also solves the points of a sweep together; each of those rows
     equals this function's result bit for bit.
 
     Raises SourcePositivityError if the source turns nonpositive along
-    any truncated iterate; the error names the iteration and node.
+    any truncated iterate, naming the iteration and node, and the
+    ValueError of ``apply_k`` if ``g`` or a step's solve is not finite.
     """
     (outcome,) = _picard_rows([problem], [tube], opts)
     if isinstance(outcome, Exception):
@@ -244,7 +237,7 @@ def _picard_rows(
 
 
 def _iterate(
-    problems: list[ThermistorProblem], tubes: dict[int, Tube], opts: SolveOptions, quiet: bool = False
+    problems: list[ThermistorProblem], tubes: dict[int, Tube], opts: SolveOptions
 ) -> dict[int, tuple[np.ndarray, list[float], bool] | Exception]:
     """The Picard loop on the rows ``i`` that ``tubes`` names, all on one grid.
 
@@ -253,12 +246,9 @@ def _iterate(
     raises for the row.  Each row starts from ``_start``.
 
     The iterates form a ``(rows, n)`` array, and a row leaves it when it
-    converges or fails.  Each step runs every check of ``apply_k`` once
-    over the whole array, with numpy's floating-point warnings routed to a
-    flag.  When a check fails or the flag is raised, the step is redone row
-    by row through ``apply_k``, which gives each row its own warnings and
-    its own exception, as in a standalone solve; when ``quiet``, a flag
-    raises FloatingPointError for its row instead, and nothing is printed.
+    converges or fails.  Each step is one ``_k_rows`` call on the whole
+    array; when it raises, the step is redone one row at a time through
+    ``_k_rows``, which gives each row the error of its standalone solve.
     Every operation of the step acts on each row alone, so the rows' bits
     do not depend on which other rows share the array.
     """
@@ -273,28 +263,28 @@ def _iterate(
     u, spare = _start(problems, tubes, v, opts), np.empty_like(v)  # a step writes its iterate into spare
     residuals: dict[int, list[float]] = {i: [] for i in live}
     results: dict = {}
-    events: list = []
-
-    def record(kind: str, flag: int) -> None:
-        events.append(kind)
 
     for k in range(1, opts.max_iter + 1):
-        with np.errstate(all="call", under="ignore", call=record):
-            ku = _k_rows(problem, grid, t[: len(live)], u, v, m, lam)
-            if ku is not None:
-                nxt = np.multiply(u, 1.0 - opts.damping, out=spare)
-                ku *= opts.damping
-                nxt += ku
-                r = np.max(np.abs(np.subtract(nxt, u, out=ku), out=ku), axis=1)
-        if ku is None or events:
-            events.clear()
-            nxt, r = np.empty_like(u), np.empty(len(live))
-            with np.errstate(all="raise", under="ignore") if quiet else contextlib.nullcontext():
+        with np.errstate(all="ignore"):
+            try:
+                ku = _k_rows(problem, grid, t[: len(live)], u, v, m, lam)
+            except Exception:  # redone below one row at a time, outside this handler
+                ku = None
+            if ku is None:
+                ku = np.empty_like(u)
                 for j, i in enumerate(live):
+                    row = slice(j, j + 1)
                     try:
-                        nxt[j], r[j] = _picard_step(GridFunction(grid, u[j]), tubes[i], problems[i], opts, k)
+                        ku[row] = _k_rows(problem, grid, t[:1], u[row], v[row], m[row], lam[row])
+                    except SourcePositivityError as err:
+                        results[i] = SourcePositivityError(f"iteration {k}: {err}", node=err.node, iteration=k)
+                        results[i].__cause__ = err
                     except Exception as err:  # this row's outcome, as picard_solve would raise it
                         results[i] = err
+            nxt = np.multiply(u, 1.0 - opts.damping, out=spare)
+            ku *= opts.damping
+            nxt += ku
+            r = np.max(np.abs(np.subtract(nxt, u, out=ku), out=ku), axis=1)
         for j, i in enumerate(live):
             if i not in results:
                 residuals[i].append(float(r[j]))
@@ -315,7 +305,7 @@ def _iterate(
 def _start(problems: list[ThermistorProblem], tubes: dict[int, Tube], v: np.ndarray, opts: SolveOptions) -> np.ndarray:
     """The first iterates of ``_iterate``: ``v``, or, when the grid 10 times
     coarser has ``_PICARD_NEST_FLOOR`` nodes, each row's converged iterate of
-    the quiet loop there, in the ``np.interp`` of its tube, prolonged by
+    the loop there, in the ``np.interp`` of its tube, prolonged by
     ``np.interp``; ``v`` for a row whose coarse loop fails."""
     start = v.copy()
     grid = next(iter(tubes.values())).grid
@@ -331,7 +321,7 @@ def _start(problems: list[ThermistorProblem], tubes: dict[int, Tube], v: np.ndar
     for i, tube in tubes.items():
         with contextlib.suppress(ValueError):  # a radius that rounds below zero
             coarse_tubes[i] = Tube(restrict(tube.v), restrict(tube.M))
-    settled = _iterate(problems, coarse_tubes, opts, quiet=True) if coarse_tubes else {}
+    settled = _iterate(problems, coarse_tubes, opts) if coarse_tubes else {}
     for j, i in enumerate(tubes):
         if isinstance(settled.get(i), tuple) and settled[i][2]:
             start[j] = np.interp(grid.nodes, coarse.nodes, settled[i][0])
@@ -345,32 +335,17 @@ def _k_rows(
     u: np.ndarray,
     v: np.ndarray,
     m: np.ndarray,
-    lam: np.ndarray,
-) -> np.ndarray | None:
-    """``apply_k`` on each row of ``u``, with centers ``v``, radii ``m`` and
-    couplings ``lam`` (shape ``(rows, 1)``); None when a check that
-    ``apply_k`` makes fails on any row: ``f`` raises or is not positive and
-    finite, ``g`` is not finite, or the solve overflows (as it does when the
-    right-hand side is not finite)."""
+    lam: float | np.ndarray,
+) -> np.ndarray:
+    """``apply_k`` on each row of ``u``, with nodes ``t``, centers ``v``, radii
+    ``m`` and couplings ``lam`` (shape ``(rows, 1)``).  Raises the error of
+    ``_g_rows``, or ValueError naming the node if the solve is not finite,
+    for the first row that fails.  Callers turn numpy's warnings off."""
     trunc = _project(u, v, m)
     g = _g_rows(problem.f, t, trunc, lam, grid.h)
-    if g is None:
-        return None
-    x = _scan(_plan(grid, problem.alpha.value), _rhs(problem, g, trunc, out=g), problem.u_a)
-    return x if np.isfinite(x).all() else None
-
-
-def _picard_step(
-    u: GridFunction, tube: Tube, problem: ThermistorProblem, opts: SolveOptions, k: int
-) -> tuple[np.ndarray, float]:
-    """Picard step ``k`` of one row through ``apply_k``: the next iterate and
-    its update's sup norm."""
-    try:
-        ku = apply_k(u, tube, problem)
-    except SourcePositivityError as err:
-        raise SourcePositivityError(f"iteration {k}: {err}", node=err.node, iteration=k) from err
-    nxt = GridFunction(u.grid, (1.0 - opts.damping) * u.values + opts.damping * ku.values)
-    return nxt.values, float(np.max(np.abs(nxt.values - u.values)))
+    g += trunc / (problem.a**problem.alpha.value)  # the right-hand side g + u~ / a**alpha
+    x = _scan(_plan(grid, problem.alpha.value), g, problem.u_a)
+    return _check_finite(x, grid.nodes, "solve_linear: solution")
 
 
 # The oracle first settles D on a grid _NEST_RATIO times coarser, when that grid

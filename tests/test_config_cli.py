@@ -316,6 +316,19 @@ class TestSolveCommand:
             "(boundary margin 0.5 at node 0); solving anyway\n"
         )
 
+    def test_overflow_scenario_exits_three_with_only_the_tube_warning(self, tmp_path, capsys):
+        # the integral of f overflows from the second iterate on: g is 0
+        # there, quietly, and only the invalid tube is reported
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(CONFIGS / "solve_overflow.cfg"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "thermistor: warning: tube conditions not satisfied "
+            "(boundary margin 0.5 at node 0); solving anyway\n"
+        )
+        rows = [line.split(",") for line in (out / "solution.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 101
+        assert [row[4] for row in rows] == ["0.0"] * 101
+
     def test_bad_source_scenario_exits_four(self, tmp_path, capsys):
         code = main(["solve", "--config", str(CONFIGS / "solve_bad_source.cfg"), "--out", str(tmp_path)])
         assert code == 4
@@ -421,6 +434,34 @@ class TestVerifyTubeCommand:
     def test_invalid_tube_exits_three(self, tmp_path):
         code = main(["verify-tube", "--config", str(CONFIGS / "solve_invalid_tube.cfg"), "--out", str(tmp_path)])
         assert code == 3
+
+    def test_overflowing_g_on_the_tube_is_quiet(self, tmp_path, capsys):
+        # lambda * f overflows on the center and both sheets: the boundary
+        # margin is inf, and the solve's first step names g and the node
+        cfg = write_cfg(tmp_path, """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 1e308
+alpha = 0.5
+u_a = 0.0
+f = 2
+
+[tube]
+v = 0
+M = 2.5 - t
+
+[solve]
+grid_n = 101
+""")
+        assert main(["verify-tube", "--config", str(cfg), "--out", str(tmp_path / "tube")]) == 3
+        assert capsys.readouterr().err == ""
+        report = (tmp_path / "tube" / "tube_report.txt").read_text().splitlines()
+        assert report[4] == "  boundary: ok=false margin=inf node=0 side=+1"
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 4
+        assert capsys.readouterr().err == (
+            "thermistor: error: evaluate_g: g = lambda*f/D**2 overflowed at node 0 (t=1.0)\n"
+        )
 
 
 class TestIdentitiesCommand:
@@ -619,12 +660,13 @@ grid_n = 101
 [sweep]
 lambda = 1.0, 1e308, 2.0
 """)
-        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
-            assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        # lambda * f overflows quietly, and the error names g and the node;
+        # no numpy warning is printed
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
         assert capsys.readouterr().err == (
             "thermistor: warning: tube conditions not satisfied "
             "(boundary margin 1.500013717979382 at node 0); solving anyway\n"
-            "thermistor: error: grid function has non-finite value at node 0\n"
+            "thermistor: error: evaluate_g: g = lambda*f/D**2 overflowed at node 0 (t=1.0)\n"
         )
 
     def test_defaults_to_single_tuple_without_sweep_section(self, tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import thermistor as th
 from thermistor.expressions import Expr
 from thermistor.linear import _plan
+from thermistor.conformable import trapezoid
 from thermistor.model import sample_source
 from thermistor.solver import _picard_rows, equation_residual
 
@@ -469,41 +470,40 @@ class TestPicardRows:
 
     def test_failing_rows_get_their_standalone_errors(self):
         # the dead zone of f around u = 0.5 is reached at iteration 7 for
-        # lambda = 0.2 and at iteration 2 for lambda = 1; lambda = 0.01 stays
-        # below it
+        # lambda = 0.2 and at iteration 2 for lambda = 1; lambda = 0.01 and
+        # 0.005 stay below it; at lambda = 1e308, lambda * f overflows on the
+        # center -1 (f = 8.99) in the first step
         f = th.parse_expr("(2*u - 1)^2 - 0.01")
-        problems = [th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(0.5), 0.0, f) for lam in (0.2, 0.01, 1.0)]
+        problems = [th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(0.5), 0.0, f) for lam in (0.2, 0.01, 1e308, 0.005, 1.0)]
         grid = problems[0].grid(101)
         tube = th.Tube(th.GridFunction.constant(grid, 0.0), th.GridFunction.constant(grid, 1.0))
+        high = th.Tube(th.GridFunction.constant(grid, -1.0), th.GridFunction.constant(grid, 1.0))
+        tubes = [tube, tube, high, tube, tube]
         opts = th.SolveOptions()
-        failed, solved, early = _picard_rows(problems, [tube] * 3, opts)
-        for p, outcome in ((problems[0], failed), (problems[2], early)):
-            with pytest.raises(th.SourcePositivityError) as alone:
-                th.picard_solve(p, tube, opts)
+        failed, solved, overflowed, also_solved, early = _picard_rows(problems, tubes, opts)
+        for p, row_tube, outcome in ((problems[0], tube, failed), (problems[2], high, overflowed), (problems[4], tube, early)):
+            with pytest.raises(ValueError) as alone:
+                th.picard_solve(p, row_tube, opts)
             assert type(outcome) is type(alone.value)
-            assert (str(outcome), outcome.node, outcome.iteration) == (
-                str(alone.value), alone.value.node, alone.value.iteration
-            )
+            assert str(outcome) == str(alone.value)
+            if isinstance(outcome, th.SourcePositivityError):
+                assert (outcome.node, outcome.iteration) == (alone.value.node, alone.value.iteration)
         assert (failed.iteration, early.iteration) == (7, 2)
+        assert type(overflowed) is ValueError
+        assert str(overflowed) == "evaluate_g: g = lambda*f/D**2 overflowed at node 0 (t=1.0)"
         assert _solve_fields(solved) == _solve_fields(th.picard_solve(problems[1], tube, opts))
+        assert _solve_fields(also_solved) == _solve_fields(th.picard_solve(problems[3], tube, opts))
 
     def test_a_step_that_only_warns_warns_for_its_row(self):
         # at lambda = 0.5 the second iterate reaches u ~ 1.5, where f is near
-        # 1e307 at enough nodes for the trapezoid sum to overflow: numpy warns
-        # and the integral is inf, which no check rejects; at lambda = 0.01
-        # the iterates stay near u = 1
+        # 1e307 at enough nodes for the trapezoid sum to overflow; at both
+        # lambdas the last iterates lie near u = 1, where f ~ 1e285 and D**2
+        # overflows.  Either way g is exactly 0 there, and nothing warns
         f = th.parse_expr("1 + 1e308*(u*(2 - u)*(1 - u))^2")
         problems = [th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(1.0), 1.0, f) for lam in (0.01, 0.5)]
         grid = problems[0].grid(101)
         tube = th.Tube(th.GridFunction.constant(grid, 1.0), th.GridFunction.constant(grid, 1.0))
         opts = th.SolveOptions()
-        # under this suite's error::RuntimeWarning filter the warning is the outcome
-        with pytest.raises(RuntimeWarning) as alone:
-            th.picard_solve(problems[1], tube, opts)
-        quiet, warned = _picard_rows(problems, [tube, tube], opts)
-        assert type(warned) is RuntimeWarning
-        assert str(warned) == str(alone.value) == "overflow encountered in reduce"
-        assert _solve_fields(quiet) == _solve_fields(th.picard_solve(problems[0], tube, opts))
 
         def solve_recording(solve):
             with warnings.catch_warnings(record=True) as caught:
@@ -513,7 +513,14 @@ class TestPicardRows:
 
         batch = solve_recording(lambda: _picard_rows(problems, [tube, tube], opts))
         assert batch == solve_recording(lambda: [th.picard_solve(p, tube, opts) for p in problems])
-        assert batch[1] == ["overflow encountered in reduce"]
+        assert batch[1] == []
+        # the sums at u = 1.5 and near u = 1 overflow, D itself at u = 1.5
+        reports = _picard_rows(problems, [tube, tube], opts)
+        for u in [th.GridFunction.constant(grid, 1.5)] + [r.u for r in reports]:
+            with np.errstate(over="ignore"):
+                integral = trapezoid(sample_source(problems[1], u), grid.h)
+            assert integral * integral == math.inf
+            assert th.evaluate_g(problems[1], u).values.tolist() == [0.0] * grid.n
 
     def test_one_row_passes_f_the_nodes_as_apply_k_does(self):
         # u[-1] is the last node of a row of nodes but the whole row of a
@@ -635,8 +642,8 @@ class TestNestedStart:
 
     def test_a_coarse_row_that_only_warns_is_quiet(self, monkeypatch, capsys):
         # the overflowing source of test_a_step_that_only_warns_warns_for_its_row:
-        # the coarse loop's step sets the overflow flag, so the row starts
-        # from the center and warns only on its own grid
+        # g is 0 where the integral of f overflows, so the coarse row settles
+        # and the fine loop starts from it, quietly
         f = th.parse_expr("1 + 1e308*(u*(2 - u)*(1 - u))^2")
         p = th.ThermistorProblem(1.0, 2.0, 0.5, th.Alpha(1.0), 1.0, f)
         grid = p.grid(10001)
@@ -647,12 +654,16 @@ class TestNestedStart:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 report = th.picard_solve(p, tube, opts)
-            return _solve_fields(report), [str(w.message) for w in caught], capsys.readouterr()
+            assert caught == []
+            assert capsys.readouterr() == ("", "")
+            return report
 
         nested = solve()
         monkeypatch.setattr(th.solver, "_PICARD_NEST_FLOOR", math.inf)
-        assert nested == solve()
-        assert nested[1] and set(nested[1]) == {"overflow encountered in reduce"}
+        plain = solve()
+        assert nested.iterations < plain.iterations
+        assert (nested.converged, nested.member_of_tube) == (plain.converged, plain.member_of_tube) == (True, True)
+        assert np.max(np.abs(nested.u.values - plain.u.values)) <= opts.tol_fp
 
     def test_unconverged_coarse_rows_start_from_the_center(self, monkeypatch):
         # at lambda = 8 and alpha = 1 the loop needs about 45 iterations on
