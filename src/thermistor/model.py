@@ -172,8 +172,9 @@ def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction
     ``s`` in [-1, 1], and returns (A, B, G) with
     ``G = lambda * B / (A**2 * (T - a)**2)``, the crude sup bound on the
     right-hand side for trajectories inside the band.  A diagnostic only:
-    it never raises.  G is infinite unless A > 0, and if ``f`` fails to
-    evaluate on the lattice every sample counts as NaN.
+    it never raises.  G is infinite unless A > 0 and ``A**2 * (T - a)**2``
+    does not underflow to 0, and if ``f`` fails to evaluate on the lattice
+    every sample counts as NaN.
     """
     idx = np.linspace(0, v.grid.n - 1, _BAND_SAMPLES).round().astype(int)
     tt, ss = np.meshgrid(v.grid.nodes[idx], np.linspace(-1.0, 1.0, _BAND_SAMPLES))
@@ -184,7 +185,7 @@ def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction
         fv = np.full_like(uu, math.nan)
     f_min = float(fv.min())
     f_max = float(fv.max())
-    if not f_min > 0.0:
+    denominator = f_min * f_min * (problem.T - problem.a) ** 2 if f_min > 0.0 else 0.0
+    if not denominator > 0.0:  # the product underflows to 0 for a tiny A
         return SourceBounds(f_min, f_max, math.inf)
-    g_sup = problem.lam * f_max / (f_min * f_min * (problem.T - problem.a) ** 2)
-    return SourceBounds(f_min, f_max, g_sup)
+    return SourceBounds(f_min, f_max, problem.lam * f_max / denominator)

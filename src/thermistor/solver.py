@@ -13,12 +13,14 @@ and ``solve_linear``; each failure is a named error, never a numpy
 warning.  ``apply_k`` is its one-row call, and one loop, ``_iterate``,
 runs it: ``picard_solve`` is a batch of one row, and the CLI's sweep
 passes the points of one alpha as the rows.  From 10001 nodes the loop
-starts each row from its fixed point on a grid 10 times coarser.  ``oracle_solve``
-answers the same question through a completely separate route: classical RK4 on
-``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
-denominator D frozen per pass, and an outer loop that finds the D whose
-trajectory reproduces it (within ``tol_fp``, relative to D when D < 1) by a
-secant step kept inside a sign bracket.  The loop starts by nested
+first runs on the coarser grids (100 and 10 times coarser, and 1000 from
+100001 nodes), and starts each row from the Richardson extrapolation of
+its two finest coarse fixed points, prolonged by cubic interpolation.
+``oracle_solve`` answers the same question through a completely separate
+route: classical RK4 on ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with
+the nonlocal denominator D frozen per pass, and an outer loop that finds
+the D whose trajectory reproduces it (within ``tol_fp``, relative to D
+when D < 1) by a secant step kept inside a sign bracket.  The loop starts by nested
 iteration: on grids of at least 1001 nodes it first settles D on a grid 10
 times coarser and starts from that D and its last secant slope, falling
 back to the constant start ``u = u_a`` if the coarse loop fails.  It
@@ -29,7 +31,7 @@ meaningful.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +48,7 @@ from .model import (
     evaluate_g,
     sample_source,
 )
-from .linear import _plan, _scan
+from .linear import _frozen, _plan, _scan
 from .tube import Tube, TubeReport, _project, default_condition_tol, membership, verify_tube
 
 __all__ = [
@@ -63,10 +65,11 @@ __all__ = [
 
 # Both solvers start by nested iteration on a grid this many times coarser.
 _NEST_RATIO = 10
-# picard_solve nests when that grid has this many nodes (n >= 10001): a step
-# costs ~0.1 ms at any n, so nested/plain solve time is 1.31 at n = 1001, 1.22
-# at 2001, 1.02 at 4001, 0.85 at 10001 and 0.72 at 20001 (BENCH_17.json).
-_PICARD_NEST_FLOOR = 1001
+# picard_solve's coarse levels are the grids 10, 100, ... times coarser with
+# this many nodes, and it nests when there are two of them (n >= 10001): a
+# step costs ~0.1 ms at any n, so a single coarse level did not pay below
+# 10001 nodes (BENCH_17.json).
+_PICARD_NEST_FLOOR = 101
 
 
 class ConvergenceError(RuntimeError):
@@ -173,12 +176,16 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     raise).  An invalid tube does not stop the iteration; only
     ``report.tube_report.valid`` carries the verdict.
 
-    On a grid of at least 10001 nodes the start is nested: the loop first
-    runs, with no report, on the grid 10 times coarser (recursively, while
-    that has 1001 nodes) in the ``np.interp`` of the tube, and starts from
-    its converged iterate, prolonged by ``np.interp``, or from ``v`` if that
-    loop raises or does not converge.  The report counts the iterations on
-    the tube's grid, and ``max_iter`` bounds each.
+    On a grid of at least 10001 nodes the start is nested (``_start``): the
+    loop first runs, with no report, on each grid 10, 100, ... times
+    coarser that has at least 101 nodes, coarsest first, in the
+    ``np.interp`` of the tube.  Each level starts from the one or two
+    levels below it, and the tube's grid from ``u1 + c * (u1 - u2)``, the
+    Richardson extrapolation of the fixed points on the two grids just
+    below (``c = 0.01`` at ratio 10), prolonged by cubic interpolation.
+    A row that raises or does not converge on a level starts the next one
+    from ``v``.  The report counts the iterations on the tube's
+    grid, and ``max_iter`` bounds each level.
 
     The solve is a batch of one row through ``_picard_rows``, the loop
     that also solves the points of a sweep together; each of those rows
@@ -212,7 +219,8 @@ def _picard_rows(
             tube_reports[i] = verify_tube(tube, problem)
         except Exception as err:  # this row's outcome, as picard_solve would raise it
             outcomes[i] = err
-    settled = _iterate(problems, {i: tubes[i] for i in tube_reports}, opts) if tube_reports else {}
+    live = {i: tubes[i] for i in tube_reports}
+    settled = _iterate(problems, live, _start(problems, live, opts), opts) if live else {}
     for i, result in settled.items():
         if isinstance(result, Exception):
             outcomes[i] = result
@@ -237,13 +245,14 @@ def _picard_rows(
 
 
 def _iterate(
-    problems: list[ThermistorProblem], tubes: dict[int, Tube], opts: SolveOptions
+    problems: list[ThermistorProblem], tubes: dict[int, Tube], u: np.ndarray, opts: SolveOptions
 ) -> dict[int, tuple[np.ndarray, list[float], bool] | Exception]:
     """The Picard loop on the rows ``i`` that ``tubes`` names, all on one grid.
 
     Returns, per row, the last iterate, the update norms and whether the
     last one reached ``tol_fp``, or the exception that a standalone solve
-    raises for the row.  Each row starts from ``_start``.
+    raises for the row.  The loop starts from ``u``, one row per tube in the
+    order of ``tubes``, and overwrites it.
 
     The iterates form a ``(rows, n)`` array, and a row leaves it when it
     converges or fails.  Each step is one ``_k_rows`` call on the whole
@@ -260,7 +269,7 @@ def _iterate(
     v = np.array([tubes[i].v.values for i in live])
     m = np.array([tubes[i].M.values for i in live])
     lam = np.array([[problems[i].lam] for i in live], dtype=float)
-    u, spare = _start(problems, tubes, v, opts), np.empty_like(v)  # a step writes its iterate into spare
+    spare = np.empty_like(u)  # a step writes its iterate into spare
     residuals: dict[int, list[float]] = {i: [] for i in live}
     results: dict = {}
 
@@ -302,30 +311,89 @@ def _iterate(
     return results
 
 
-def _start(problems: list[ThermistorProblem], tubes: dict[int, Tube], v: np.ndarray, opts: SolveOptions) -> np.ndarray:
-    """The first iterates of ``_iterate``: ``v``, or, when the grid 10 times
-    coarser has ``_PICARD_NEST_FLOOR`` nodes, each row's converged iterate of
-    the loop there, in the ``np.interp`` of its tube, prolonged by
-    ``np.interp``; ``v`` for a row whose coarse loop fails."""
-    start = v.copy()
+def _start(problems: list[ThermistorProblem], tubes: dict[int, Tube], opts: SolveOptions) -> np.ndarray:
+    """The first iterates of ``_iterate`` on the tubes' grid, one row per tube.
+
+    The coarse levels are the grids 10, 100, ... times coarser with at least
+    ``_PICARD_NEST_FLOOR`` nodes; with fewer than two of them every row starts
+    from its center ``v``.  Otherwise the loop runs on each level, coarsest
+    first, in the ``np.interp`` of each tube, and every level after the
+    coarsest, the tubes' grid included, starts a row from the row's settled
+    iterates on the levels below: with two, ``u1 + c * (u1 - u2)`` (``u2``
+    prolonged to the grid of ``u1``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``),
+    the Richardson extrapolation of their O(h**2) difference, prolonged; with
+    one, that iterate prolonged; with none, ``v``.  A row that raises or does
+    not converge on a level, or whose radius rounds below zero there, loses
+    its settled iterates.
+    """
     grid = next(iter(tubes.values())).grid
-    coarse_n = (grid.n - 1) // _NEST_RATIO + 1
-    if coarse_n < _PICARD_NEST_FLOOR:
-        return start
-    coarse = Grid(grid.a, grid.T, coarse_n)
+    levels = []
+    n = (grid.n - 1) // _NEST_RATIO + 1
+    while n >= _PICARD_NEST_FLOOR:
+        levels.append(Grid(grid.a, grid.T, n))
+        n = (n - 1) // _NEST_RATIO + 1
+    if len(levels) < 2:
+        levels = []
+    # per row, its settled iterates on the last one or two levels, finest first
+    settled: dict[int, list[tuple[Grid, np.ndarray]]] = {i: [] for i in tubes}
+    for level in reversed(levels):
+        level_tubes = {}
+        for i, tube in tubes.items():
+            try:
+                level_tubes[i] = Tube(_restrict(tube.v, level), _restrict(tube.M, level))
+            except ValueError:  # a radius that rounds below zero
+                settled[i] = []
+        if level_tubes:
+            start = np.array([_from_coarse(settled[i], level, tube.v.values) for i, tube in level_tubes.items()])
+            for i, result in _iterate(problems, level_tubes, start, opts).items():
+                converged = isinstance(result, tuple) and result[2]
+                settled[i] = [(level, result[0]), *settled[i][:1]] if converged else []
+    return np.array([_from_coarse(settled[i], grid, tube.v.values) for i, tube in tubes.items()])
 
-    def restrict(w: GridFunction) -> GridFunction:
-        return GridFunction(coarse, np.interp(coarse.nodes, grid.nodes, w.values))
 
-    coarse_tubes = {}
-    for i, tube in tubes.items():
-        with contextlib.suppress(ValueError):  # a radius that rounds below zero
-            coarse_tubes[i] = Tube(restrict(tube.v), restrict(tube.M))
-    settled = _iterate(problems, coarse_tubes, opts) if coarse_tubes else {}
-    for j, i in enumerate(tubes):
-        if isinstance(settled.get(i), tuple) and settled[i][2]:
-            start[j] = np.interp(grid.nodes, coarse.nodes, settled[i][0])
-    return start
+def _from_coarse(settled: list[tuple[Grid, np.ndarray]], grid: Grid, v: np.ndarray) -> np.ndarray:
+    """A row's first iterate on ``grid`` from its settled coarser iterates, as ``_start`` says."""
+    if not settled:
+        return v
+    (grid1, u1), *rest = settled
+    if rest:
+        ((grid2, u2),) = rest
+        c = (grid.h**2 - grid1.h**2) / (grid1.h**2 - grid2.h**2)
+        u1 = u1 + c * (u1 - _prolong(u2, grid2, grid1))
+    return _prolong(u1, grid1, grid)
+
+
+def _restrict(w: GridFunction, coarse: Grid) -> GridFunction:
+    """``w`` on the coarser grid ``coarse``, by linear interpolation."""
+    return GridFunction(coarse, np.interp(coarse.nodes, w.grid.nodes, w.values))
+
+
+def _prolong(w: np.ndarray, coarse: Grid, fine: Grid) -> np.ndarray:
+    """The values ``w`` on ``coarse`` interpolated onto ``fine`` (last axis)."""
+    first, weights = _prolongation(fine, coarse)
+    out = np.take(w, first, axis=-1) * weights[0]  # np.take gathers ~3x faster than w[..., first]
+    for k in range(1, 4):
+        out += np.take(w, first + k, axis=-1) * weights[k]
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _prolongation(fine: Grid, coarse: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """For each node of ``fine``, the first of the 4 nodes of ``coarse``
+    around it (shifted inward at the ends), and the ``(4, fine.n)`` cubic
+    Lagrange weights of those nodes; both arrays are read-only."""
+    s = (fine.nodes - coarse.a) / coarse.h  # position in coarse steps
+    first = np.clip(np.floor(s).astype(int) - 1, 0, coarse.n - 4)
+    s -= first
+    weights = np.array(
+        [
+            -(s - 1.0) * (s - 2.0) * (s - 3.0) / 6.0,
+            s * (s - 2.0) * (s - 3.0) / 2.0,
+            -s * (s - 1.0) * (s - 3.0) / 2.0,
+            s * (s - 1.0) * (s - 2.0) / 6.0,
+        ]
+    )
+    return _frozen(first), _frozen(weights)
 
 
 def _k_rows(

@@ -99,10 +99,11 @@ class TubeReport:
     ``boundary_margin`` is the largest value of
     ``(y - v) * (g(t, y) - v^(alpha)) - M * M^(alpha)`` over both boundary
     sheets ``y = v +/- M``, with the nonlocal denominator recomputed for
-    each node-local boundary excursion.  ``pinch_margin`` is the largest
-    residual of the degenerate conditions at nodes where the radius is
-    below tol (-inf when there are none), and ``initial_margin`` is
-    ``|u_a - v(a)| - M(a)``.
+    each node-local boundary excursion; a margin that is NaN at a node
+    (``0 * inf`` where ``M = 0``, or ``g = inf / inf``) counts there as
+    ``inf``.  ``pinch_margin`` is the largest residual of the degenerate
+    conditions at nodes where the radius is below tol (-inf when there are
+    none), and ``initial_margin`` is ``|u_a - v(a)| - M(a)``.
     """
 
     valid: bool
@@ -169,6 +170,7 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
             perturbed = base + weights * (f_side - f_center)
             g_side = nonlocal_rhs(problem.lam, f_side, perturbed)
             margins = side * m.values * (g_side - dv) - m.values * dm
+            margins[np.isnan(margins)] = math.inf  # a violation at its own node
             worst = int(np.argmax(margins))
             if margins[worst] > boundary_margin:
                 boundary_margin = float(margins[worst])

@@ -329,6 +329,16 @@ class TestSolveCommand:
         assert len(rows) == 101
         assert [row[4] for row in rows] == ["0.0"] * 101
 
+    def test_vanishing_source_scenario_exits_two(self, tmp_path, capsys):
+        # the bound G divides by A**2 = exp(-500)**2, which underflows to 0
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(CONFIGS / "solve_vanishing_source.cfg"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        report = (out / "report.txt").read_text()
+        assert "converged: true" in report
+        assert "member of tube: false" in report
+        assert " G=inf\n" in report
+
     def test_bad_source_scenario_exits_four(self, tmp_path, capsys):
         code = main(["solve", "--config", str(CONFIGS / "solve_bad_source.cfg"), "--out", str(tmp_path)])
         assert code == 4
@@ -462,6 +472,29 @@ grid_n = 101
         assert capsys.readouterr().err == (
             "thermistor: error: evaluate_g: g = lambda*f/D**2 overflowed at node 0 (t=1.0)\n"
         )
+
+    def test_nan_boundary_margin_is_a_violation(self, tmp_path, capsys):
+        # M = 0 at t = 2, where the margin is 0 * inf: NaN counts as inf
+        cfg = write_cfg(tmp_path, """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 1e308
+alpha = 0.5
+u_a = 0.0
+f = 2
+
+[tube]
+v = 0
+M = 2 - t
+
+[solve]
+grid_n = 101
+""")
+        assert main(["verify-tube", "--config", str(cfg), "--out", str(tmp_path / "tube")]) == 3
+        assert capsys.readouterr().err == ""
+        report = (tmp_path / "tube" / "tube_report.txt").read_text().splitlines()
+        assert report[4] == "  boundary: ok=false margin=inf node=0 side=+1"
 
 
 class TestIdentitiesCommand:

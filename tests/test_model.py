@@ -203,3 +203,11 @@ class TestBoundsEstimate:
         failed = th.bounds_estimate(p_sqrt, *band(grid, 0.0, 1.0))
         assert math.isnan(failed.f_min)
         assert failed.g_sup == math.inf
+
+    def test_underflowing_denominator_reports_infinite_sup(self):
+        # A = exp(-500) is positive, but A**2 underflows to 0
+        p = th.ThermistorProblem(1.0, 2.0, 0.1, th.Alpha(1.0), 0.0, th.parse_expr("exp(-500*u^2)"))
+        b = th.bounds_estimate(p, *band(p.grid(101), 0.0, 1.0))
+        assert b.f_min == math.exp(-500.0) > 0.0
+        assert b.f_min * b.f_min == 0.0
+        assert b.g_sup == math.inf

@@ -16,7 +16,7 @@ from thermistor.expressions import Expr
 from thermistor.linear import _plan
 from thermistor.conformable import trapezoid
 from thermistor.model import sample_source
-from thermistor.solver import _picard_rows, equation_residual
+from thermistor.solver import _picard_rows, _prolong, _prolongation, equation_residual
 
 from conftest import constant_problem, ramp_problem, sin_offset_source, sin_problem, u_star
 from test_expressions import _reference_eval
@@ -545,30 +545,41 @@ class TestPicardRows:
 
 
 def _nested_reference_picard(problem, tube, opts):
-    """``picard_solve``'s nested start written out: ``picard_solve`` on the
-    tube's ``np.interp`` onto a 10 times coarser grid, the converged iterate
-    prolonged by ``np.interp`` (the center if the coarse solve fails), then
-    the damped ``apply_k`` loop from there.  Returns the last iterate and the
-    update norms."""
+    """``picard_solve``'s nested start written out for two coarse levels
+    (10001 <= n < 100001): the damped ``apply_k`` loop on the tube's
+    ``np.interp`` onto the grid 100 times coarser, from its center; then on
+    the grid 10 times coarser, from that iterate prolonged; then on the
+    tube's grid, from the Richardson extrapolation of the two, prolonged.
+    Both coarse loops must converge.  Returns the last iterate and the
+    update norms on the tube's grid."""
     grid = tube.grid
-    coarse = problem.grid((grid.n - 1) // 10 + 1)
+    mid = problem.grid((grid.n - 1) // 10 + 1)
+    coarse = problem.grid((mid.n - 1) // 10 + 1)
+    assert (coarse.n - 1) // 10 + 1 < 101 <= coarse.n
 
-    def restrict(w):
-        return th.GridFunction(coarse, np.interp(coarse.nodes, grid.nodes, w.values))
+    def restrict(w, level):
+        return th.GridFunction(level, np.interp(level.nodes, grid.nodes, w.values))
 
-    u = tube.v
-    coarse_report = th.picard_solve(problem, th.Tube(restrict(tube.v), restrict(tube.M)), opts)
-    if coarse_report.converged:
-        u = th.GridFunction(grid, np.interp(grid.nodes, coarse.nodes, coarse_report.u.values))
-    residuals = []
-    while len(residuals) < opts.max_iter:
-        ku = th.apply_k(u, tube, problem)
-        nxt = (1.0 - opts.damping) * u.values + opts.damping * ku.values
-        residuals.append(float(np.max(np.abs(nxt - u.values))))
-        u = th.GridFunction(grid, nxt)
-        if residuals[-1] <= opts.tol_fp:
-            break
-    return u, residuals
+    def loop(level, start):
+        level_tube = tube if level is grid else th.Tube(restrict(tube.v, level), restrict(tube.M, level))
+        u = th.GridFunction(level, level_tube.v.values if start is None else start)
+        residuals = []
+        while len(residuals) < opts.max_iter:
+            ku = th.apply_k(u, level_tube, problem)
+            nxt = (1.0 - opts.damping) * u.values + opts.damping * ku.values
+            residuals.append(float(np.max(np.abs(nxt - u.values))))
+            u = th.GridFunction(level, nxt)
+            if residuals[-1] <= opts.tol_fp:
+                break
+        return u.values, residuals
+
+    u2, residuals = loop(coarse, None)
+    assert residuals[-1] <= opts.tol_fp
+    u1, residuals = loop(mid, _prolong(u2, coarse, mid))
+    assert residuals[-1] <= opts.tol_fp
+    c = (grid.h**2 - mid.h**2) / (mid.h**2 - coarse.h**2)
+    u, residuals = loop(grid, _prolong(u1 + c * (u1 - _prolong(u2, coarse, mid)), mid, grid))
+    return th.GridFunction(grid, u), residuals
 
 
 def _sin_corners(n):
@@ -611,6 +622,53 @@ class TestNestedStart:
         for a, b in zip(nested, plain):
             assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-9
             assert (a.converged, a.member_of_tube) == (b.converged, b.member_of_tube) == (True, True)
+
+    @pytest.mark.parametrize("n", [20001, 12346])
+    def test_one_fine_iteration_from_the_extrapolated_start(self, n, monkeypatch):
+        # 12346 nodes put the levels (1235 and 124 nodes) off the fine nodes;
+        # each corner measured 1 fine iteration on both grids
+        opts = th.SolveOptions()
+        nested = [th.picard_solve(p, tube, opts) for (p,), (tube,) in _sin_corners(n)]
+        monkeypatch.setattr(th.solver, "_PICARD_NEST_FLOOR", math.inf)
+        plain = [th.picard_solve(p, tube, opts) for (p,), (tube,) in _sin_corners(n)]
+        assert max(r.iterations for r in nested) <= 2
+        for a, b in zip(nested, plain):
+            assert np.max(np.abs(a.u.values - b.u.values)) <= 1e-9
+            assert (a.converged, a.member_of_tube) == (b.converged, b.member_of_tube) == (True, True)
+
+    def test_batch_rows_equal_their_standalone_solves(self):
+        # the rows measured 3, 1 and 1 fine iterations; from the plain
+        # start they take 6, 12 and 21
+        problems, tubes = _sin_rows(0.3, 10001, [(8.0, 0.02), (0.5, 1.0), (8.0, 1.0)])
+        opts = th.SolveOptions()
+        batch = [_solve_fields(r) for r in _picard_rows(problems, tubes, opts)]
+        alone = [th.picard_solve(p, tube, opts) for p, tube in zip(problems, tubes)]
+        assert batch == [_solve_fields(r) for r in alone]
+        assert max(r.iterations for r in alone) <= 3
+
+    @pytest.mark.parametrize("coarse_n, fine_n", [(201, 2001), (1235, 12346), (4, 7)])
+    def test_prolongation_is_exact_on_cubics(self, coarse_n, fine_n):
+        coarse, fine = th.Grid(1.0, 2.0, coarse_n), th.Grid(1.0, 2.0, fine_n)
+
+        def cubic(t):
+            return 3.0 - 2.0 * t + 0.5 * t**2 - 0.25 * t**3
+
+        rows = np.array([cubic(coarse.nodes), 2.0 * cubic(coarse.nodes)])
+        out = _prolong(rows, coarse, fine)
+        assert np.max(np.abs(out - [cubic(fine.nodes), 2.0 * cubic(fine.nodes)])) <= 1e-13
+        assert out[0].tobytes() == _prolong(rows[0], coarse, fine).tobytes()
+        quartic = _prolong(coarse.nodes**4, coarse, fine)
+        assert np.max(np.abs(quartic - fine.nodes**4)) > 1e-13
+
+    def test_prolongation_arrays_are_cached_and_read_only(self):
+        coarse, fine = th.Grid(1.0, 2.0, 201), th.Grid(1.0, 2.0, 2001)
+        _prolongation.cache_clear()
+        first, weights = _prolongation(fine, coarse)
+        assert _prolongation(th.Grid(1.0, 2.0, 2001), th.Grid(1.0, 2.0, 201))[0] is first
+        assert (first.shape, weights.shape) == ((2001,), (4, 2001))
+        assert (first[0], first[-1]) == (0, 197)  # one-sided at both ends
+        assert not (first.flags.writeable or weights.flags.writeable)
+        assert _prolongation.cache_info().maxsize == 4
 
     def test_failing_coarse_rows_start_from_the_center(self, monkeypatch, capsys):
         # the dead zone of f around u = 0.5 is reached at iteration 7 for

@@ -130,6 +130,16 @@ class TestVerifyTube:
         assert report.boundary_node == 0
         assert report.boundary_side == 1
 
+    def test_nan_margin_is_a_violation_at_its_node(self):
+        # lambda * f overflows at t = 2 only and D**2 overflows: g is
+        # inf/inf there and 0 elsewhere, where every margin is then 0
+        p = th.ThermistorProblem(
+            1.0, 2.0, 10.0, th.Alpha(1.0), 0.0, lambda t, u: np.where(t == 2.0, 1e308, 1.0) + 0.0 * u
+        )
+        report = th.verify_tube(make_tube(p.grid(101), 0.0, 0.5), p)
+        assert not report.valid and not report.boundary_ok
+        assert (report.boundary_margin, report.boundary_node, report.boundary_side) == (math.inf, 100, 1)
+
     def test_pinched_tube_requires_center_to_solve(self):
         p = constant_problem()
         grid = p.grid(201)
