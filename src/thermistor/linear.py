@@ -14,11 +14,10 @@ O(n) array passes.
 The solve has two parts.  ``_plan`` builds everything that depends only
 on the grid and ``alpha`` (the panel weights, the scan blocks with their
 rescaling factors, and the decay of ``x0``) as read-only arrays, and
-keeps the last four plans in a cache: the Picard iteration solves on one
+keeps the last three plans in a cache: the Picard iteration solves on one
 grid and order many times in a row, and a nested Picard solve runs on
-three grids in turn from 10001 nodes and on four from 100001.  ``_scan``
-does the work that depends on ``g``, on one row of values or on a
-``(rows, n)`` array of them.
+three grids in turn from 10001 nodes.  ``_scan`` does the work that
+depends on ``g``, on one row of values or on a ``(rows, n)`` array of them.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=3)
 def _plan(grid: Grid, al: float) -> _Plan:
     """Panel weights, scan blocks and decay for ``grid`` and order ``al``."""
     a = grid.a
@@ -124,7 +123,7 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
     that the exact sum would not; a scalar carry crosses block boundaries.
 
     The weights, blocks and rescaling factors depend only on the grid and
-    ``alpha``.  They come from ``_plan``, which caches the last four
+    ``alpha``.  They come from ``_plan``, which caches the last three
     ``(grid, alpha)`` it built (grids compare by ``(a, T, n)``), so
     repeated solves on one grid and order pay only for the scan.
 
