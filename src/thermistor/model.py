@@ -173,8 +173,9 @@ def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction
     ``G = lambda * B / (A**2 * (T - a)**2)``, the crude sup bound on the
     right-hand side for trajectories inside the band.  A diagnostic only:
     it never raises.  G is infinite unless A > 0 and ``A**2 * (T - a)**2``
-    does not underflow to 0, and if ``f`` fails to evaluate on the lattice
-    every sample counts as NaN.
+    does not underflow to 0, and G is 0 when that product overflows to
+    inf (``T - a`` above about 1.3e154).  If ``f`` fails to evaluate on the
+    lattice every sample counts as NaN.
     """
     idx = np.linspace(0, v.grid.n - 1, _BAND_SAMPLES).round().astype(int)
     tt, ss = np.meshgrid(v.grid.nodes[idx], np.linspace(-1.0, 1.0, _BAND_SAMPLES))
@@ -185,7 +186,9 @@ def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction
         fv = np.full_like(uu, math.nan)
     f_min = float(fv.min())
     f_max = float(fv.max())
-    denominator = f_min * f_min * (problem.T - problem.a) ** 2 if f_min > 0.0 else 0.0
+    span = problem.T - problem.a
+    # span * span, unlike span ** 2, overflows to inf instead of raising
+    denominator = f_min * f_min * (span * span) if f_min > 0.0 else 0.0
     if not denominator > 0.0:  # the product underflows to 0 for a tiny A
         return SourceBounds(f_min, f_max, math.inf)
     return SourceBounds(f_min, f_max, problem.lam * f_max / denominator)

@@ -21,18 +21,21 @@ route: classical RK4 on ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with
 the nonlocal denominator D frozen per pass, and an outer loop that finds
 the D whose trajectory reproduces it (within ``tol_fp``, relative to D
 when D < 1) by a secant step kept inside a sign bracket.  The loop starts by nested
-iteration: on grids of at least 1001 nodes it first settles D on a grid 10
-times coarser and starts from that D and its last secant slope, falling
-back to the constant start ``u = u_a`` if the coarse loop fails.  It
-shares no stencils, quadrature weights, or exponential identities with
-the main path, which is what makes the cross-checks in the test suite
-meaningful.
+iteration: on grids of at least 201 nodes it first settles D on the grids
+10, 100, ... times coarser with at least 21 nodes, coarsest first, each
+within 25 passes, and starts each level from the last slope of the level
+below and the Richardson extrapolation of the settled D of the two levels
+below, falling back to one level's D, or to the constant start
+``u = u_a``, when a coarse loop fails.  It shares no stencils, quadrature
+weights, or exponential identities with the main path (the two share only
+the weight ``c`` that picks a starting value), which is what makes the
+cross-checks in the test suite meaningful.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,13 +84,14 @@ class SolveOptions:
 
     damping is the fraction of the new operator value mixed into the
     iterate (1.0 is the undamped map).  max_iter bounds the iterations of
-    ``picard_solve`` and the RK4 passes of ``oracle_solve`` on each grid
-    level of their nested starts; both check every one of them for
-    convergence.  tol_fp bounds the last update of ``picard_solve`` and
-    the change in the oracle's D over one pass, ``tol_fp * min(1, D)``:
-    absolute for ``D >= 1`` and relative below.  grid_n sets the size of
-    ``oracle_solve``'s finest grid and of the grids the CLI builds;
-    ``picard_solve`` always runs on the tube's grid.
+    ``picard_solve`` on each grid level of its nested start, and the RK4
+    passes of ``oracle_solve`` on its finest grid; the oracle's coarse
+    levels get at most ``min(max_iter, 25)`` passes each.  Both check every
+    iteration and pass for convergence.  tol_fp bounds the last update of
+    ``picard_solve`` and the change in the oracle's D over one pass,
+    ``tol_fp * min(1, D)``: absolute for ``D >= 1`` and relative below.
+    grid_n sets the size of ``oracle_solve``'s finest grid and of the
+    grids the CLI builds; ``picard_solve`` always runs on the tube's grid.
     """
 
     damping: float = 1.0
@@ -358,9 +362,16 @@ def _from_coarse(settled: list[tuple[Grid, np.ndarray]], grid: Grid, v: np.ndarr
     (grid1, u1), *rest = settled
     if rest:
         ((grid2, u2),) = rest
-        c = (grid.h**2 - grid1.h**2) / (grid1.h**2 - grid2.h**2)
+        c = _richardson_weight(grid.h, grid1.h, grid2.h)
         u1 = u1 + c * (u1 - np.interp(grid1.nodes, grid2.nodes, u2))
     return np.interp(grid.nodes, grid1.nodes, u1)
+
+
+def _richardson_weight(h: float, h1: float, h2: float) -> float:
+    """``c = (h**2 - h1**2) / (h1**2 - h2**2)``: the value on spacing ``h``
+    extrapolated from the values ``x1``, ``x2`` on spacings ``h1``, ``h2`` with an
+    O(h**2) error is ``x1 + c * (x1 - x2)`` (``c = 0.01`` at ratio 10)."""
+    return (h**2 - h1**2) / (h1**2 - h2**2)
 
 
 def _restrict(w: GridFunction, coarse: Grid) -> GridFunction:
@@ -389,8 +400,10 @@ def _k_rows(
 
 
 # The oracle first settles D on a grid _NEST_RATIO times coarser, when that grid
-# has at least _NEST_FLOOR nodes, and starts the finer loop from its answer.
-_NEST_FLOOR = 101
+# has at least _NEST_FLOOR nodes, and starts the finer loop from its answer;
+# a coarse level gets at most _COARSE_PASSES passes.
+_NEST_FLOOR = 21
+_COARSE_PASSES = 25
 
 
 def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction:
@@ -418,14 +431,19 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     The plain step alone diverges when ``f`` is close to zero.
 
     The loop starts by nested iteration.  When a grid 10 times coarser
-    (``(grid_n - 1) // 10 + 1`` nodes) has at least 101 nodes, the same
-    loop runs there first, recursively, and the fine loop starts from the
-    coarse grid's settled D; its first step is the secant step with the
-    coarse grid's last secant slope, under the same bracket test.  If the
-    coarse solve raises ConvergenceError or SourcePositivityError, or the
-    coarse grid is too small, the first D comes from the constant ``u_a``
-    and the first step is the plain one.  Only the fine grid's outcome is
-    returned or raised.
+    (``(grid_n - 1) // 10 + 1`` nodes) has at least 21 nodes, the same
+    loop runs there first, recursively, with at most ``min(max_iter, 25)``
+    passes, and the fine loop starts from the coarse grid's settled D1;
+    its first step is the secant step with the coarse grid's last secant
+    slope, under the same bracket test.  If the coarse grid itself started
+    from a settled D2 on the grid below it, the fine loop starts instead
+    from ``D1 + c * (D1 - D2)``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``
+    (0.01 at ratio 10), the Richardson extrapolation of the O(h**2) error
+    of D, unless that is not finite and positive.  If the coarse solve
+    raises ConvergenceError or SourcePositivityError (running out of
+    passes included), or the coarse grid is too small, the first D comes
+    from the constant ``u_a`` and the first step is the plain one.  Only
+    the fine grid's outcome is returned or raised.
 
     Raises ConvergenceError if D fails to settle within ``max_iter``
     passes, naming the last frozen D and the D its trajectory gave.  It is
@@ -441,11 +459,12 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
 
 def _oracle_settle(
     problem: ThermistorProblem, n: int, opts: SolveOptions
-) -> tuple[GridFunction, float, float, float]:
+) -> tuple[GridFunction, float, float, float, float | None]:
     """The secant loop of ``oracle_solve`` on ``n`` nodes.
 
-    Returns the settled trajectory, its frozen D, and the differences in D
-    and in ``F(D)`` that give the last secant slope (NaN without one).
+    Returns the settled trajectory, its frozen D, the differences in D and
+    in ``F(D)`` that give the last secant slope (NaN without one), and the
+    settled D of the coarse level it started from (None without one).
     """
     grid = problem.grid(n)
     starts = grid.nodes[:-1].tolist()  # each RK4 step's start time, as a float
@@ -464,14 +483,21 @@ def _oracle_settle(
     coarse_n = (n - 1) // _NEST_RATIO + 1
     if coarse_n >= _NEST_FLOOR:
         try:
-            start = _oracle_settle(problem, coarse_n, opts)
+            start = _oracle_settle(problem, coarse_n, replace(opts, max_iter=min(opts.max_iter, _COARSE_PASSES)))
         except (ConvergenceError, SourcePositivityError):
             pass
     if start is None:
         d_sq = denominator(np.full(grid.n, problem.u_a))
         dd = df = math.nan
+        d1 = None
     else:
-        _, d_sq, dd, df = start
+        coarse, d1, dd, df, d2 = start
+        d_sq = d1
+        if d2 is not None:
+            h2 = problem.grid((coarse_n - 1) // _NEST_RATIO + 1).h
+            extrapolated = d1 + _richardson_weight(h, coarse.grid.h, h2) * (d1 - d2)
+            if math.isfinite(extrapolated) and extrapolated > 0.0:
+                d_sq = extrapolated
 
     lo, hi = 0.0, math.inf
     prev_d = prev_step = math.nan
@@ -496,7 +522,7 @@ def _oracle_settle(
         if passes > 1:
             dd, df = d_sq - prev_d, step - prev_step
         if abs(step) <= opts.tol_fp * min(1.0, d_sq):
-            return GridFunction(grid, u), d_sq, dd, df
+            return GridFunction(grid, u), d_sq, dd, df, d1
         if step > 0.0:
             lo = d_sq
         else:

@@ -211,3 +211,9 @@ class TestBoundsEstimate:
         assert b.f_min == math.exp(-500.0) > 0.0
         assert b.f_min * b.f_min == 0.0
         assert b.g_sup == math.inf
+
+    def test_overflowing_denominator_reports_zero_sup(self):
+        # (T - a)**2 overflows here: as a float power it would raise OverflowError
+        p = th.ThermistorProblem(1.0, 1e200, 1.0, th.Alpha(1.0), 0.0, th.parse_expr("2"))
+        b = th.bounds_estimate(p, *band(p.grid(101), 0.0, 1.0))
+        assert b == (2.0, 2.0, 0.0)

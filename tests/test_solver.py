@@ -4,6 +4,7 @@ import collections
 import functools
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -96,17 +97,40 @@ def _reference_oracle(problem, opts, start=None):
 
 
 def _nested_reference_oracle(problem, opts):
-    """``_reference_oracle`` started from the settled D and last secant of
-    the same loop on a 10 times coarser grid, recursively, when that grid
-    has at least 101 nodes and its loop settles; from ``u = u_a`` otherwise."""
-    start = None
-    coarse_n = (opts.grid_n - 1) // 10 + 1
-    if coarse_n >= 101:
+    """``_reference_oracle`` on the chain of grids 10, 100, ... times coarser
+    with at least 21 nodes, coarsest first, then on ``opts.grid_n`` nodes.
+
+    A coarse level gets at most ``min(max_iter, 25)`` passes.  A level starts
+    from ``u = u_a`` when the level below it raised or there is none; from
+    the settled D and last secant of the level below when that level had no
+    settled level below it; and otherwise from the same secant and
+    ``D1 + c * (D1 - D2)``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``, the
+    Richardson extrapolation of the settled D1 and D2 of the two levels below
+    (spacings h1 and h2), unless that is not finite and positive."""
+    sizes = [opts.grid_n]
+    while (sizes[-1] - 1) // 10 + 1 >= 21:
+        sizes.append((sizes[-1] - 1) // 10 + 1)
+    below = []  # (spacing, D, secant differences) of the settled levels just below, finest first
+    for n in reversed(sizes):
+        h = (problem.T - problem.a) / (n - 1)
+        start = None
+        if below:
+            (h1, d1, diffs), *rest = below
+            start = (d1, diffs)
+            if rest:
+                ((h2, d2, _),) = rest
+                d = d1 + (h**2 - h1**2) / (h1**2 - h2**2) * (d1 - d2)
+                if math.isfinite(d) and d > 0.0:
+                    start = (d, diffs)
+        if n == opts.grid_n:
+            return _reference_oracle(problem, opts, start)
         try:
-            _, *start = _nested_reference_oracle(problem, replace(opts, grid_n=coarse_n))
+            level = replace(opts, grid_n=n, max_iter=min(opts.max_iter, 25))
+            _, d_sq, diffs = _reference_oracle(problem, level, start)
         except (th.ConvergenceError, th.SourcePositivityError):
-            start = None
-    return _reference_oracle(problem, opts, start)
+            below = []
+        else:
+            below = [(h, d_sq, diffs), *below[:1]]
 
 
 def _plain_reference_oracle(problem, opts):
@@ -791,7 +815,10 @@ class TestOracle:
         assert np.max(np.abs(report.u.values - reference.values)) <= 1e-6
 
     @REFERENCE_SOURCES
-    def test_bit_identical_to_reference_loop(self, f):
+    def test_bit_identical_to_reference_loop(self, f, monkeypatch):
+        # n = 401 nests on n = 41; without the coarse level the loop starts
+        # from the constant u_a and takes the midpoint and plain steps
+        monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, f)
         opts = th.SolveOptions(grid_n=401)
         out = th.oracle_solve(p, opts)
@@ -799,7 +826,8 @@ class TestOracle:
 
     @REFERENCE_SOURCES
     def test_nested_start_bit_identical_to_reference_loop(self, f):
-        # n = 2001 settles on n = 201 first and starts from its D and slope
+        # n = 2001 settles on n = 21, then on n = 201, and starts from the
+        # extrapolated D of the two and the last slope of n = 201
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, f)
         opts = th.SolveOptions(grid_n=2001)
         out = th.oracle_solve(p, opts)
@@ -826,7 +854,7 @@ class TestOracle:
         out = th.oracle_solve(p, th.SolveOptions(grid_n=2001))
         assert calls["float"] == 0
         assert calls["array"] == len(samples) > 0
-        assert set(samples) == {201, 2001}
+        assert set(samples) == {21, 201, 2001}
         assert out.values.tobytes() == _nested_reference_oracle(p, th.SolveOptions(grid_n=2001))[0].tobytes()
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -859,7 +887,7 @@ class TestOracle:
         opts = th.SolveOptions(grid_n=2001)
         nested = [th.oracle_solve(p, opts).values for p in corners]
         nested_fine = counts.pop(2001)
-        assert set(counts) == {201}
+        assert set(counts) == {21, 201}
         monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
         counts.clear()
         constant = [th.oracle_solve(p, opts).values for p in corners]
@@ -871,7 +899,8 @@ class TestOracle:
     @settings(max_examples=10, deadline=None)
     @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
     def test_nested_start_agrees_with_constant_start(self, lam, alpha):
-        # n = 1001 is the smallest grid with a coarse level (n = 101)
+        # n = 1001 nests on n = 101 alone, as its 11-node grid is below the
+        # floor; n = 201 is the smallest grid with a coarse level (n = 21)
         p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
         opts = th.SolveOptions(grid_n=1001)
         out = th.oracle_solve(p, opts)
@@ -885,6 +914,82 @@ class TestOracle:
         opts = th.SolveOptions(grid_n=2001)
         out = th.oracle_solve(p, opts)
         assert np.max(np.abs(out.values - _reference_oracle(p, opts)[0])) <= 1e-7
+
+    @settings(max_examples=10, deadline=None)
+    @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
+    def test_extrapolated_start_settles_in_two_fine_passes(self, lam, alpha):
+        # n = 2001 starts from the extrapolated D of n = 21 and n = 201
+        fine = []
+
+        def counting_sample_source(problem, u):
+            if u.grid.n == 2001:
+                fine.append(u)
+            return sample_source(problem, u)
+
+        p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(th.solver, "sample_source", counting_sample_source)
+            out = th.oracle_solve(p, opts)
+        assert len(fine) <= 2
+        assert np.max(np.abs(out.values - _reference_oracle(p, opts)[0])) <= 1e-9
+
+    def test_failed_coarsest_level_starts_the_middle_one_from_u_a(self):
+        # the 21-node level runs out of passes here, and n = 201 settles
+        # from the constant start; n = 2001 then starts from its D alone
+        f = th.parse_expr("0.01 + 0.005*sin(u)")
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.7), 0.1, f)
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.raises(th.ConvergenceError, match="within 25 passes"):
+            th.solver._oracle_settle(p, 21, replace(opts, max_iter=25))
+        assert th.solver._oracle_settle(p, 201, replace(opts, max_iter=25))[4] is None
+        out = th.oracle_solve(p, opts)
+        assert out.values.tobytes() == _nested_reference_oracle(p, opts)[0].tobytes()
+
+    def test_failed_middle_level_leaves_the_fine_error(self, monkeypatch):
+        # the 21-node level settles, but n = 201 leaves the positivity
+        # region (exp(-u) underflows to 0); the fine grid raises its own error
+        p = th.ThermistorProblem(1.0, 2.0, 4.0, th.Alpha(0.7), 0.1, th.parse_expr("exp(-u)"))
+        opts = th.SolveOptions(grid_n=2001)
+        th.solver._oracle_settle(p, 21, replace(opts, max_iter=25))
+        with pytest.raises(th.SourcePositivityError):
+            th.solver._oracle_settle(p, 201, replace(opts, max_iter=25))
+        with pytest.raises(th.SourcePositivityError) as nested:
+            th.oracle_solve(p, opts)
+        monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
+        with pytest.raises(th.SourcePositivityError) as constant:
+            th.oracle_solve(p, opts)
+        assert nested.value.node == constant.value.node
+        assert str(nested.value) == str(constant.value)
+
+    def test_overflowing_extrapolation_starts_from_the_coarse_d(self):
+        # D lies within 3e-7 of the largest float here, so D1 + c*(D1 - D2)
+        # overflows and n = 2001 starts from D1 of n = 201; its own D
+        # overflows too, which collapses the bracket at (D1, inf), not (0, inf)
+        grid = th.Grid(1.0, 2.0, 201)
+        scale = math.sqrt(sys.float_info.max * (1 - 3e-7)) / trapezoid(np.sqrt(grid.nodes), grid.h)
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, th.parse_expr(f"{scale!r}*sqrt(t)"))
+        opts = th.SolveOptions(grid_n=2001)
+        _, d1, _, _, d2 = th.solver._oracle_settle(p, 201, replace(opts, max_iter=25))
+        assert math.isinf(d1 + 0.01 * (d1 - d2))
+        with pytest.raises(th.ConvergenceError, match=re.escape(f"bracket ({d1!r}, inf) collapsed after 1 passes")):
+            th.oracle_solve(p, opts)
+
+    def test_coarse_levels_get_a_pass_budget(self, monkeypatch):
+        # unbudgeted, n = 201 spends about 48 passes here before its bracket
+        # collapses; with 25 it gives up sooner and n = 2001 starts from u_a
+        counts = collections.Counter()
+
+        def counting_sample_source(problem, u):
+            counts[u.grid.n] += 1
+            return sample_source(problem, u)
+
+        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
+        f = th.parse_expr("0.01 + 0.005*sin(u)")
+        p = th.ThermistorProblem(1.0, 2.0, 20.0, th.Alpha(0.3), 0.1, f)
+        th.oracle_solve(p, th.SolveOptions(grid_n=2001))
+        assert counts[201] <= 26  # 25 passes and one constant start
+        assert counts[21] <= 26
 
     @settings(max_examples=25, deadline=None)
     @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
@@ -927,12 +1032,13 @@ class TestOracle:
         # the RK4 step is outside its stability region here (n = 201), so
         # D(traj(D)) jumps across its root and bisection runs out of floats
         # long before max_iter; each pass samples the source once, after
-        # one sample of the constant start
+        # one sample of the constant start (the 21-node level fails first)
         samples = []
 
-        def counting_sample_source(*args):
-            samples.append(args)
-            return sample_source(*args)
+        def counting_sample_source(problem, u):
+            if u.grid.n == 201:
+                samples.append(u)
+            return sample_source(problem, u)
 
         monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
         f = th.parse_expr("0.01 + 0.005*sin(u)")
