@@ -71,6 +71,7 @@ class Grid:
             raise ValueError(f"grid start must be positive, got a={self.a!r}")
         if self.T <= self.a:
             raise ValueError(f"grid needs T > a, got a={self.a!r}, T={self.T!r}")
+        _check_integer("n", self.n)
         if self.n < 3:
             raise ValueError(f"grid needs at least 3 nodes, got n={self.n!r}")
         nodes = np.linspace(self.a, self.T, self.n)
@@ -106,6 +107,12 @@ class GridFunction:
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "GridFunction":
         return cls(grid, np.full(grid.n, float(c)))
+
+
+def _check_integer(name: str, value: object) -> None:
+    """Raises ValueError naming ``name`` unless ``value`` is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_finite(values: np.ndarray, nodes: np.ndarray, what: str) -> np.ndarray:

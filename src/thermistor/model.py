@@ -172,18 +172,20 @@ def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction
     ``s`` in [-1, 1], and returns (A, B, G) with
     ``G = lambda * B / (A**2 * (T - a)**2)``, the crude sup bound on the
     right-hand side for trajectories inside the band.  A diagnostic only:
-    it never raises.  G is infinite unless A > 0 and ``A**2 * (T - a)**2``
-    does not underflow to 0, and G is 0 when that product overflows to
-    inf (``T - a`` above about 1.3e154).  If ``f`` fails to evaluate on the
-    lattice every sample counts as NaN.
+    it never raises, and samples with numpy's warnings off.  G is infinite
+    unless A > 0 and ``A**2 * (T - a)**2`` does not underflow to 0, and G
+    is 0 when that product overflows to inf (``T - a`` above about
+    1.3e154).  If ``f`` fails to evaluate on the lattice every sample
+    counts as NaN.
     """
     idx = np.linspace(0, v.grid.n - 1, _BAND_SAMPLES).round().astype(int)
     tt, ss = np.meshgrid(v.grid.nodes[idx], np.linspace(-1.0, 1.0, _BAND_SAMPLES))
-    uu = v.values[idx] + ss * M.values[idx]
-    try:
-        fv = _source(problem.f, tt, uu)
-    except ValueError:
-        fv = np.full_like(uu, math.nan)
+    with np.errstate(all="ignore"):
+        uu = v.values[idx] + ss * M.values[idx]
+        try:
+            fv = _source(problem.f, tt, uu)
+        except ValueError:
+            fv = np.full_like(uu, math.nan)
     f_min = float(fv.min())
     f_max = float(fv.max())
     span = problem.T - problem.a

@@ -12,34 +12,41 @@ source, through the private array cores of ``truncate``, ``evaluate_g``
 and ``solve_linear``; each failure is a named error, never a numpy
 warning.  ``apply_k`` is its one-row call, and one loop, ``_iterate``,
 runs it: ``picard_solve`` is a batch of one row, and the CLI's sweep
-passes the points of one alpha as the rows.  From 10001 nodes the loop
-first runs on the coarser grids (100 and 10 times coarser, and 1000 from
-100001 nodes), and starts each row from the Richardson extrapolation of
-its two finest coarse fixed points, prolonged by ``np.interp``.
-``oracle_solve`` answers the same question through a completely separate
-route: classical RK4 on ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with
-the nonlocal denominator D frozen per pass, and an outer loop that finds
-the D whose trajectory reproduces it (within ``tol_fp``, relative to D
-when D < 1) by a secant step kept inside a sign bracket.  The loop starts by nested
-iteration: on grids of at least 201 nodes it first settles D on the grids
-10, 100, ... times coarser with at least 21 nodes, coarsest first, each
-within 25 passes, and starts each level from the last slope of the level
-below and the Richardson extrapolation of the settled D of the two levels
-below, falling back to one level's D, or to the constant start
-``u = u_a``, when a coarse loop fails.  It shares no stencils, quadrature
-weights, or exponential identities with the main path (the two share only
-the weight ``c`` that picks a starting value), which is what makes the
-cross-checks in the test suite meaningful.
+passes the points of one alpha as the rows.  ``oracle_solve`` answers
+the same question through a completely separate route: classical RK4 on
+``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
+denominator D frozen per pass, and an outer loop that finds the D whose
+trajectory reproduces it (within ``tol_fp``, relative to D when D < 1) by
+a secant step kept inside a sign bracket.
+
+Both solvers start by nested iteration on one chain of levels.  The
+levels of a grid for a floor, ``_levels``, are the grids 10, 100, ...
+times coarser (``n -> (n - 1) // 10 + 1`` nodes) that have at least that
+many nodes.  A solver runs its loop on each level, coarsest first, and
+then on its own grid, and starts each from what the levels just below
+settled: with two, the Richardson extrapolation ``_richardson``,
+``x1 + c * (x1 - x2)`` with ``c = (h**2 - h1**2) / (h1**2 - h2**2)``
+(0.01 at ratio 10), which cancels the O(h**2) error of the values ``x1``
+and ``x2`` settled on spacings ``h1`` and ``h2``; with one, its value;
+with none, the solver's plain start.  A level that fails settles nothing
+and clears what the levels below it settled.  ``picard_solve`` settles
+iterates, prolonged by ``np.interp``, on the levels of floor 101, and
+nests only when there are two of them (n >= 10001); ``oracle_solve``
+settles D on the levels of floor 21 (n >= 201).  The oracle shares no
+stencils, quadrature weights, or exponential identities with the main
+path (the two share only the levels and the step that pick a starting
+value), which is what makes the cross-checks in the test suite
+meaningful.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, _check_finite, conformable_derivative
+from .conformable import Grid, GridFunction, _check_finite, _check_integer, conformable_derivative
 from .expressions import Expr
 from .model import (
     SourceBounds,
@@ -65,12 +72,11 @@ __all__ = [
 ]
 
 
-# Both solvers start by nested iteration on a grid this many times coarser.
+# Each of the _levels of a grid is this many times coarser than the next.
 _NEST_RATIO = 10
-# picard_solve's coarse levels are the grids 10, 100, ... times coarser with
-# this many nodes, and it nests when there are two of them (n >= 10001): a
-# step costs ~0.1 ms at any n, so a single coarse level did not pay below
-# 10001 nodes (BENCH_17.json).
+# picard_solve's coarse levels are the _levels of this floor, and it nests
+# when there are two of them (n >= 10001): a step costs ~0.1 ms at any n, so
+# a single coarse level did not pay below 10001 nodes (BENCH_17.json).
 _PICARD_NEST_FLOOR = 101
 
 
@@ -104,10 +110,8 @@ class SolveOptions:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping!r}")
         if not (math.isfinite(self.tol_fp) and self.tol_fp > 0.0):
             raise ValueError(f"tol_fp must be positive, got {self.tol_fp!r}")
-        for name in ("max_iter", "grid_n"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integer("max_iter", self.max_iter)
+        _check_integer("grid_n", self.grid_n)
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
         if self.grid_n < 3:
@@ -180,15 +184,12 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     ``report.tube_report.valid`` carries the verdict.
 
     On a grid of at least 10001 nodes the start is nested (``_start``): the
-    loop first runs, with no report, on each grid 10, 100, ... times
-    coarser that has at least 101 nodes, coarsest first, in the
-    ``np.interp`` of the tube.  Each level starts from the one or two
-    levels below it, and the tube's grid from ``u1 + c * (u1 - u2)``, the
-    Richardson extrapolation of the fixed points on the two grids just
-    below (``c = 0.01`` at ratio 10), prolonged by ``np.interp``.
-    A row that raises or does not converge on a level starts the next one
-    from ``v``.  The report counts the iterations on the tube's
-    grid, and ``max_iter`` bounds each level.
+    loop first runs, with no report, on the ``_levels`` of floor 101, in
+    the ``np.interp`` of the tube, and the tube's grid starts from the
+    ``_richardson`` step of the fixed points on the two levels just below,
+    prolonged by ``np.interp``.  A row that raises or does not converge on
+    a level starts the next one from ``v``.  The report counts the
+    iterations on the tube's grid, and ``max_iter`` bounds each level.
 
     The solve is a batch of one row through ``_picard_rows``, the loop
     that also solves the points of a sweep together; each of those rows
@@ -317,30 +318,24 @@ def _iterate(
 def _start(problems: list[ThermistorProblem], tubes: dict[int, Tube], opts: SolveOptions) -> np.ndarray:
     """The first iterates of ``_iterate`` on the tubes' grid, one row per tube.
 
-    The coarse levels are the grids 10, 100, ... times coarser with at least
-    ``_PICARD_NEST_FLOOR`` nodes; with fewer than two of them every row starts
-    from its center ``v``.  Otherwise the loop runs on each level, coarsest
-    first, in the ``np.interp`` of each tube, and every level after the
-    coarsest, the tubes' grid included, starts a row from the row's settled
-    iterates on the levels below: with two, ``u1 + c * (u1 - u2)`` (``u2``
-    prolonged to the grid of ``u1``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``),
-    the Richardson extrapolation of their O(h**2) difference, prolonged; with
-    one, that iterate prolonged; with none, ``v``.  Iterates are prolonged by
-    ``np.interp``, as tubes are restricted.  A row that raises or does
-    not converge on a level, or whose radius rounds below zero there, loses
-    its settled iterates.
+    The coarse levels are ``_levels`` with ``_PICARD_NEST_FLOOR``; with fewer
+    than two of them every row starts from its center ``v``.  Otherwise the
+    loop runs on each level in the ``np.interp`` of each tube, with
+    ``max_iter`` iterations, and every level after the coarsest, the tubes'
+    grid included, starts a row from the row's settled iterates on the levels
+    below: with two, their ``_richardson`` step (``u2`` prolonged to the grid
+    of ``u1``), prolonged; with one, that iterate prolonged; with none, ``v``.
+    Iterates are prolonged by ``np.interp``, as tubes are restricted.  A row
+    that raises or does not converge on a level, or whose radius rounds below
+    zero there, loses its settled iterates.
     """
     grid = next(iter(tubes.values())).grid
-    levels = []
-    n = (grid.n - 1) // _NEST_RATIO + 1
-    while n >= _PICARD_NEST_FLOOR:
-        levels.append(Grid(grid.a, grid.T, n))
-        n = (n - 1) // _NEST_RATIO + 1
+    levels = _levels(grid, _PICARD_NEST_FLOOR)
     if len(levels) < 2:
         levels = []
     # per row, its settled iterates on the last one or two levels, finest first
     settled: dict[int, list[tuple[Grid, np.ndarray]]] = {i: [] for i in tubes}
-    for level in reversed(levels):
+    for level in levels:
         level_tubes = {}
         for i, tube in tubes.items():
             try:
@@ -362,16 +357,25 @@ def _from_coarse(settled: list[tuple[Grid, np.ndarray]], grid: Grid, v: np.ndarr
     (grid1, u1), *rest = settled
     if rest:
         ((grid2, u2),) = rest
-        c = _richardson_weight(grid.h, grid1.h, grid2.h)
-        u1 = u1 + c * (u1 - np.interp(grid1.nodes, grid2.nodes, u2))
+        u1 = _richardson(u1, np.interp(grid1.nodes, grid2.nodes, u2), grid.h, grid1.h, grid2.h)
     return np.interp(grid.nodes, grid1.nodes, u1)
 
 
-def _richardson_weight(h: float, h1: float, h2: float) -> float:
-    """``c = (h**2 - h1**2) / (h1**2 - h2**2)``: the value on spacing ``h``
-    extrapolated from the values ``x1``, ``x2`` on spacings ``h1``, ``h2`` with an
-    O(h**2) error is ``x1 + c * (x1 - x2)`` (``c = 0.01`` at ratio 10)."""
-    return (h**2 - h1**2) / (h1**2 - h2**2)
+def _levels(grid: Grid, floor: float) -> list[Grid]:
+    """The grids 10, 100, ... times coarser than ``grid`` (``n -> (n - 1) // 10 + 1``
+    nodes) that have at least ``floor`` nodes, coarsest first."""
+    levels = []
+    n = grid.n
+    while (n := (n - 1) // _NEST_RATIO + 1) >= floor:
+        levels.insert(0, Grid(grid.a, grid.T, n))
+    return levels
+
+
+def _richardson(x1: float | np.ndarray, x2: float | np.ndarray, h: float, h1: float, h2: float) -> float | np.ndarray:
+    """``x1 + c * (x1 - x2)``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``: the value
+    on spacing ``h`` extrapolated from the values ``x1``, ``x2`` on spacings
+    ``h1``, ``h2`` with an O(h**2) error (``c = 0.01`` at ratio 10)."""
+    return x1 + (h**2 - h1**2) / (h1**2 - h2**2) * (x1 - x2)
 
 
 def _restrict(w: GridFunction, coarse: Grid) -> GridFunction:
@@ -399,11 +403,13 @@ def _k_rows(
     return _check_finite(x, grid.nodes, "solve_linear: solution")
 
 
-# The oracle first settles D on a grid _NEST_RATIO times coarser, when that grid
-# has at least _NEST_FLOOR nodes, and starts the finer loop from its answer;
-# a coarse level gets at most _COARSE_PASSES passes.
+# The oracle settles D on the _levels of this floor before its own grid; a
+# coarse level gets at most _COARSE_PASSES passes.
 _NEST_FLOOR = 21
 _COARSE_PASSES = 25
+# a settled oracle level: its grid, its frozen D, and the differences in D
+# and in F(D) that give its last secant slope
+_Settled = tuple[Grid, float, float, float]
 
 
 def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction:
@@ -430,20 +436,17 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     plain step ``D(traj(D))`` if that does, else the bracket's midpoint.
     The plain step alone diverges when ``f`` is close to zero.
 
-    The loop starts by nested iteration.  When a grid 10 times coarser
-    (``(grid_n - 1) // 10 + 1`` nodes) has at least 21 nodes, the same
-    loop runs there first, recursively, with at most ``min(max_iter, 25)``
-    passes, and the fine loop starts from the coarse grid's settled D1;
-    its first step is the secant step with the coarse grid's last secant
-    slope, under the same bracket test.  If the coarse grid itself started
-    from a settled D2 on the grid below it, the fine loop starts instead
-    from ``D1 + c * (D1 - D2)``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``
-    (0.01 at ratio 10), the Richardson extrapolation of the O(h**2) error
-    of D, unless that is not finite and positive.  If the coarse solve
-    raises ConvergenceError or SourcePositivityError (running out of
-    passes included), or the coarse grid is too small, the first D comes
-    from the constant ``u_a`` and the first step is the plain one.  Only
-    the fine grid's outcome is returned or raised.
+    The loop starts by nested iteration: the same loop first runs on each
+    of the ``_levels`` of floor 21, with at most ``min(max_iter, 25)``
+    passes.  A level starts from the ``_richardson`` step of the settled D
+    of the two levels just below, or from the one level's D when only it
+    settled or the step is not finite and positive, and its first step is
+    then the secant step with the last secant slope of the level below,
+    under the same bracket test.  With no settled level below, the first
+    D comes from the constant ``u_a`` and the first step is the plain one.
+    A coarse level settles nothing when it raises ConvergenceError or
+    SourcePositivityError (running out of passes included).  Only the fine
+    grid's outcome is returned or raised.
 
     Raises ConvergenceError if D fails to settle within ``max_iter``
     passes, naming the last frozen D and the D its trajectory gave.  It is
@@ -454,19 +457,27 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     problem.  Raises SourcePositivityError if a trajectory leaves the
     positivity region of ``f``.
     """
-    return _oracle_settle(problem, opts.grid_n, opts)[0]
+    grid = problem.grid(opts.grid_n)
+    below: list[_Settled] = []  # the last one or two settled levels, finest first
+    for level in _levels(grid, _NEST_FLOOR):
+        try:
+            _, *settled = _oracle_settle(problem, level, min(opts.max_iter, _COARSE_PASSES), opts, below)
+            below = [(level, *settled), *below[:1]]
+        except (ConvergenceError, SourcePositivityError):
+            below = []
+    return _oracle_settle(problem, grid, opts.max_iter, opts, below)[0]
 
 
 def _oracle_settle(
-    problem: ThermistorProblem, n: int, opts: SolveOptions
-) -> tuple[GridFunction, float, float, float, float | None]:
-    """The secant loop of ``oracle_solve`` on ``n`` nodes.
+    problem: ThermistorProblem, grid: Grid, max_iter: int, opts: SolveOptions, below: list[_Settled]
+) -> tuple[GridFunction, float, float, float]:
+    """The secant loop of ``oracle_solve`` on ``grid``, within ``max_iter`` passes.
 
-    Returns the settled trajectory, its frozen D, the differences in D and
-    in ``F(D)`` that give the last secant slope (NaN without one), and the
-    settled D of the coarse level it started from (None without one).
+    Starts from the ``(grid, D, dD, dF)`` of the settled levels ``below``,
+    finest first, as ``oracle_solve`` says, and returns the settled
+    trajectory, its frozen D, and the differences in D and in ``F(D)`` that
+    give the last secant slope (NaN without one).
     """
-    grid = problem.grid(n)
     starts = grid.nodes[:-1].tolist()  # each RK4 step's start time, as a float
     h = grid.h
     half = 0.5 * h
@@ -479,29 +490,20 @@ def _oracle_settle(
         integral = float(np.trapezoid(sample_source(problem, GridFunction(grid, u)), dx=h))
         return integral * integral
 
-    start = None
-    coarse_n = (n - 1) // _NEST_RATIO + 1
-    if coarse_n >= _NEST_FLOOR:
-        try:
-            start = _oracle_settle(problem, coarse_n, replace(opts, max_iter=min(opts.max_iter, _COARSE_PASSES)))
-        except (ConvergenceError, SourcePositivityError):
-            pass
-    if start is None:
-        d_sq = denominator(np.full(grid.n, problem.u_a))
-        dd = df = math.nan
-        d1 = None
-    else:
-        coarse, d1, dd, df, d2 = start
-        d_sq = d1
-        if d2 is not None:
-            h2 = problem.grid((coarse_n - 1) // _NEST_RATIO + 1).h
-            extrapolated = d1 + _richardson_weight(h, coarse.grid.h, h2) * (d1 - d2)
+    if below:
+        (grid1, d_sq, dd, df), *rest = below
+        if rest:
+            ((grid2, d2, _, _),) = rest
+            extrapolated = _richardson(d_sq, d2, h, grid1.h, grid2.h)
             if math.isfinite(extrapolated) and extrapolated > 0.0:
                 d_sq = extrapolated
+    else:
+        d_sq = denominator(np.full(grid.n, problem.u_a))
+        dd = df = math.nan
 
     lo, hi = 0.0, math.inf
     prev_d = prev_step = math.nan
-    for passes in range(1, opts.max_iter + 1):
+    for passes in range(1, max_iter + 1):
         scale = lam / d_sq
         yi = float(problem.u_a)
         traj = [yi]
@@ -522,7 +524,7 @@ def _oracle_settle(
         if passes > 1:
             dd, df = d_sq - prev_d, step - prev_step
         if abs(step) <= opts.tol_fp * min(1.0, d_sq):
-            return GridFunction(grid, u), d_sq, dd, df, d1
+            return GridFunction(grid, u), d_sq, dd, df
         if step > 0.0:
             lo = d_sq
         else:
@@ -544,6 +546,6 @@ def _oracle_settle(
                 )
 
     raise ConvergenceError(
-        f"oracle denominator did not settle within {opts.max_iter} passes "
+        f"oracle denominator did not settle within {max_iter} passes "
         f"(last D = {prev_d!r} gave D = {new_d!r})"
     )

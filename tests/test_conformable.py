@@ -86,6 +86,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             th.Grid(a, T, n)
 
+    @pytest.mark.parametrize("n", [5.0, 3.5])
+    def test_rejects_a_non_integer_count(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            th.Grid(1.0, 2.0, n)
+
+    def test_numpy_integer_count(self):
+        assert th.Grid(1.0, 2.0, np.int64(5)).nodes.shape == (5,)
+
     def test_equality_ignores_node_array(self):
         assert th.Grid(1.0, 2.0, 101) == th.Grid(1.0, 2.0, 101)
         assert th.Grid(1.0, 2.0, 101) != th.Grid(1.0, 2.0, 51)

@@ -422,6 +422,19 @@ class TestPicardSolve:
         assert report.bounds == (1.0, 1.0, 1.0)
         assert report.ode_residual <= 1e-4
 
+    def test_source_overflowing_on_the_band_gives_infinite_bounds_without_a_warning(self):
+        # the solution stays near 0, but f overflows on the band near u = 7,
+        # where only the bounds lattice samples it
+        def f(t, u):
+            return 1.0 + np.exp(800.0 * np.exp(-((u - 7.0) ** 2)))
+
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 0.0, f)
+        grid = p.grid(201)
+        tube = th.Tube(th.GridFunction.constant(grid, 0.0), th.GridFunction.constant(grid, 15.0))
+        report = th.picard_solve(p, tube, th.SolveOptions())
+        assert report.converged
+        assert report.bounds.f_max == report.bounds.g_sup == math.inf
+
 
 def _solve_fields(report):
     """Everything a solve reports, as values that compare bit for bit."""
@@ -640,6 +653,27 @@ def _solve_or_error(problem, tube, opts):
 
 
 class TestNestedStart:
+    @pytest.mark.parametrize(
+        "floor, n, sizes",
+        [
+            (101, 9991, [1000]),
+            (101, 10001, [101, 1001]),
+            (101, 12346, [124, 1235]),
+            (101, 20001, [201, 2001]),
+            (101, 100001, [101, 1001, 10001]),
+            (21, 101, []),
+            (21, 201, [21]),
+            (21, 1001, [101]),
+            (21, 2001, [21, 201]),
+            (21, 20001, [21, 201, 2001]),
+        ],
+    )
+    def test_levels_of_a_grid(self, floor, n, sizes):
+        grid = th.Grid(1.0, 2.0, n)
+        levels = th.solver._levels(grid, floor)
+        assert [level.n for level in levels] == sizes
+        assert all((level.a, level.T) == (grid.a, grid.T) for level in levels)
+
     @pytest.mark.parametrize("damping", [1.0, 0.5])
     def test_bit_identical_to_reference_loop(self, damping):
         problems, tubes = _sin_rows(0.6, 10001, [(4.0, 1.0)])
@@ -941,8 +975,9 @@ class TestOracle:
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.7), 0.1, f)
         opts = th.SolveOptions(grid_n=2001)
         with pytest.raises(th.ConvergenceError, match="within 25 passes"):
-            th.solver._oracle_settle(p, 21, replace(opts, max_iter=25))
-        assert th.solver._oracle_settle(p, 201, replace(opts, max_iter=25))[4] is None
+            th.solver._oracle_settle(p, p.grid(21), 25, opts, [])
+        middle = th.oracle_solve(p, replace(opts, grid_n=201, max_iter=25))
+        assert middle.values.tobytes() == th.solver._oracle_settle(p, p.grid(201), 25, opts, [])[0].values.tobytes()
         out = th.oracle_solve(p, opts)
         assert out.values.tobytes() == _nested_reference_oracle(p, opts)[0].tobytes()
 
@@ -951,9 +986,9 @@ class TestOracle:
         # region (exp(-u) underflows to 0); the fine grid raises its own error
         p = th.ThermistorProblem(1.0, 2.0, 4.0, th.Alpha(0.7), 0.1, th.parse_expr("exp(-u)"))
         opts = th.SolveOptions(grid_n=2001)
-        th.solver._oracle_settle(p, 21, replace(opts, max_iter=25))
+        th.solver._oracle_settle(p, p.grid(21), 25, opts, [])
         with pytest.raises(th.SourcePositivityError):
-            th.solver._oracle_settle(p, 201, replace(opts, max_iter=25))
+            th.oracle_solve(p, replace(opts, grid_n=201, max_iter=25))
         with pytest.raises(th.SourcePositivityError) as nested:
             th.oracle_solve(p, opts)
         monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
@@ -970,7 +1005,9 @@ class TestOracle:
         scale = math.sqrt(sys.float_info.max * (1 - 3e-7)) / trapezoid(np.sqrt(grid.nodes), grid.h)
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, th.parse_expr(f"{scale!r}*sqrt(t)"))
         opts = th.SolveOptions(grid_n=2001)
-        _, d1, _, _, d2 = th.solver._oracle_settle(p, 201, replace(opts, max_iter=25))
+        coarsest = (p.grid(21), *th.solver._oracle_settle(p, p.grid(21), 25, opts, [])[1:])
+        d2 = coarsest[1]
+        d1 = th.solver._oracle_settle(p, p.grid(201), 25, opts, [coarsest])[1]
         assert math.isinf(d1 + 0.01 * (d1 - d2))
         with pytest.raises(th.ConvergenceError, match=re.escape(f"bracket ({d1!r}, inf) collapsed after 1 passes")):
             th.oracle_solve(p, opts)
@@ -1065,7 +1102,7 @@ class TestOracle:
         p = th.ThermistorProblem(1.0, 2.0, 1.76, th.Alpha(0.6), 0.1, f)
         opts = th.SolveOptions(grid_n=2001)
         with pytest.raises(th.ConvergenceError, match="collapsed"):
-            th.solver._oracle_settle(p, 201, opts)
+            th.oracle_solve(p, replace(opts, grid_n=201))
         with pytest.raises(th.EvalError) as nested:
             th.oracle_solve(p, opts)
         monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
