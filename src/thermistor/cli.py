@@ -100,16 +100,19 @@ def _build_tube(args: argparse.Namespace, cfg: LoadedConfig, problem: Thermistor
     return prefixed(args.config, cfg.tube.build, problem, grid, catch=ConfigError)
 
 
-def _warn_if_invalid(tube_report: TubeReport) -> None:
+def _warn_if_invalid(report: TubeReport) -> None:
     """A ``thermistor: warning:`` line on stderr when the tube of a solve
-    failed verification."""
-    if not tube_report.valid:
-        print(
-            "thermistor: warning: tube conditions not satisfied "
-            f"(boundary margin {tube_report.boundary_margin!r} at node "
-            f"{tube_report.boundary_node}); solving anyway",
-            file=sys.stderr,
-        )
+    failed verification, naming the first failing condition in the order
+    boundary, pinch, initial."""
+    if report.valid:
+        return
+    if not report.boundary_ok:
+        failed = f"boundary margin {report.boundary_margin!r} at node {report.boundary_node}"
+    elif not report.pinch_ok:
+        failed = f"pinch margin {report.pinch_margin!r} at node {report.pinch_node}"
+    else:
+        failed = f"initial margin {report.initial_margin!r}"
+    print(f"thermistor: warning: tube conditions not satisfied ({failed}); solving anyway", file=sys.stderr)
 
 
 def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) -> list[tuple]:

@@ -110,8 +110,9 @@ class GridFunction:
 
 
 def _check_integer(name: str, value: object) -> None:
-    """Raises ValueError naming ``name`` unless ``value`` is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """Raises ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer; ``bool`` is not one, as ``np.bool_`` is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -11,6 +11,14 @@ Grammar (EBNF, whitespace between tokens ignored):
 
 "^" is right-associative and binds tighter than unary minus, so
 ``-2^2 = -4`` and ``2^3^2 = 512``.  There is no implicit multiplication.
+An expression's tree, each operator and function call one level above
+its operands, is at most 700 levels high (``_MAX_DEPTH``), so a sum has
+at most 700 terms; and no operand sits inside more than 140
+(``_MAX_DEPTH // 5``) parentheses, function calls, unary minuses and
+"^", as the parser recurses through up to five rules for each.  A deeper
+expression is a ParseError at the byte offset of the token that crosses
+the limit, so parsing and evaluation nest at most about 700 Python calls,
+well inside the default recursion limit of 1000.
 Numbers accept decimal and scientific notation and must be finite: a
 literal that overflows a float, such as ``1e400``, is a parse error.
 Parse errors are positioned by byte offset; evaluation errors (division
@@ -235,6 +243,8 @@ class Call(Expr):
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OPERATORS = set("+-*/^()")
+# How high an expression's tree may be; see the grammar above.
+_MAX_DEPTH = 700
 
 
 @dataclass(frozen=True)
@@ -285,6 +295,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # the open calls of factor
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -308,59 +319,79 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         if self.peek().kind != "end":
             raise self.fail("end of input or an operator")
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def above(self, at: _Token, *heights: int) -> int:
+        """The height of a node at ``at`` over parts of these heights; a
+        ParseError at ``at`` if it exceeds _MAX_DEPTH."""
+        height = 1 + max(heights)
+        if height > _MAX_DEPTH:
+            raise ParseError(at.pos, f"at most {_MAX_DEPTH} levels of operators", at.describe())
+        return height
+
+    # Each method returns its node and the height of the node's tree.
+    def expr(self) -> tuple[Expr, int]:
+        node, height = self.term()
         while self.at_op("+", "-"):
-            op = self.advance().text
-            rhs = self.term()
-            node = BinOp(op, node, rhs, span=(node.span[0], rhs.span[1]), source=self.src)
-        return node
+            op = self.advance()
+            rhs, rhs_height = self.term()
+            height = self.above(op, height, rhs_height)
+            node = BinOp(op.text, node, rhs, span=(node.span[0], rhs.span[1]), source=self.src)
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, height = self.factor()
         while self.at_op("*", "/"):
-            op = self.advance().text
-            rhs = self.factor()
-            node = BinOp(op, node, rhs, span=(node.span[0], rhs.span[1]), source=self.src)
-        return node
+            op = self.advance()
+            rhs, rhs_height = self.factor()
+            height = self.above(op, height, rhs_height)
+            node = BinOp(op.text, node, rhs, span=(node.span[0], rhs.span[1]), source=self.src)
+        return node, height
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
+        # every recursion of the parser passes here, and each open call of
+        # factor holds at most five rules on the stack
+        if self.depth > _MAX_DEPTH // 5:
+            raise self.fail(f"at most {_MAX_DEPTH // 5} levels of nesting")
+        self.depth += 1
         if self.at_op("-"):
             minus = self.advance()
-            operand = self.factor()
-            return Neg(operand, span=(minus.pos, operand.span[1]), source=self.src)
-        return self.power()
+            operand, height = self.factor()
+            result = Neg(operand, span=(minus.pos, operand.span[1]), source=self.src), self.above(minus, height)
+        else:
+            result = self.power()
+        self.depth -= 1
+        return result
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, height = self.atom()
         if self.at_op("^"):
-            self.advance()
-            exponent = self.factor()
-            return BinOp("^", base, exponent, span=(base.span[0], exponent.span[1]), source=self.src)
-        return base
+            caret = self.advance()
+            exponent, exponent_height = self.factor()
+            span = (base.span[0], exponent.span[1])
+            return BinOp("^", base, exponent, span=span, source=self.src), self.above(caret, height, exponent_height)
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "number":
             value = float(tok.text)
             if not math.isfinite(value):
                 raise self.fail("a finite number")
             self.advance()
-            return Num(value, span=(tok.pos, tok.pos + len(tok.text)), source=self.src)
+            return Num(value, span=(tok.pos, tok.pos + len(tok.text)), source=self.src), 1
         if tok.kind == "ident":
             self.advance()
             if tok.text in _VARIABLES:
-                return Var(tok.text, span=(tok.pos, tok.pos + len(tok.text)), source=self.src)
+                return Var(tok.text, span=(tok.pos, tok.pos + len(tok.text)), source=self.src), 1
             if tok.text in _FUNCS_MATH:
                 self.expect_op("(", f"'(' after function name '{tok.text}'")
-                arg = self.expr()
+                arg, height = self.expr()
                 close = self.expect_op(")", "')'")
-                return Call(tok.text, arg, span=(tok.pos, close.pos + 1), source=self.src)
+                return Call(tok.text, arg, span=(tok.pos, close.pos + 1), source=self.src), self.above(tok, height)
             raise ParseError(
                 tok.pos,
                 "a variable (t, u) or function name (sin, cos, exp, sqrt, abs)",
@@ -368,10 +399,10 @@ class _Parser:
             )
         if self.at_op("("):
             opener = self.advance()
-            node = self.expr()
+            node, height = self.expr()
             close = self.expect_op(")", "')'")
             # widen the span over the parens so error snippets stay balanced
-            return replace(node, span=(opener.pos, close.pos + 1))
+            return replace(node, span=(opener.pos, close.pos + 1)), height
         raise self.fail("an operand")
 
 

@@ -32,11 +32,13 @@ with none, the solver's plain start.  A level that fails settles nothing
 and clears what the levels below it settled.  ``picard_solve`` settles
 iterates, prolonged by ``np.interp``, on the levels of floor 101, and
 nests only when there are two of them (n >= 10001); ``oracle_solve``
-settles D on the levels of floor 21 (n >= 201).  The oracle shares no
-stencils, quadrature weights, or exponential identities with the main
-path (the two share only the levels and the step that pick a starting
-value), which is what makes the cross-checks in the test suite
-meaningful.
+settles D on the levels of floor 21 (n >= 201).  Each runs its levels in
+one loop: ``_picard_rows`` calls ``_iterate`` once per level on plain
+``(rows, n)`` arrays, ``oracle_solve`` calls ``_oracle_settle``.  The
+oracle shares no stencils, quadrature weights, or exponential identities
+with the main path (the two share only the levels and the step that pick
+a starting value), which is what makes the cross-checks in the test
+suite meaningful.
 """
 
 from __future__ import annotations
@@ -183,13 +185,14 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     raise).  An invalid tube does not stop the iteration; only
     ``report.tube_report.valid`` carries the verdict.
 
-    On a grid of at least 10001 nodes the start is nested (``_start``): the
-    loop first runs, with no report, on the ``_levels`` of floor 101, in
-    the ``np.interp`` of the tube, and the tube's grid starts from the
-    ``_richardson`` step of the fixed points on the two levels just below,
-    prolonged by ``np.interp``.  A row that raises or does not converge on
-    a level starts the next one from ``v``.  The report counts the
-    iterations on the tube's grid, and ``max_iter`` bounds each level.
+    On a grid of at least 10001 nodes the start is nested: the loop first
+    runs, with no report, on each of the ``_levels`` of floor 101, coarsest
+    first, in the ``np.interp`` of the tube (its radius clamped at zero),
+    and the tube's grid starts from the ``_richardson`` step of the fixed
+    points on the two levels just below, prolonged by ``np.interp``.  A row
+    that raises or does not converge on a level starts the next one from
+    ``v``.  The report counts the iterations on the tube's grid, and
+    ``max_iter`` bounds each level.
 
     The solve is a batch of one row through ``_picard_rows``, the loop
     that also solves the points of a sweep together; each of those rows
@@ -213,8 +216,9 @@ def _picard_rows(
     The rows must share the grid, ``alpha``, ``a``, ``T``, ``u_a`` and
     ``f``; only ``lambda``, the center and the radius vary.  Returns, per
     row, the report or the exception that ``picard_solve`` gives for that
-    row alone: ``_iterate`` runs the loop, and this function adds the tube
-    verification before it and the diagnostics after it.
+    row alone.  The rows whose tube verifies run ``_iterate`` on each
+    level, coarsest first, and then on the tubes' grid, as ``picard_solve``
+    says, on plain ``(rows, n)`` arrays; the reports are built last.
     """
     outcomes: list = [None] * len(problems)
     tube_reports = {}
@@ -223,9 +227,26 @@ def _picard_rows(
             tube_reports[i] = verify_tube(tube, problem)
         except Exception as err:  # this row's outcome, as picard_solve would raise it
             outcomes[i] = err
-    live = {i: tubes[i] for i in tube_reports}
-    settled = _iterate(problems, live, _start(problems, live, opts), opts) if live else {}
-    for i, result in settled.items():
+    live = list(tube_reports)
+    if not live:
+        return outcomes
+    problem, grid = problems[live[0]], tubes[live[0]].grid
+    lam = np.array([[problems[i].lam] for i in live], dtype=float)
+    v = np.array([tubes[i].v.values for i in live])
+    m = np.array([tubes[i].M.values for i in live])
+    levels = _levels(grid, _PICARD_NEST_FLOOR)
+    # per row, its settled iterates on the last one or two levels, finest first
+    settled: list[list[tuple[Grid, np.ndarray]]] = [[] for _ in live]
+    for level in levels if len(levels) >= 2 else []:
+        v_level = np.array([np.interp(level.nodes, grid.nodes, row) for row in v])
+        # np.interp gives -inf where a radius step overflows, and a radius < 0 would hang tube._project
+        m_level = np.maximum([np.interp(level.nodes, grid.nodes, row) for row in m], 0.0)
+        start = np.array([_from_coarse(s, level, row) for s, row in zip(settled, v_level)])
+        for j, result in enumerate(_iterate(problem, level, lam, v_level, m_level, start, opts)):
+            converged = isinstance(result, tuple) and result[2]
+            settled[j] = [(level, result[0]), *settled[j][:1]] if converged else []
+    start = np.array([_from_coarse(s, grid, row) for s, row in zip(settled, v)])
+    for i, result in zip(live, _iterate(problem, grid, lam, v, m, start, opts)):
         if isinstance(result, Exception):
             outcomes[i] = result
             continue
@@ -249,14 +270,14 @@ def _picard_rows(
 
 
 def _iterate(
-    problems: list[ThermistorProblem], tubes: dict[int, Tube], u: np.ndarray, opts: SolveOptions
-) -> dict[int, tuple[np.ndarray, list[float], bool] | Exception]:
-    """The Picard loop on the rows ``i`` that ``tubes`` names, all on one grid.
+    problem: ThermistorProblem, grid: Grid, lam: np.ndarray, v: np.ndarray, m: np.ndarray, u: np.ndarray, opts: SolveOptions
+) -> list[tuple[np.ndarray, list[float], bool] | Exception]:
+    """The Picard loop on ``grid`` for rows with couplings ``lam`` (shape
+    ``(rows, 1)``), centers ``v`` and radii ``m``, from the iterates ``u``.
 
     Returns, per row, the last iterate, the update norms and whether the
     last one reached ``tol_fp``, or the exception that a standalone solve
-    raises for the row.  The loop starts from ``u``, one row per tube in the
-    order of ``tubes``, and overwrites it.
+    raises for the row.  The loop overwrites ``u``.
 
     The iterates form a ``(rows, n)`` array, and a row leaves it when it
     converges or fails.  Each step is one ``_k_rows`` call on the whole
@@ -265,17 +286,12 @@ def _iterate(
     Every operation of the step acts on each row alone, so the rows' bits
     do not depend on which other rows share the array.
     """
-    live = list(tubes)
-    problem = problems[live[0]]
-    grid = tubes[live[0]].grid
+    live = list(range(len(u)))
     # f is called with t and u of one shape, as ThermistorProblem says
     t = np.tile(grid.nodes, (len(live), 1))
-    v = np.array([tubes[i].v.values for i in live])
-    m = np.array([tubes[i].M.values for i in live])
-    lam = np.array([[problems[i].lam] for i in live], dtype=float)
     spare = np.empty_like(u)  # a step writes its iterate into spare
-    residuals: dict[int, list[float]] = {i: [] for i in live}
-    results: dict = {}
+    residuals: list[list[float]] = [[] for _ in live]
+    results: list = [None] * len(live)
 
     for k in range(1, opts.max_iter + 1):
         with np.errstate(all="ignore"):
@@ -299,11 +315,11 @@ def _iterate(
             nxt += ku
             r = np.max(np.abs(np.subtract(nxt, u, out=ku), out=ku), axis=1)
         for j, i in enumerate(live):
-            if i not in results:
+            if results[i] is None:
                 residuals[i].append(float(r[j]))
                 if r[j] <= opts.tol_fp:
                     results[i] = (nxt[j].copy(), residuals[i], True)
-        keep = np.array([i not in results for i in live])
+        keep = np.array([results[i] is None for i in live])
         if not keep.all():
             live = [i for i, kept in zip(live, keep) if kept]
             nxt, v, m, lam, u = nxt[keep], v[keep], m[keep], lam[keep], u[keep]
@@ -315,43 +331,11 @@ def _iterate(
     return results
 
 
-def _start(problems: list[ThermistorProblem], tubes: dict[int, Tube], opts: SolveOptions) -> np.ndarray:
-    """The first iterates of ``_iterate`` on the tubes' grid, one row per tube.
-
-    The coarse levels are ``_levels`` with ``_PICARD_NEST_FLOOR``; with fewer
-    than two of them every row starts from its center ``v``.  Otherwise the
-    loop runs on each level in the ``np.interp`` of each tube, with
-    ``max_iter`` iterations, and every level after the coarsest, the tubes'
-    grid included, starts a row from the row's settled iterates on the levels
-    below: with two, their ``_richardson`` step (``u2`` prolonged to the grid
-    of ``u1``), prolonged; with one, that iterate prolonged; with none, ``v``.
-    Iterates are prolonged by ``np.interp``, as tubes are restricted.  A row
-    that raises or does not converge on a level, or whose radius rounds below
-    zero there, loses its settled iterates.
-    """
-    grid = next(iter(tubes.values())).grid
-    levels = _levels(grid, _PICARD_NEST_FLOOR)
-    if len(levels) < 2:
-        levels = []
-    # per row, its settled iterates on the last one or two levels, finest first
-    settled: dict[int, list[tuple[Grid, np.ndarray]]] = {i: [] for i in tubes}
-    for level in levels:
-        level_tubes = {}
-        for i, tube in tubes.items():
-            try:
-                level_tubes[i] = Tube(_restrict(tube.v, level), _restrict(tube.M, level))
-            except ValueError:  # a radius that rounds below zero
-                settled[i] = []
-        if level_tubes:
-            start = np.array([_from_coarse(settled[i], level, tube.v.values) for i, tube in level_tubes.items()])
-            for i, result in _iterate(problems, level_tubes, start, opts).items():
-                converged = isinstance(result, tuple) and result[2]
-                settled[i] = [(level, result[0]), *settled[i][:1]] if converged else []
-    return np.array([_from_coarse(settled[i], grid, tube.v.values) for i, tube in tubes.items()])
-
-
 def _from_coarse(settled: list[tuple[Grid, np.ndarray]], grid: Grid, v: np.ndarray) -> np.ndarray:
-    """A row's first iterate on ``grid`` from its settled coarser iterates, as ``_start`` says."""
+    """A row's first iterate on ``grid`` from its settled iterates on the one or two
+    levels below, finest first: with two, their ``_richardson`` step (``u2``
+    prolonged to the grid of ``u1``), prolonged; with one, that iterate
+    prolonged; with none, ``v``.  Iterates are prolonged by ``np.interp``."""
     if not settled:
         return v
     (grid1, u1), *rest = settled
@@ -376,11 +360,6 @@ def _richardson(x1: float | np.ndarray, x2: float | np.ndarray, h: float, h1: fl
     on spacing ``h`` extrapolated from the values ``x1``, ``x2`` on spacings
     ``h1``, ``h2`` with an O(h**2) error (``c = 0.01`` at ratio 10)."""
     return x1 + (h**2 - h1**2) / (h1**2 - h2**2) * (x1 - x2)
-
-
-def _restrict(w: GridFunction, coarse: Grid) -> GridFunction:
-    """``w`` on the coarser grid ``coarse``, by linear interpolation."""
-    return GridFunction(coarse, np.interp(coarse.nodes, w.grid.nodes, w.values))
 
 
 def _k_rows(

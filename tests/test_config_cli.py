@@ -316,6 +316,50 @@ class TestSolveCommand:
             "(boundary margin 0.5 at node 0); solving anyway\n"
         )
 
+    @pytest.mark.parametrize(
+        "v, M, failed",
+        [
+            # the center starts 0.3 above u_a, the radius only 0.2
+            ("2*(sqrt(t) - 1) + 0.3", "0.2", "initial margin 0.09999999999999998"),
+            # the exact solution, pinched on [1, 1.5] by a radius with a kink
+            # at t = 1.5, where its derivative is not zero
+            ("2*(sqrt(t) - 1)", "abs(t - 1.5) + (t - 1.5)", "pinch margin 1.2247448713915627 at node 100"),
+        ],
+        ids=["initial", "pinch"],
+    )
+    def test_invalid_tube_warning_names_the_failing_condition(self, tmp_path, capsys, v, M, failed):
+        cfg = write_cfg(tmp_path, f"""\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 1.0
+alpha = 0.5
+u_a = 0.0
+f = 1
+
+[tube]
+v = {v}
+M = {M}
+
+[solve]
+grid_n = 201
+""")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"thermistor: warning: tube conditions not satisfied ({failed}); solving anyway\n"
+        report = (out / "report.txt").read_text()
+        assert "  boundary: ok=true " in report
+        assert ("  initial:  ok=false " in report) == failed.startswith("initial")
+        assert ("  pinch:    ok=false " in report) == failed.startswith("pinch")
+
+    def test_a_too_deep_expression_exits_four(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, GOOD.replace("f = 2 + sin(u)", "f = " + "+".join(["2"] * 1000)))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert capsys.readouterr().err == (
+            f"thermistor: error: {cfg}: [problem] f: parse error at byte 1399: "
+            "expected at most 700 levels of operators, found '+'\n"
+        )
+
     def test_overflow_scenario_exits_three_with_only_the_tube_warning(self, tmp_path, capsys):
         # the integral of f overflows from the second iterate on: g is 0
         # there, quietly, and only the invalid tube is reported

@@ -86,7 +86,7 @@ class TestGrid:
         with pytest.raises(ValueError):
             th.Grid(a, T, n)
 
-    @pytest.mark.parametrize("n", [5.0, 3.5])
+    @pytest.mark.parametrize("n", [5.0, 3.5, True])
     def test_rejects_a_non_integer_count(self, n):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
             th.Grid(1.0, 2.0, n)

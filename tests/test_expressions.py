@@ -231,6 +231,36 @@ class TestParseErrors:
                 pass
 
 
+# Each shape k levels deep, its deepest accepted k, and the byte offset and
+# token at which 5000 levels cross the limit: the 700th "+" of a sum makes
+# its tree 701 levels high; the others open a 141st level of nesting.
+_DEEP_SHAPES = {
+    "sum": (lambda k: "+".join(["u"] * (k + 1)), 699, "1399: expected at most 700 levels of operators, found '+'"),
+    "minus": (lambda k: "-" * k + "u", 140, "141: expected at most 140 levels of nesting, found '-'"),
+    "power": (lambda k: "^".join(["u"] * (k + 1)), 140, "282: expected at most 140 levels of nesting, found identifier 'u'"),
+    "parentheses": (lambda k: "(" * k + "u" + ")" * k, 140, "141: expected at most 140 levels of nesting, found '('"),
+    "sin": (lambda k: "sin(" * k + "u" + ")" * k, 140, "564: expected at most 140 levels of nesting, found identifier 'sin'"),
+}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+    def test_deep_shapes_are_parse_errors(self, shape):
+        make, _, error = _DEEP_SHAPES[shape]
+        with pytest.raises(ParseError) as exc:
+            parse_expr(make(5000))
+        assert str(exc.value) == f"parse error at byte {error}"
+
+    @pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+    def test_the_deepest_accepted_shapes_evaluate(self, shape):
+        make, deepest, _ = _DEEP_SHAPES[shape]
+        e = parse_expr(make(deepest))
+        assert e.uses_u
+        assert e(1.0, 1.0) == e(np.array([1.0]), np.array([1.0]))[0]
+        with pytest.raises(ParseError):
+            parse_expr(make(deepest + 1))
+
+
 class TestEvalErrors:
     def test_division_by_zero_carries_span(self):
         e = parse_expr("1/(t-1)")

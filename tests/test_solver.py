@@ -186,7 +186,8 @@ class TestSolveOptions:
             th.SolveOptions(**kwargs)
 
     @pytest.mark.parametrize(
-        "name, value", [("max_iter", 2.5), ("max_iter", 200.0), ("grid_n", 51.0), ("grid_n", "51")]
+        "name, value",
+        [("max_iter", 2.5), ("max_iter", 200.0), ("max_iter", True), ("grid_n", 51.0), ("grid_n", "51"), ("grid_n", True)],
     )
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
@@ -823,6 +824,54 @@ class TestNestedStart:
         plain = _picard_rows(problems, tubes, opts)
         assert [_solve_fields(r) for r in nested] == [_solve_fields(r) for r in plain]
         assert [(r.converged, r.iterations) for r in nested] == [(False, 5)] * 2
+
+    def test_a_row_that_fails_verification_keeps_the_others_in_place(self, monkeypatch):
+        # the first row's center -100 is where f < 0, so verify_tube raises
+        # for it; the others run each level, coarsest first, as one array
+        def f(t, u):
+            return np.where(u < -50.0, -1.0, 2.0 + np.sin(u))
+
+        problems, tubes = _sin_rows(0.5, 10001, [(1.0, 1.0), (0.5, 1.0), (8.0, 0.02), (2.0, 1.0)])
+        problems = [replace(p, f=f) for p in problems]
+        grid = tubes[0].grid
+        tubes[0] = th.Tube(th.GridFunction.constant(grid, -100.0), tubes[0].M)
+        opts = th.SolveOptions()
+        calls = []
+        iterate = th.solver._iterate
+
+        def counting(problem, grid, lam, v, m, u, opts):
+            calls.append((grid.n, lam[:, 0].tolist()))
+            return iterate(problem, grid, lam, v, m, u, opts)
+
+        monkeypatch.setattr(th.solver, "_iterate", counting)
+        batch = [_outcome(r) for r in _picard_rows(problems, tubes, opts)]
+        assert calls == [(n, [0.5, 8.0, 2.0]) for n in (101, 1001, 10001)]
+        alone = [_outcome(_solve_or_error(p, tube, opts)) for p, tube in zip(problems, tubes)]
+        assert batch == alone
+        assert batch[0][0] is th.SourcePositivityError
+        assert all(isinstance(outcome[0], bytes) for outcome in batch[1:])
+
+    def test_a_radius_restricted_below_zero_is_clamped(self, monkeypatch):
+        # a radius of 1.2 * h * (largest float) at the node before a zero
+        # keeps its central difference finite, but np.interp's slope
+        # overflows there and a coarse node just left of the zero gets -inf;
+        # the clamp gives it radius 0 instead of a projection that never ends
+        problems, tubes = _sin_rows(0.5, 10001, [(1.0, 1.0), (2.0, 1.0)])
+        grid = tubes[0].grid
+        mid, _ = _nested_levels(grid)
+        k = next(k for k in range(1, mid.n - 1) if mid.nodes[k] < grid.nodes[10 * k])
+        m = np.exp(grid.nodes - 1.0)
+        m[10 * k - 1], m[10 * k] = 1.2 * grid.h * np.finfo(float).max, 0.0
+        assert np.interp(mid.nodes, grid.nodes, m)[k] == -math.inf
+        tubes[0] = th.Tube(tubes[0].v, th.GridFunction(grid, m))
+        opts = th.SolveOptions()
+        batch = _picard_rows(problems, tubes, opts)
+        alone = [th.picard_solve(p, tube, opts) for p, tube in zip(problems, tubes)]
+        assert [_solve_fields(r) for r in batch] == [_solve_fields(r) for r in alone]
+        monkeypatch.setattr(th.solver, "_PICARD_NEST_FLOOR", math.inf)
+        plain = th.picard_solve(problems[0], tubes[0], opts)
+        assert alone[0].converged and plain.converged
+        assert np.max(np.abs(alone[0].u.values - plain.u.values)) <= 1e-9
 
     def test_below_the_floor_is_unchanged(self, monkeypatch):
         problems, tubes = _sin_rows(0.3, 9991, [(8.0, 0.02), (0.5, 1.0), (8.0, 1.0)])
