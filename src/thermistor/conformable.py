@@ -146,9 +146,13 @@ def conformable_derivative(u: GridFunction, alpha: Alpha | float) -> GridFunctio
     derivative.  Constants are annihilated exactly, and at ``alpha = 1``
     the output is bitwise identical to the plain difference stencil.
     """
-    a = _alpha_value(alpha)
-    d = _stencil_derivative(u.values, u.grid.h)
-    return GridFunction(u.grid, np.power(u.grid.nodes, 1.0 - a) * d)
+    return GridFunction(u.grid, _derivative(u.values, u.grid, _alpha_value(alpha)))
+
+
+def _derivative(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    """The nodal values of ``conformable_derivative``, inf or NaN where a
+    difference overflows; numpy warns there unless the caller quiets it."""
+    return np.power(grid.nodes, 1.0 - alpha) * _stencil_derivative(values, grid.h)
 
 
 def trapezoid(values: np.ndarray, h: float) -> float | np.ndarray:

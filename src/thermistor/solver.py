@@ -19,26 +19,30 @@ denominator D frozen per pass, and an outer loop that finds the D whose
 trajectory reproduces it (within ``tol_fp``, relative to D when D < 1) by
 a secant step kept inside a sign bracket.
 
-Both solvers start by nested iteration on one chain of levels.  The
-levels of a grid for a floor, ``_levels``, are the grids 10, 100, ...
-times coarser (``n -> (n - 1) // 10 + 1`` nodes) that have at least that
-many nodes.  A solver runs its loop on each level, coarsest first, and
-then on its own grid, and starts each from what the levels just below
-settled: with two, the Richardson extrapolation ``_richardson``,
-``x1 + c * (x1 - x2)`` with ``c = (h**2 - h1**2) / (h1**2 - h2**2)``
-(0.01 at ratio 10), which cancels the O(h**2) error of the values ``x1``
-and ``x2`` settled on spacings ``h1`` and ``h2``; with one, its value;
-with none, the solver's plain start.  A level that fails settles nothing
-and clears what the levels below it settled.  ``picard_solve`` settles
-iterates, prolonged by ``np.interp``, on the levels of floor 101, and
-nests only when there are two of them (n >= 10001); ``oracle_solve``
-settles D on the levels of floor 21 (n >= 201).  Each runs its levels in
-one loop: ``_picard_rows`` calls ``_iterate`` once per level on plain
-``(rows, n)`` arrays, ``oracle_solve`` calls ``_oracle_settle``.  The
-oracle shares no stencils, quadrature weights, or exponential identities
-with the main path (the two share only the levels and the step that pick
-a starting value), which is what makes the cross-checks in the test
-suite meaningful.
+Both solvers start by nested iteration on a ladder of levels from one
+function, ``_levels``: the grids ``d * 10**k`` times coarser
+(``n -> (n - 1) // (d * 10**k) + 1`` nodes), for each of a solver's
+divisors ``d``, that have at least its floor of nodes.  A solver runs its
+loop on each level, coarsest first, and then on its own grid, and starts
+each from what the levels just below settled: with two, the Richardson
+extrapolation ``_richardson``, ``x1 + c * (x1 - x2)`` with
+``c = (h**2 - h1**2) / (h1**2 - h2**2)`` (0.01 at ratio 10), which
+cancels the O(h**2) error of the values ``x1`` and ``x2`` settled on
+spacings ``h1`` and ``h2``; with one, its value; with none, the solver's
+plain start.  A level that fails settles nothing and clears what the
+levels below it settled.  ``picard_solve`` settles iterates, prolonged by
+``np.interp``, on the grids 10, 100, ... times coarser with at least 101
+nodes, and nests only when there are two of them (n >= 10001).
+``oracle_solve`` settles D on the grids 10, 50, 100, 500, ... times
+coarser with at least 21 nodes (n >= 201), and from three settled levels
+repeats the step, ``_extrapolate``, which cancels the O(h**4) error as
+well.  Each runs its levels in one loop: ``_picard_rows`` calls
+``_iterate`` once per level on plain ``(rows, n)`` arrays,
+``oracle_solve`` calls ``_oracle_settle``.  The oracle shares no
+stencils, quadrature weights, or exponential identities with the main
+path (the two share only the ladder and the step that pick a starting
+value), which is what makes the cross-checks in the test suite
+meaningful.
 """
 
 from __future__ import annotations
@@ -74,11 +78,11 @@ __all__ = [
 ]
 
 
-# Each of the _levels of a grid is this many times coarser than the next.
-_NEST_RATIO = 10
-# picard_solve's coarse levels are the _levels of this floor, and it nests
-# when there are two of them (n >= 10001): a step costs ~0.1 ms at any n, so
-# a single coarse level did not pay below 10001 nodes (BENCH_17.json).
+# picard_solve's coarse levels are the _levels of these divisors and this
+# floor, the grids 10, 100, ... times coarser, and it nests when there are two
+# of them (n >= 10001): a step costs ~0.1 ms at any n, so a single coarse
+# level did not pay below 10001 nodes (BENCH_17.json).
+_PICARD_DIVISORS = (10,)
 _PICARD_NEST_FLOOR = 101
 
 
@@ -234,7 +238,7 @@ def _picard_rows(
     lam = np.array([[problems[i].lam] for i in live], dtype=float)
     v = np.array([tubes[i].v.values for i in live])
     m = np.array([tubes[i].M.values for i in live])
-    levels = _levels(grid, _PICARD_NEST_FLOOR)
+    levels = _levels(grid, _PICARD_NEST_FLOOR, _PICARD_DIVISORS)
     # per row, its settled iterates on the last one or two levels, finest first
     settled: list[list[tuple[Grid, np.ndarray]]] = [[] for _ in live]
     for level in levels if len(levels) >= 2 else []:
@@ -345,14 +349,16 @@ def _from_coarse(settled: list[tuple[Grid, np.ndarray]], grid: Grid, v: np.ndarr
     return np.interp(grid.nodes, grid1.nodes, u1)
 
 
-def _levels(grid: Grid, floor: float) -> list[Grid]:
-    """The grids 10, 100, ... times coarser than ``grid`` (``n -> (n - 1) // 10 + 1``
-    nodes) that have at least ``floor`` nodes, coarsest first."""
-    levels = []
-    n = grid.n
-    while (n := (n - 1) // _NEST_RATIO + 1) >= floor:
-        levels.insert(0, Grid(grid.a, grid.T, n))
-    return levels
+def _levels(grid: Grid, floor: float, divisors: tuple[int, ...]) -> list[Grid]:
+    """The grids ``d * 10**k`` times coarser than ``grid`` (``n -> (n - 1) // (d * 10**k) + 1``
+    nodes), for each ``d`` of the ascending ``divisors`` and ``k = 0, 1, ...``,
+    that have at least ``floor`` nodes, coarsest first."""
+    sizes: list[int] = []
+    scale = 1
+    while decade := [n for d in divisors if (n := (grid.n - 1) // (d * scale) + 1) >= floor]:
+        sizes += decade
+        scale *= 10
+    return [Grid(grid.a, grid.T, n) for n in sorted(sizes)]
 
 
 def _richardson(x1: float | np.ndarray, x2: float | np.ndarray, h: float, h1: float, h2: float) -> float | np.ndarray:
@@ -382,13 +388,30 @@ def _k_rows(
     return _check_finite(x, grid.nodes, "solve_linear: solution")
 
 
-# The oracle settles D on the _levels of this floor before its own grid; a
-# coarse level gets at most _COARSE_PASSES passes.
+# The oracle settles D on the _levels of these divisors and this floor, the
+# grids 10, 50, 100, 500, ... times coarser, before its own grid; a coarse
+# level gets at most _COARSE_PASSES passes.
+_ORACLE_DIVISORS = (10, 50)
 _NEST_FLOOR = 21
 _COARSE_PASSES = 25
 # a settled oracle level: its grid, its frozen D, and the differences in D
-# and in F(D) that give its last secant slope
+# and in F(D) that give its last secant slope; a level starts from up to
+# three of them
 _Settled = tuple[Grid, float, float, float]
+
+
+def _extrapolate(below: list[_Settled], h: float) -> float:
+    """The D at spacing ``h`` of the polynomial in ``h**2`` through the settled
+    levels ``below``, finest first: Neville's recursion of ``_richardson``, so
+    that two levels give ``_richardson(D1, D2, h, h1, h2)`` and three give
+    ``_richardson(_richardson(D1, D2, h, h1, h2), _richardson(D2, D3, h, h2, h3), h, h1, h3)``."""
+    spacings = [level.h for level, _, _, _ in below]
+    values = [d for _, d, _, _ in below]
+    for k in range(1, len(below)):
+        values = [
+            _richardson(x1, x2, h, spacings[i], spacings[i + k]) for i, (x1, x2) in enumerate(zip(values, values[1:]))
+        ]
+    return values[0]
 
 
 def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction:
@@ -416,16 +439,19 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     The plain step alone diverges when ``f`` is close to zero.
 
     The loop starts by nested iteration: the same loop first runs on each
-    of the ``_levels`` of floor 21, with at most ``min(max_iter, 25)``
-    passes.  A level starts from the ``_richardson`` step of the settled D
-    of the two levels just below, or from the one level's D when only it
-    settled or the step is not finite and positive, and its first step is
-    then the secant step with the last secant slope of the level below,
-    under the same bracket test.  With no settled level below, the first
-    D comes from the constant ``u_a`` and the first step is the plain one.
-    A coarse level settles nothing when it raises ConvergenceError or
-    SourcePositivityError (running out of passes included).  Only the fine
-    grid's outcome is returned or raised.
+    of the ``_levels`` of divisors 10 and 50 and floor 21 (the grids 10,
+    50, 100, 500, ... times coarser with at least 21 nodes: 21 and 101
+    nodes for n = 1001, 21, 41 and 201 for n = 2001), with at most
+    ``min(max_iter, 25)`` passes.  A level starts from the ``_extrapolate``
+    step of the settled D of the last two or three settled levels below,
+    or from the finest one's D when only it settled or the step is not
+    finite and positive, and its first step is then the secant step with
+    the last secant slope of that level, under the same bracket test.
+    With no settled level below, the first D comes from the constant
+    ``u_a`` and the first step is the plain one.  A coarse level settles
+    nothing, and clears the levels settled below it, when it raises
+    ConvergenceError or SourcePositivityError (running out of passes
+    included).  Only the fine grid's outcome is returned or raised.
 
     Raises ConvergenceError if D fails to settle within ``max_iter``
     passes, naming the last frozen D and the D its trajectory gave.  It is
@@ -437,11 +463,11 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     positivity region of ``f``.
     """
     grid = problem.grid(opts.grid_n)
-    below: list[_Settled] = []  # the last one or two settled levels, finest first
-    for level in _levels(grid, _NEST_FLOOR):
+    below: list[_Settled] = []  # the last one to three settled levels, finest first
+    for level in _levels(grid, _NEST_FLOOR, _ORACLE_DIVISORS):
         try:
             _, *settled = _oracle_settle(problem, level, min(opts.max_iter, _COARSE_PASSES), opts, below)
-            below = [(level, *settled), *below[:1]]
+            below = [(level, *settled), *below[:2]]
         except (ConvergenceError, SourcePositivityError):
             below = []
     return _oracle_settle(problem, grid, opts.max_iter, opts, below)[0]
@@ -452,8 +478,8 @@ def _oracle_settle(
 ) -> tuple[GridFunction, float, float, float]:
     """The secant loop of ``oracle_solve`` on ``grid``, within ``max_iter`` passes.
 
-    Starts from the ``(grid, D, dD, dF)`` of the settled levels ``below``,
-    finest first, as ``oracle_solve`` says, and returns the settled
+    Starts from the ``(grid, D, dD, dF)`` of the one to three settled levels
+    ``below``, finest first, as ``oracle_solve`` says, and returns the settled
     trajectory, its frozen D, and the differences in D and in ``F(D)`` that
     give the last secant slope (NaN without one).
     """
@@ -470,12 +496,10 @@ def _oracle_settle(
         return integral * integral
 
     if below:
-        (grid1, d_sq, dd, df), *rest = below
-        if rest:
-            ((grid2, d2, _, _),) = rest
-            extrapolated = _richardson(d_sq, d2, h, grid1.h, grid2.h)
-            if math.isfinite(extrapolated) and extrapolated > 0.0:
-                d_sq = extrapolated
+        _, d_sq, dd, df = below[0]
+        extrapolated = _extrapolate(below, h)
+        if math.isfinite(extrapolated) and extrapolated > 0.0:
+            d_sq = extrapolated
     else:
         d_sq = denominator(np.full(grid.n, problem.u_a))
         dd = df = math.nan

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, conformable_cumulative_integral, conformable_derivative, trapezoid
+from .conformable import Grid, GridFunction, _check_finite, _derivative, conformable_cumulative_integral, trapezoid
 from .model import ThermistorProblem, evaluate_g, nonlocal_rhs, sample_source
 
 __all__ = [
@@ -140,7 +140,9 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
     Initial condition: ``|u_a - v(a)| <= M(a) + tol``.
 
     Raises SourcePositivityError if ``f`` is nonpositive along the center
-    or either boundary sheet, since the model's hypothesis fails there.
+    or either boundary sheet, since the model's hypothesis fails there,
+    and ValueError naming the center or the radius and the node where its
+    conformable derivative overflows.
     """
     if tube.grid.a != problem.a or tube.grid.T != problem.T:
         raise ValueError("tube grid does not span the problem interval")
@@ -150,8 +152,12 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
     al = problem.alpha
     v = tube.v
     m = tube.M
-    dv = conformable_derivative(v, al).values
-    dm = conformable_derivative(m, al).values
+    # quiet: a derivative that overflows is the error named below
+    with np.errstate(all="ignore"):
+        dv = _derivative(v.values, grid, al.value)
+        dm = _derivative(m.values, grid, al.value)
+    _check_finite(dv, grid.nodes, "tube center derivative")
+    _check_finite(dm, grid.nodes, "tube radius derivative")
 
     weights = np.full(grid.n, grid.h)
     weights[0] = weights[-1] = 0.5 * grid.h

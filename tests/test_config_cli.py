@@ -517,6 +517,29 @@ grid_n = 101
             "thermistor: error: evaluate_g: g = lambda*f/D**2 overflowed at node 0 (t=1.0)\n"
         )
 
+    @pytest.mark.parametrize("command", ["verify-tube", "solve"])
+    def test_overflowing_radius_derivative_is_one_error_line(self, tmp_path, capsys, command):
+        # M is finite, but its difference quotients overflow from node 0 on;
+        # pytest turns any numpy RuntimeWarning into an error
+        cfg = write_cfg(tmp_path, """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 1.0
+alpha = 0.5
+u_a = 0.1
+f = 2 + sin(u)
+
+[tube]
+v = 0.1
+M = 1e308*sin(300*t)^2
+
+[solve]
+grid_n = 201
+""")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "thermistor: error: tube radius derivative overflowed at node 0 (t=1.0)\n"
+
     def test_nan_boundary_margin_is_a_violation(self, tmp_path, capsys):
         # M = 0 at t = 2, where the margin is 0 * inf: NaN counts as inf
         cfg = write_cfg(tmp_path, """\

@@ -97,40 +97,61 @@ def _reference_oracle(problem, opts, start=None):
 
 
 def _nested_reference_oracle(problem, opts):
-    """``_reference_oracle`` on the chain of grids 10, 100, ... times coarser
-    with at least 21 nodes, coarsest first, then on ``opts.grid_n`` nodes.
+    """``_reference_oracle`` on the chain of grids 10, 50, 100, 500, ... times
+    coarser with at least 21 nodes, coarsest first, then on ``opts.grid_n`` nodes.
 
     A coarse level gets at most ``min(max_iter, 25)`` passes.  A level starts
     from ``u = u_a`` when the level below it raised or there is none; from
     the settled D and last secant of the level below when that level had no
-    settled level below it; and otherwise from the same secant and
-    ``D1 + c * (D1 - D2)``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``, the
-    Richardson extrapolation of the settled D1 and D2 of the two levels below
-    (spacings h1 and h2), unless that is not finite and positive."""
-    sizes = [opts.grid_n]
-    while (sizes[-1] - 1) // 10 + 1 >= 21:
-        sizes.append((sizes[-1] - 1) // 10 + 1)
+    settled level below it; and otherwise from the same secant and the
+    Richardson extrapolation of the settled D of the last two or three levels
+    below, ``_reference_extrapolation``, unless that is not finite and
+    positive."""
+    n = opts.grid_n
+    sizes = []
+    scale = 10
+    while (n - 1) // scale + 1 >= 21:
+        sizes += [m for m in ((n - 1) // scale + 1, (n - 1) // (5 * scale) + 1) if m >= 21]
+        scale *= 10
     below = []  # (spacing, D, secant differences) of the settled levels just below, finest first
-    for n in reversed(sizes):
-        h = (problem.T - problem.a) / (n - 1)
+    for m in sorted(sizes) + [n]:
+        h = (problem.T - problem.a) / (m - 1)
         start = None
         if below:
-            (h1, d1, diffs), *rest = below
+            (_, d1, diffs), *_ = below
             start = (d1, diffs)
-            if rest:
-                ((h2, d2, _),) = rest
-                d = d1 + (h**2 - h1**2) / (h1**2 - h2**2) * (d1 - d2)
-                if math.isfinite(d) and d > 0.0:
-                    start = (d, diffs)
-        if n == opts.grid_n:
+            d = _reference_extrapolation(h, [(h_i, d_i) for h_i, d_i, _ in below])
+            if math.isfinite(d) and d > 0.0:
+                start = (d, diffs)
+        if m == n:
             return _reference_oracle(problem, opts, start)
         try:
-            level = replace(opts, grid_n=n, max_iter=min(opts.max_iter, 25))
+            level = replace(opts, grid_n=m, max_iter=min(opts.max_iter, 25))
             _, d_sq, diffs = _reference_oracle(problem, level, start)
         except (th.ConvergenceError, th.SourcePositivityError):
             below = []
         else:
-            below = [(h, d_sq, diffs), *below[:1]]
+            below = [(h, d_sq, diffs), *below[:2]]
+
+
+def _reference_extrapolation(h, settled):
+    """The value at spacing ``h`` from the ``(h_i, D_i)`` of one to three
+    settled levels, finest first: ``D1`` alone; ``r(D1, D2, h1, h2)`` with
+    ``r(x1, x2, h1, h2) = x1 + (h**2 - h1**2) / (h1**2 - h2**2) * (x1 - x2)``,
+    the Richardson extrapolation that cancels an O(h**2) error; and
+    ``r(r(D1, D2, h1, h2), r(D2, D3, h2, h3), h1, h3)``, the step repeated,
+    which cancels the O(h**4) error as well."""
+
+    def r(x1, x2, h1, h2):
+        return x1 + (h**2 - h1**2) / (h1**2 - h2**2) * (x1 - x2)
+
+    if len(settled) == 1:
+        return settled[0][1]
+    if len(settled) == 2:
+        (h1, d1), (h2, d2) = settled
+        return r(d1, d2, h1, h2)
+    (h1, d1), (h2, d2), (h3, d3) = settled
+    return r(r(d1, d2, h1, h2), r(d2, d3, h2, h3), h1, h3)
 
 
 def _plain_reference_oracle(problem, opts):
@@ -664,14 +685,18 @@ class TestNestedStart:
             (101, 100001, [101, 1001, 10001]),
             (21, 101, []),
             (21, 201, [21]),
-            (21, 1001, [101]),
-            (21, 2001, [21, 201]),
-            (21, 20001, [21, 201, 2001]),
+            (21, 1001, [21, 101]),
+            (21, 2001, [21, 41, 201]),
+            (21, 20001, [21, 41, 201, 401, 2001]),
+            (21, 401, [41]),
         ],
     )
     def test_levels_of_a_grid(self, floor, n, sizes):
+        # floor 101 is picard_solve's ladder, the grids 10, 100, ... times
+        # coarser; floor 21 the oracle's, 10, 50, 100, 500, ... times coarser
+        divisors = {101: th.solver._PICARD_DIVISORS, 21: th.solver._ORACLE_DIVISORS}[floor]
         grid = th.Grid(1.0, 2.0, n)
-        levels = th.solver._levels(grid, floor)
+        levels = th.solver._levels(grid, floor, divisors)
         assert [level.n for level in levels] == sizes
         assert all((level.a, level.T) == (grid.a, grid.T) for level in levels)
 
@@ -909,8 +934,8 @@ class TestOracle:
 
     @REFERENCE_SOURCES
     def test_nested_start_bit_identical_to_reference_loop(self, f):
-        # n = 2001 settles on n = 21, then on n = 201, and starts from the
-        # extrapolated D of the two and the last slope of n = 201
+        # n = 2001 settles on n = 21, 41 and 201, and starts from the
+        # extrapolated D of the three and the last slope of n = 201
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, f)
         opts = th.SolveOptions(grid_n=2001)
         out = th.oracle_solve(p, opts)
@@ -937,7 +962,7 @@ class TestOracle:
         out = th.oracle_solve(p, th.SolveOptions(grid_n=2001))
         assert calls["float"] == 0
         assert calls["array"] == len(samples) > 0
-        assert set(samples) == {21, 201, 2001}
+        assert set(samples) == {21, 41, 201, 2001}
         assert out.values.tobytes() == _nested_reference_oracle(p, th.SolveOptions(grid_n=2001))[0].tobytes()
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -970,20 +995,22 @@ class TestOracle:
         opts = th.SolveOptions(grid_n=2001)
         nested = [th.oracle_solve(p, opts).values for p in corners]
         nested_fine = counts.pop(2001)
-        assert set(counts) == {21, 201}
+        assert set(counts) == {21, 41, 201}
         monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
         counts.clear()
         constant = [th.oracle_solve(p, opts).values for p in corners]
         assert set(counts) == {2001}
-        assert nested_fine <= 0.5 * (counts[2001] - len(corners))
+        # measured: 5 fine passes nested (7 from two levels), 30 from u_a
+        assert nested_fine <= 0.25 * (counts[2001] - len(corners))
         for u, v in zip(nested, constant):
             assert np.max(np.abs(u - v)) <= 1e-9
 
     @settings(max_examples=10, deadline=None)
     @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
     def test_nested_start_agrees_with_constant_start(self, lam, alpha):
-        # n = 1001 nests on n = 101 alone, as its 11-node grid is below the
-        # floor; n = 201 is the smallest grid with a coarse level (n = 21)
+        # n = 1001 nests on n = 21 and n = 101, the grids 50 and 10 times
+        # coarser (its 11-node grid, 100 times coarser, is below the floor);
+        # n = 201 is the smallest grid with a coarse level (n = 21)
         p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
         opts = th.SolveOptions(grid_n=1001)
         out = th.oracle_solve(p, opts)
@@ -1001,7 +1028,7 @@ class TestOracle:
     @settings(max_examples=10, deadline=None)
     @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
     def test_extrapolated_start_settles_in_two_fine_passes(self, lam, alpha):
-        # n = 2001 starts from the extrapolated D of n = 21 and n = 201
+        # n = 2001 starts from the extrapolated D of n = 21, 41 and 201
         fine = []
 
         def counting_sample_source(problem, u):
@@ -1017,9 +1044,10 @@ class TestOracle:
         assert len(fine) <= 2
         assert np.max(np.abs(out.values - _reference_oracle(p, opts)[0])) <= 1e-9
 
-    def test_failed_coarsest_level_starts_the_middle_one_from_u_a(self):
-        # the 21-node level runs out of passes here, and n = 201 settles
-        # from the constant start; n = 2001 then starts from its D alone
+    def test_failed_coarsest_level_starts_the_middle_one_from_u_a(self, monkeypatch):
+        # the 21-node level runs out of passes here, and the 41-node level
+        # settles from the constant start; n = 201 then starts from its D
+        # alone, and n = 2001 from the extrapolated D of n = 41 and 201
         f = th.parse_expr("0.01 + 0.005*sin(u)")
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.7), 0.1, f)
         opts = th.SolveOptions(grid_n=2001)
@@ -1027,11 +1055,85 @@ class TestOracle:
             th.solver._oracle_settle(p, p.grid(21), 25, opts, [])
         middle = th.oracle_solve(p, replace(opts, grid_n=201, max_iter=25))
         assert middle.values.tobytes() == th.solver._oracle_settle(p, p.grid(201), 25, opts, [])[0].values.tobytes()
+        constant_starts = collections.Counter()
+
+        def counting_sample_source(problem, u):
+            if np.all(u.values == problem.u_a):
+                constant_starts[u.grid.n] += 1
+            return sample_source(problem, u)
+
+        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
         out = th.oracle_solve(p, opts)
+        assert constant_starts == {21: 1, 41: 1}
         assert out.values.tobytes() == _nested_reference_oracle(p, opts)[0].tobytes()
 
+    @settings(max_examples=50, deadline=None)
+    @given(d0=st.floats(1e-3, 1e3), c2=st.floats(-1e3, 1e3), c4=st.floats(-1e5, 1e5), n=st.sampled_from([2001, 20001]))
+    def test_three_level_extrapolation_is_exact_on_a_quartic_in_h(self, d0, c2, c4, n):
+        # the last three levels of the oracle's ladder, finest first; the
+        # worst of 40000 random draws was 2 ulps of the scale
+        grid = th.Grid(1.0, 2.0, n)
+        levels = th.solver._levels(grid, th.solver._NEST_FLOOR, th.solver._ORACLE_DIVISORS)[:-4:-1]
+
+        def d(h):
+            return d0 + c2 * h**2 + c4 * h**4
+
+        below = [(level, d(level.h), math.nan, math.nan) for level in levels]
+        scale = d0 + abs(c2) * levels[-1].h ** 2 + abs(c4) * levels[-1].h ** 4
+        assert abs(th.solver._extrapolate(below, grid.h) - d(grid.h)) <= 16 * sys.float_info.epsilon * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(d1=st.floats(1e-300, 1e300), d2=st.floats(1e-300, 1e300), n=st.integers(3, 200), ratio=st.integers(2, 60))
+    def test_two_level_extrapolation_is_the_richardson_step(self, d1, d2, n, ratio):
+        level1, level2 = th.Grid(1.0, 2.0, (n - 1) * ratio + 1), th.Grid(1.0, 2.0, n)
+        h = level1.h / ratio
+        below = [(level1, d1, math.nan, math.nan), (level2, d2, math.nan, math.nan)]
+        expected = th.solver._richardson(d1, d2, h, level1.h, level2.h)
+        assert th.solver._extrapolate(below, h).hex() == expected.hex()
+        assert th.solver._extrapolate(below[:1], h) == d1
+
+    def test_three_level_start_takes_few_fine_passes_on_the_box(self, monkeypatch):
+        # measured: 10 fine passes for the 9 problems (16 from two levels)
+        fine = []
+
+        def counting_sample_source(problem, u):
+            if u.grid.n == 2001:
+                fine.append(u)
+            return sample_source(problem, u)
+
+        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
+        opts = th.SolveOptions(grid_n=2001)
+        for lam in (0.5, 3.0, 8.0):
+            for alpha in (0.3, 0.65, 1.0):
+                th.oracle_solve(replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha)), opts)
+        assert len(fine) <= 10
+
+    @pytest.mark.parametrize(
+        "a, T, lam, alpha",
+        [(0.01, 10.0, 1.0, 0.05), (0.1, 10.0, 1.0, 0.7), (1.0, 2.0, 40.0, 1.0)],
+        ids=["large-T/a-small-alpha", "large-T/a", "large-lambda"],
+    )
+    def test_edge_box_agrees_with_constant_start_in_few_fine_passes(self, a, T, lam, alpha, monkeypatch):
+        # measured: 3 fine passes each (4, 3 and 3 from two levels), and
+        # within 2.6e-15, 0 and 1.7e-11 of the constant start
+        fine = []
+
+        def counting_sample_source(problem, u):
+            if u.grid.n == 2001:
+                fine.append(u)
+            return sample_source(problem, u)
+
+        p = th.ThermistorProblem(a, T, lam, th.Alpha(alpha), 0.1, th.parse_expr("2 + sin(u)"))
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(th.solver, "sample_source", counting_sample_source)
+            nested = th.oracle_solve(p, opts)
+        assert len(fine) <= 3
+        monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
+        assert np.max(np.abs(nested.values - th.oracle_solve(p, opts).values)) <= 1e-10
+
     def test_failed_middle_level_leaves_the_fine_error(self, monkeypatch):
-        # the 21-node level settles, but n = 201 leaves the positivity
+        # the 21- and 41-node levels settle, but n = 201 leaves the positivity
         # region (exp(-u) underflows to 0); the fine grid raises its own error
         p = th.ThermistorProblem(1.0, 2.0, 4.0, th.Alpha(0.7), 0.1, th.parse_expr("exp(-u)"))
         opts = th.SolveOptions(grid_n=2001)
@@ -1047,17 +1149,19 @@ class TestOracle:
         assert str(nested.value) == str(constant.value)
 
     def test_overflowing_extrapolation_starts_from_the_coarse_d(self):
-        # D lies within 3e-7 of the largest float here, so D1 + c*(D1 - D2)
-        # overflows and n = 2001 starts from D1 of n = 201; its own D
-        # overflows too, which collapses the bracket at (D1, inf), not (0, inf)
+        # D lies within 3e-7 of the largest float here, so the extrapolation
+        # of D1, D2 and D3 overflows (to NaN, through inf - inf) and n = 2001
+        # starts from D1 of n = 201; its own D overflows too, which collapses
+        # the bracket at (D1, inf), not (0, inf)
         grid = th.Grid(1.0, 2.0, 201)
         scale = math.sqrt(sys.float_info.max * (1 - 3e-7)) / trapezoid(np.sqrt(grid.nodes), grid.h)
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, th.parse_expr(f"{scale!r}*sqrt(t)"))
         opts = th.SolveOptions(grid_n=2001)
-        coarsest = (p.grid(21), *th.solver._oracle_settle(p, p.grid(21), 25, opts, [])[1:])
-        d2 = coarsest[1]
-        d1 = th.solver._oracle_settle(p, p.grid(201), 25, opts, [coarsest])[1]
-        assert math.isinf(d1 + 0.01 * (d1 - d2))
+        below = []
+        for n in (21, 41, 201):
+            below = [(p.grid(n), *th.solver._oracle_settle(p, p.grid(n), 25, opts, below)[1:]), *below]
+        d1 = below[0][1]
+        assert not math.isfinite(_reference_extrapolation(p.grid(2001).h, [(level.h, d) for level, d, _, _ in below]))
         with pytest.raises(th.ConvergenceError, match=re.escape(f"bracket ({d1!r}, inf) collapsed after 1 passes")):
             th.oracle_solve(p, opts)
 
@@ -1075,6 +1179,7 @@ class TestOracle:
         p = th.ThermistorProblem(1.0, 2.0, 20.0, th.Alpha(0.3), 0.1, f)
         th.oracle_solve(p, th.SolveOptions(grid_n=2001))
         assert counts[201] <= 26  # 25 passes and one constant start
+        assert counts[41] <= 26
         assert counts[21] <= 26
 
     @settings(max_examples=25, deadline=None)

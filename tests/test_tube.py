@@ -185,6 +185,18 @@ class TestVerifyTube:
         with pytest.raises(th.SourcePositivityError, match="H1 violated"):
             th.verify_tube(tube, p)
 
+    @pytest.mark.parametrize("name", ["center", "radius"])
+    def test_overflowing_derivative_is_named(self, name):
+        # 1e308 next to 0 overflows the difference quotients at nodes 39 and
+        # 41; pytest turns any numpy RuntimeWarning into an error
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 0.1, th.parse_expr("2 + sin(u)"))
+        grid = p.grid(101)
+        spike = np.zeros(grid.n)
+        spike[40] = 1e308
+        v, m = (spike, np.full(grid.n, 0.5)) if name == "center" else (np.zeros(grid.n), spike)
+        with pytest.raises(ValueError, match=rf"^tube {name} derivative overflowed at node 39 \(t="):
+            th.verify_tube(th.Tube(th.GridFunction(grid, v), th.GridFunction(grid, m)), p)
+
     def test_interval_mismatch(self):
         p = constant_problem()
         tube = make_tube(th.Grid(1.0, 3.0, 51), 0.0, 1.0)
