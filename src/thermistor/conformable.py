@@ -145,8 +145,17 @@ def conformable_derivative(u: GridFunction, alpha: Alpha | float) -> GridFunctio
     Computes ``t**(1 - alpha)`` times the second-order finite-difference
     derivative.  Constants are annihilated exactly, and at ``alpha = 1``
     the output is bitwise identical to the plain difference stencil.
+    Raises ValueError naming the first node, and its ``t``, where a
+    difference overflows; numpy warns of nothing.
     """
-    return GridFunction(u.grid, _derivative(u.values, u.grid, _alpha_value(alpha)))
+    al = _alpha_value(alpha)
+    with np.errstate(all="ignore"):
+        values = _derivative(u.values, u.grid, al)
+    try:
+        return GridFunction(u.grid, values)
+    except ValueError:  # not finite: name the node in the derivative's own terms
+        _check_finite(values, u.grid.nodes, "conformable derivative")
+        raise
 
 
 def _derivative(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:

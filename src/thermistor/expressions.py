@@ -28,6 +28,9 @@ each evaluation mode (Python floats or numpy arrays) a tree generates one
 Python function, in which each node checks its own value and raises its
 own error.  ``Expr.scalar`` is the float-mode function itself, for loops
 that call it many times without the dispatch of ``Expr.__call__``.
+``Expr.inlined`` generates a caller's float-mode template, the oracle's
+RK4 pass, with the tree's code unchecked at each call and one guard sum
+for the caller to test at the end in place of the per-node checks.
 """
 
 from __future__ import annotations
@@ -89,18 +92,45 @@ _OPS = {
 # floats through ``math`` (scalar) or numpy ufuncs (array).
 _ARRAY_NAMES = {"EvalError": EvalError, "isfinite": np.isfinite, "divide": np.divide, "power": np.power}
 _SCALAR_NAMES = dict(_ARRAY_NAMES, isfinite=math.isfinite, nan=math.nan, divide=operator.truediv, power=math.pow)
+# The operations that can turn a non-finite operand into a finite value, and
+# which of their operands can (IEEE 754-2019, section 6): x / +-inf is +-0,
+# pow(1, nan), pow(nan, 0) and pow(inf, -1) are finite, and exp(-inf) is 0.
+# Every other operation maps a non-finite operand to a non-finite value (inf
+# and NaN survive + - * and unary minus, abs, sqrt, sin and cos) or raises
+# (sin or cos of inf, sqrt of -inf, division by zero).  So inlined code,
+# which does the float-mode operations in the same order without the checks,
+# agrees with the checked code up to the first node whose check fails.  There
+# the operation raises in both, or its value is not finite, and so is the
+# value of each node above it up to the value of f, unless one raises or takes
+# it as an operand listed here, which the code adds to its guard sum.  Literals
+# and variables have no check of their own, so they need no place in the guard.
+_MASKING = {"/": (False, True), "^": (True, True), "exp": (True,)}
+# A call of the expression in an inlined template, f(t, u), with t and u plain names.
+_CALL = re.compile(r"\bf\((\w+), (\w+)\)")
 
 
 class _Body:
-    """The lines of one generated function ``fn(t, u)``: node values are locals
-    ``x<k>``, and literals, functions and error arguments are bound as ``c<k>``
-    in its namespace, so no source text reaches ``exec``."""
+    """The lines of one generated function: node values are locals ``x<k>``,
+    and literals, functions and error arguments are bound as ``c<k>`` in its
+    namespace, so no source text reaches ``exec``.
+
+    In the scalar and array modes the function is ``fn(t, u)``, and each node
+    checks its own value.  Inlined (``at`` set, by ``inline``), the nodes are
+    the calls in a float-mode template, and ``mask`` stands in for the checks.
+    """
 
     def __init__(self, source: str, scalar: bool):
         self.source = source
         self.scalar = scalar
         self.names = dict(_SCALAR_NAMES if scalar else _ARRAY_NAMES)
         self.lines: list[str] = []
+        self.at: tuple[str, str] | None = None  # the names of t and u at an inlined call
+
+    def define(self, lines: list[str]):
+        """Execute ``lines``, the source of one function ``fn``, in the
+        namespace; return ``fn``."""
+        exec("".join(f"{line}\n" for line in lines), self.names)
+        return self.names["fn"]
 
     def bind(self, obj) -> str:
         name = f"c{len(self.names)}"
@@ -113,11 +143,14 @@ class _Body:
         return name
 
     def check(self, node: Expr, expr: str, detail: str) -> str:
-        """Emit ``node``'s operation in its own try, then its finiteness check.
+        """Emit ``node``'s operation in its own try, then its finiteness check
+        (the operation alone when inlined).
 
         The children's lines come first, outside the try: their EvalErrors
         are ValueErrors and must not be taken for this node's own.
         """
+        if self.at:
+            return self.let(expr)
         lo, hi = node.span
         error = self.bind(((lo, hi), self.source[lo:hi], detail))
         if self.scalar:
@@ -135,6 +168,28 @@ class _Body:
         self.lines.append(f"    raise EvalError(*{error})")
         return name
 
+    def mask(self, op: str, *operands: tuple[Expr, str]) -> None:
+        """When inlined, add to ``guard`` each of ``op``'s ``operands`` (node,
+        value name) that ``_MASKING`` lists and a node computes."""
+        if self.at:
+            masked = zip(_MASKING.get(op, ()), operands)
+            self.lines += [f"guard += {name}" for m, (node, name) in masked if m and not isinstance(node, (Num, Var))]
+
+    def inline(self, expr: Expr, template: str) -> list[str]:
+        """The lines of ``template`` with each call ``f(t, u)`` replaced by the
+        name of ``expr``'s value there, which its inlined code, on the lines
+        just above, computes from the names ``t`` and ``u``."""
+        lines = []
+        for line in template.splitlines():
+            indent = line[: len(line) - len(line.lstrip())]
+            while call := _CALL.search(line):
+                start, self.at = len(self.lines), call.groups()
+                value = expr._emit(self)
+                lines += [indent + code for code in self.lines[start:]]
+                line = line[: call.start()] + value + line[call.end() :]
+            lines.append(line)
+        return lines
+
 
 @dataclass(frozen=True)
 class Expr:
@@ -143,9 +198,11 @@ class Expr:
     # where the node sits in the parsed text, for error messages only
     span: tuple[int, int] = field(default=(0, 0), compare=False, kw_only=True)
     source: str = field(default="", compare=False, kw_only=True)
-    # functions generated on the first call in each mode; see __getstate__
+    # functions generated on the first call in each mode, and the inlined
+    # template with its function; see __getstate__
     _scalar_fn = None
     _array_fn = None
+    _inlined_fn = None
 
     def __call__(self, t, u):
         """Evaluate at scalars or broadcastable numpy arrays."""
@@ -165,16 +222,35 @@ class Expr:
         # error snippets slice the source of the expression being called
         body = _Body(self.source, scalar)
         body.lines.append(f"return {self._emit(body)}")
-        exec("def fn(t, u):\n" + "".join(f"    {line}\n" for line in body.lines), body.names)
-        fn = body.names["fn"]
+        fn = body.define(["def fn(t, u):", *(f"    {line}" for line in body.lines)])
         object.__setattr__(self, "_scalar_fn" if scalar else "_array_fn", fn)
         return fn
+
+    def inlined(self, template: str):
+        """``template``, the source of a float-mode function ``fn`` with a
+        local ``guard = 0.0``, with this expression's code, unchecked, in place
+        of each call ``f(t, u)`` (``t`` and ``u`` plain names); built on first
+        use and kept for the last template.  The template must not use the
+        names ``x<k>``, ``c<k>`` or those of ``_SCALAR_NAMES``.
+
+        If ``fn`` raises no ZeroDivisionError, ValueError or OverflowError and
+        ``guard`` and every value of a call stay finite, the float-mode
+        function would have raised nothing and given the same values
+        (``_MASKING`` says why).
+        """
+        cached = self._inlined_fn
+        if cached is None or cached[0] is not template:
+            body = _Body(self.source, scalar=True)
+            cached = template, body.define(body.inline(self, template))
+            object.__setattr__(self, "_inlined_fn", cached)
+        return cached[1]
 
     def __getstate__(self):
         # the generated functions are a cache, and they do not pickle
         state = dict(self.__dict__)
         state.pop("_scalar_fn", None)
         state.pop("_array_fn", None)
+        state.pop("_inlined_fn", None)
         return state
 
     def _emit(self, body: _Body) -> str:
@@ -205,6 +281,8 @@ class Var(Expr):
     name: str
 
     def _emit(self, body: _Body) -> str:
+        if body.at:  # the template's names, which hold floats
+            return body.at[self.name == "u"]
         name = "t" if self.name == "t" else "u"
         return body.let(f"float({name})") if body.scalar else name
 
@@ -226,7 +304,9 @@ class BinOp(Expr):
     def _emit(self, body: _Body) -> str:
         template, detail = _OPS[self.op]
         left = self.left._emit(body)
-        return body.check(self, template.format(left, self.right._emit(body)), detail)
+        right = self.right._emit(body)
+        body.mask(self.op, (self.left, left), (self.right, right))
+        return body.check(self, template.format(left, right), detail)
 
 
 @dataclass(frozen=True)
@@ -236,6 +316,7 @@ class Call(Expr):
 
     def _emit(self, body: _Body) -> str:
         arg = self.arg._emit(body)
+        body.mask(self.func, (self.arg, arg))
         fn = body.bind((_FUNCS_MATH if body.scalar else _FUNCS_NUMPY)[self.func])
         return body.check(self, f"{fn}({arg})", f"{self.func} left its domain or overflowed")
 

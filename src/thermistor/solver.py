@@ -17,7 +17,10 @@ the same question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
 denominator D frozen per pass, and an outer loop that finds the D whose
 trajectory reproduces it (within ``tol_fp``, relative to D when D < 1) by
-a secant step kept inside a sign bracket.
+a secant step kept inside a sign bracket.  An expression source runs each
+pass as ``_RK4_PASS``, with ``f`` inlined and unchecked, and the checked
+``_rk4_pass`` redoes it when it raises or its one guard sum is not finite,
+so outputs and errors are the checked loop's bit for bit.
 
 Both solvers start by nested iteration on a ladder of levels from one
 function, ``_levels``: the grids ``d * 10**k`` times coarser
@@ -414,6 +417,53 @@ def _extrapolate(below: list[_Settled], h: float) -> float:
     return values[0]
 
 
+def _rk4_pass(f, starts: list[float], h: float, scale: float, exponent: float, yi: float) -> list[float]:
+    """One RK4 pass of ``u' = scale * t**exponent * f(t, u)`` from ``u = yi``
+    over the steps that start at the times ``starts``, each of length ``h``:
+    the trajectory, one float per node.  ``f`` raises its own errors."""
+    half = 0.5 * h
+    traj = [yi]
+    for ti in starts:
+        tm = ti + half
+        te = ti + h
+        w_mid = scale * tm**exponent
+        k1 = scale * ti**exponent * f(ti, yi)
+        k2 = w_mid * f(tm, yi + half * k1)
+        k3 = w_mid * f(tm, yi + half * k2)
+        k4 = scale * te**exponent * f(te, yi + h * k3)
+        yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        traj.append(yi)
+    return traj
+
+
+# _rk4_pass as the template of Expr.inlined: the same operations in the same
+# order, with f's float-mode code unchecked at the four stages.  It returns the
+# trajectory and the guard plus the last value: once a stage value is not
+# finite, every later one and the last value are not either, as inf and NaN
+# survive + and *.  So a finite result means that _rk4_pass would return the
+# same trajectory and raise nothing.
+_RK4_PASS = """\
+def fn(starts, h, scale, exponent, yi):
+    half = 0.5 * h
+    traj = [yi]
+    guard = 0.0
+    for ti in starts:
+        tm = ti + half
+        te = ti + h
+        w_mid = scale * tm**exponent
+        k1 = scale * ti**exponent * f(ti, yi)
+        y2 = yi + half * k1
+        k2 = w_mid * f(tm, y2)
+        y3 = yi + half * k2
+        k3 = w_mid * f(tm, y3)
+        y4 = yi + h * k3
+        k4 = scale * te**exponent * f(te, y4)
+        yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        traj.append(yi)
+    return traj, guard + yi
+"""
+
+
 def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction:
     """Reference solution by RK4 with an outer loop on the denominator D.
 
@@ -425,10 +475,14 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     reproduces itself within ``tol_fp * min(1, D)``: an absolute test for
     ``D >= 1`` and a relative one below, so that a source close to zero
     still settles to the same trajectory from any start.  No conformable
-    operators or exponential weights appear anywhere on this path.  The
-    RK4 stages call ``f.scalar`` when ``f`` is an ``Expr`` (``f`` itself
-    otherwise), and step over Python floats and lists; each pass builds
-    one array, for D.
+    operators or exponential weights appear anywhere on this path.  A
+    pass steps over Python floats and lists and builds one array, for D.
+    When ``f`` is an ``Expr`` it runs ``f.inlined(_RK4_PASS)``, whose stages
+    are ``f``'s float-mode code without its checks, and tests the pass's
+    guard sum once at the end; if that is not finite, or the pass raised,
+    ``_rk4_pass`` redoes it with the stages calling ``f.scalar``, which
+    returns the same trajectory or raises the failing node's EvalError.
+    A plain callable ``f`` always runs ``_rk4_pass``.
 
     The outer loop solves ``F(D) = D(traj(D)) - D = 0`` by a safeguarded
     secant method.  A sign bracket ``lo < D* < hi`` starts as ``(0, inf)``
@@ -485,10 +539,11 @@ def _oracle_settle(
     """
     starts = grid.nodes[:-1].tolist()  # each RK4 step's start time, as a float
     h = grid.h
-    half = 0.5 * h
     lam = problem.lam
-    power = problem.alpha.value - 1.0
-    f = problem.f.scalar if isinstance(problem.f, Expr) else problem.f
+    exponent = problem.alpha.value - 1.0
+    source = problem.f
+    inlined = source.inlined(_RK4_PASS) if isinstance(source, Expr) else None
+    f = source.scalar if isinstance(source, Expr) else source
 
     def denominator(u: np.ndarray) -> float:
         # squared as a Python float, which overflows to inf without a warning
@@ -507,19 +562,13 @@ def _oracle_settle(
     lo, hi = 0.0, math.inf
     prev_d = prev_step = math.nan
     for passes in range(1, max_iter + 1):
-        scale = lam / d_sq
-        yi = float(problem.u_a)
-        traj = [yi]
-        for ti in starts:
-            tm = ti + half
-            te = ti + h
-            w_mid = scale * tm**power
-            k1 = scale * ti**power * f(ti, yi)
-            k2 = w_mid * f(tm, yi + half * k1)
-            k3 = w_mid * f(tm, yi + half * k2)
-            k4 = scale * te**power * f(te, yi + h * k3)
-            yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            traj.append(yi)
+        args = (starts, h, lam / d_sq, exponent, float(problem.u_a))
+        try:
+            traj, guard = inlined(*args) if inlined else (None, math.nan)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            guard = math.nan
+        if not math.isfinite(guard):  # a plain callable, or a check may fail: redo it checked
+            traj = _rk4_pass(f, *args)
         u = np.array(traj, dtype=float)
 
         new_d = denominator(u)

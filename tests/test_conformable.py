@@ -8,6 +8,9 @@ import pytest
 
 import thermistor as th
 from thermistor.conformable import _alpha_value, trapezoid, weight_exponent
+from thermistor.solver import equation_residual
+
+from conftest import SIN_OFFSET
 
 
 def plain_stencil(values, h):
@@ -179,6 +182,22 @@ class TestDerivative:
         conf = th.conformable_derivative(u, 1.0)
         grad = np.gradient(u.values, grid.h, edge_order=2)
         assert np.max(np.abs(conf.values - grad)) <= 1e-12
+
+    @pytest.mark.parametrize("caller", ["conformable_derivative", "linear_residual", "equation_residual"])
+    def test_overflowing_difference_is_named_without_a_warning(self, caller):
+        # zeros with 1e308 at node 40: the central difference overflows first
+        # at node 39; numpy's RuntimeWarning is an error under this suite
+        grid = th.Grid(1.0, 2.0, 101)
+        values = np.zeros(101)
+        values[40] = 1e308
+        u = th.GridFunction(grid, values)
+        calls = {
+            "conformable_derivative": lambda: th.conformable_derivative(u, 0.5),
+            "linear_residual": lambda: th.linear_residual(u, th.GridFunction.constant(grid, 0.0), 0.5),
+            "equation_residual": lambda: equation_residual(u, th.ThermistorProblem(1.0, 2.0, 1.0, 0.5, 0.0, SIN_OFFSET)),
+        }
+        with pytest.raises(ValueError, match=r"^conformable derivative overflowed at node 39 \(t=1\.39\d*\)$"):
+            calls[caller]()
 
 
 class TestLimitQuotient:

@@ -337,21 +337,26 @@ def _binop_text(parts):
     return f"({left}) {op} ({right})" if parens else f"{left}{op}{right}"
 
 
-_SOURCES = st.recursive(
-    st.one_of(
-        st.sampled_from(["t", "u"]),
-        st.sampled_from(_LITERALS),
-        st.floats(0.0, 100.0).map(repr),
-    ),
-    lambda children: st.one_of(
-        # binary operators listed twice: they are half the draws
-        st.tuples(st.sampled_from("+-*/^"), children, children, st.booleans()).map(_binop_text),
-        st.tuples(st.sampled_from("+-*/^"), children, children, st.booleans()).map(_binop_text),
-        st.tuples(st.sampled_from(sorted(_REFERENCE_MATH)), children).map(lambda c: f"{c[0]}({c[1]})"),
-        children.map(lambda c: f"-{c}"),
-    ),
-    max_leaves=10,
-)
+def _sources(*atoms):
+    """Random expression texts over ``t``, ``u``, literals and ``atoms``."""
+    return st.recursive(
+        st.one_of(
+            st.sampled_from(["t", "u", *atoms]),
+            st.sampled_from(_LITERALS),
+            st.floats(0.0, 100.0).map(repr),
+        ),
+        lambda children: st.one_of(
+            # binary operators listed twice: they are half the draws
+            st.tuples(st.sampled_from("+-*/^"), children, children, st.booleans()).map(_binop_text),
+            st.tuples(st.sampled_from("+-*/^"), children, children, st.booleans()).map(_binop_text),
+            st.tuples(st.sampled_from(sorted(_REFERENCE_MATH)), children).map(lambda c: f"{c[0]}({c[1]})"),
+            children.map(lambda c: f"-{c}"),
+        ),
+        max_leaves=10,
+    )
+
+
+_SOURCES = _sources()
 _SCALARS = st.one_of(st.sampled_from(_POINTS), st.floats(-10.0, 10.0))
 _ARRAYS = st.lists(_SCALARS, min_size=3, max_size=3).map(np.array)
 _INPUTS = st.one_of(
@@ -436,6 +441,15 @@ class TestCPythonReference:
         assert got.hex() == _cpython_eval(src, t, u).hex()
 
 
+# a float-mode template for Expr.inlined: the expression at (t, u) and at (t, u + 1)
+_TEMPLATE = """\
+def fn(t, u):
+    guard = 0.0
+    v = u + 1.0
+    return f(t, u) + f(t, v), guard
+"""
+
+
 class TestCompiledCache:
     SRC = "t*(2 + sin(u)) / (1 + u^2)"
     TS = np.linspace(1.0, 2.0, 5)
@@ -445,6 +459,9 @@ class TestCompiledCache:
         e = parse_expr(self.SRC)
         scalar = e(1.5, 0.25)
         array = e(self.TS, self.US)
+        inlined = e.inlined(_TEMPLATE)(1.5, 0.25)
+        # the guard holds the divisor (1 + u^2) of each call; u^2 has only leaves
+        assert inlined == (scalar + e(1.5, 1.25), (1 + 0.25**2) + (1 + 1.25**2))
         fresh = parse_expr(self.SRC)
         assert e == fresh
         assert hash(e) == hash(fresh)
@@ -452,10 +469,22 @@ class TestCompiledCache:
         same = dataclasses.replace(e)
         assert same == e and repr(same) == repr(e)
         for other in (same, copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            # each copy drops the generated functions and builds its own
+            assert (other._scalar_fn, other._array_fn, other._inlined_fn) == (None, None, None)
             assert other == e and repr(other) == repr(e)
             assert (other.span, other.source) == (e.span, e.source)
             assert other(1.5, 0.25) == scalar
             assert other(self.TS, self.US).tobytes() == array.tobytes()
+            assert other.inlined(_TEMPLATE)(1.5, 0.25) == inlined
+            assert other.inlined(_TEMPLATE) is not e.inlined(_TEMPLATE)
+
+    def test_inlined_function_is_kept_per_template(self):
+        e = parse_expr(self.SRC)
+        fn = e.inlined(_TEMPLATE)
+        assert e.inlined(_TEMPLATE) is fn
+        other = _TEMPLATE.replace("u + 1.0", "u + 2.0")
+        assert e.inlined(other)(1.5, 0.25) == (e(1.5, 0.25) + e(1.5, 2.25), (1 + 0.25**2) + (1 + 2.25**2))
+        assert e.inlined(_TEMPLATE) is not fn
 
     def test_round_trip_keeps_error_spans(self):
         e = parse_expr("1 + 1/(t - 1)")
@@ -563,6 +592,10 @@ class TestGeneratedFunction:
             code = fn.__code__
             assert code.co_consts == (None,)
             assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
+        # inlined, the code adds only the template's own constants and names
+        code = e.inlined(_TEMPLATE).__code__
+        assert set(code.co_consts) <= {None, 0.0, 1.0}
+        assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
 
     @settings(max_examples=200, deadline=None)
     @given(src=_SOURCES)

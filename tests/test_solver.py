@@ -10,17 +10,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import thermistor as th
-from thermistor.expressions import Expr
+from thermistor.expressions import EvalError, Expr, _Body
 from thermistor.linear import _plan
 from thermistor.conformable import trapezoid
 from thermistor.model import sample_source
-from thermistor.solver import _picard_rows, equation_residual
+from thermistor.solver import _RK4_PASS, _picard_rows, _rk4_pass, equation_residual
 
 from conftest import constant_problem, ramp_problem, sin_offset_source, sin_problem, u_star
-from test_expressions import _reference_eval
+from test_expressions import _SCALARS, _reference_eval, _sources
 
 
 def _reference_oracle_parts(problem, opts):
@@ -1283,3 +1283,84 @@ class TestOracle:
             _reference_oracle(p, opts)
         assert exc.value.node == 2000
         assert str(exc.value) == str(ref.value)
+
+
+# atoms that overflow or raise once u grows past about 0.02, often under a
+# masking operation (1/inf, exp(-inf) and 1^inf are finite)
+_PASS_SOURCES = _sources("(u*1e308*100)", "exp(u*1000)", "(1e300*u)^2", "1/(u - 0.5)")
+
+
+class TestInlinedPass:
+    """The RK4 pass with ``f`` inlined and unchecked against ``_rk4_pass``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        src=_PASS_SOURCES,
+        a=st.sampled_from([1e-3, 0.5, 1.0]),
+        n=st.integers(3, 30),
+        scale=st.one_of(st.sampled_from([0.0, 1e-300, 1e300, math.inf]), st.floats(0.0, 100.0)),
+        alpha=st.floats(0.05, 1.0),
+        u_a=_SCALARS,
+    )
+    @example(src="2 + 1/(u*1e308*100)", a=1.0, n=30, scale=0.25, alpha=0.5, u_a=1e-300)
+    @example(src="2 + exp(-(u*1e308*100))", a=1.0, n=30, scale=0.25, alpha=0.5, u_a=1e-300)
+    @example(src="2 + 1^(u*1e308*100)", a=1.0, n=30, scale=0.25, alpha=0.5, u_a=1e-300)
+    @example(src="t", a=1.0, n=5, scale=math.inf, alpha=0.5, u_a=0.1)
+    def test_agrees_with_the_checked_pass(self, src, a, n, scale, alpha, u_a):
+        e = th.parse_expr(src)
+        grid = th.Grid(a, a + 1.0, n)
+        args = (grid.nodes[:-1].tolist(), grid.h, scale, alpha - 1.0, u_a)
+        try:
+            got, guard = e.inlined(_RK4_PASS)(*args)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            guard = math.nan
+        # oracle_solve keeps the inlined pass only where it is finite
+        kept = math.isfinite(guard)
+        try:
+            want = _rk4_pass(e.scalar, *args)
+        except EvalError:
+            assert not kept
+            return
+        if kept:
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize(
+        "src, span",
+        [("2 + 1/(u*1e308*100)", "6..19"), ("2 + exp(-(u*1e308*100))", "9..22"), ("2 + 1^(u*1e308*100)", "6..19")],
+        ids=["divisor", "exp", "power"],
+    )
+    def test_a_masked_overflow_raises_the_checked_error(self, src, span):
+        e = th.parse_expr(src)
+        grid = th.Grid(1.0, 2.0, 2001)
+        traj, guard = e.inlined(_RK4_PASS)(grid.nodes[:-1].tolist(), grid.h, 0.25, -0.5, 1e-300)
+        # unguarded, the pass would return a finite trajectory
+        assert all(map(math.isfinite, traj)) and max(traj) > 0.1
+        assert not math.isfinite(guard)
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 1e-300, e)
+        with pytest.raises(EvalError) as err:
+            th.oracle_solve(p, th.SolveOptions(grid_n=2001))
+        assert str(err.value) == f"evaluation error at bytes {span} ('(u*1e308*100)'): multiplication overflowed"
+
+    def test_the_deepest_division_chain_solves_as_its_value(self):
+        # (2 + sin(u))/(1 + 0*u)/... is 2 + sin(u) bit for bit, 700 levels
+        # high, and each stage adds its 697 divisors to the guard
+        chain = th.parse_expr("/".join(["(2 + sin(u))"] + ["(1 + 0*u)"] * 697))
+        opts = th.SolveOptions(grid_n=201)
+        out = th.oracle_solve(replace(sin_problem(), f=chain), opts)
+        assert out.values.tobytes() == th.oracle_solve(sin_problem(), opts).values.tobytes()
+
+    def test_is_generated_once_per_expression(self, monkeypatch):
+        inlined = []
+        inline = _Body.inline
+
+        def counting_inline(body, expr, template):
+            inlined.append(expr)
+            return inline(body, expr, template)
+
+        monkeypatch.setattr(_Body, "inline", counting_inline)
+        f = th.parse_expr("2 + sin(u)")
+        for lam in (0.5, 8.0):
+            th.oracle_solve(replace(sin_problem(), lam=lam, f=f), th.SolveOptions(grid_n=2001))
+        # two solves of four levels and many passes each
+        assert len(inlined) == 1 and inlined[0] is f
+
