@@ -30,7 +30,8 @@ own error.  ``Expr.scalar`` is the float-mode function itself, for loops
 that call it many times without the dispatch of ``Expr.__call__``.
 ``Expr.inlined`` generates a caller's float-mode template, the oracle's
 RK4 pass, with the tree's code unchecked at each call and one guard sum
-for the caller to test at the end in place of the per-node checks.
+for the caller to test at the end in place of the per-node checks;
+``_Body.bound`` defines the same template calling a checked ``f`` instead.
 """
 
 from __future__ import annotations
@@ -131,6 +132,14 @@ class _Body:
         namespace; return ``fn``."""
         exec("".join(f"{line}\n" for line in lines), self.names)
         return self.names["fn"]
+
+    @classmethod
+    def bound(cls, template: str, f):
+        """``template``, as ``Expr.inlined`` takes it, with each call ``f(t, u)``
+        a call of the callable ``f``, which checks its own values."""
+        body = cls("", scalar=True)
+        body.names["f"] = f
+        return body.define(template.splitlines())
 
     def bind(self, obj) -> str:
         name = f"c{len(self.names)}"

@@ -82,27 +82,26 @@ def _plan(grid: Grid, al: float) -> _Plan:
 def _scan(plan: _Plan, g_values: np.ndarray, x0: float) -> np.ndarray:
     """The ``g``-dependent part of ``solve_linear`` on the last axis of
     ``g_values``, one row per leading index; overflow shows up as inf or nan
-    in the result, which the callers check."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # G is g rescaled so that d(phi) absorbs the t**(alpha-1) integration weight.
-        big_g = plan.scale * g_values
-        panel = np.diff(big_g, axis=-1)
-        panel *= plan.slope
-        head = big_g[..., 1:]
-        head *= plan.em
-        panel -= head
-        carry = 0.0
-        for start, stop, down, up, rebase in plan.blocks:
-            scan = panel[..., start:stop]
-            scan *= down
-            np.cumsum(scan, axis=-1, out=scan)
-            scan += carry * rebase
-            scan *= up
-            carry = scan[..., -1:]
-        x = big_g  # spent; its buffer takes the solution
-        x[..., 0] = x0
-        np.multiply(plan.decay, x0, out=x[..., 1:])
-        x[..., 1:] += panel
+    in the result, which the callers check.  Callers turn numpy's warnings off."""
+    # G is g rescaled so that d(phi) absorbs the t**(alpha-1) integration weight.
+    big_g = plan.scale * g_values
+    panel = np.diff(big_g, axis=-1)
+    panel *= plan.slope
+    head = big_g[..., 1:]
+    head *= plan.em
+    panel -= head
+    carry = 0.0
+    for start, stop, down, up, rebase in plan.blocks:
+        scan = panel[..., start:stop]
+        scan *= down
+        np.cumsum(scan, axis=-1, out=scan)
+        scan += carry * rebase
+        scan *= up
+        carry = scan[..., -1:]
+    x = big_g  # spent; its buffer takes the solution
+    x[..., 0] = x0
+    np.multiply(plan.decay, x0, out=x[..., 1:])
+    x[..., 1:] += panel
     return x
 
 
@@ -140,7 +139,8 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
             offending node is named).
     """
     grid = g.grid
-    x = _scan(_plan(grid, _alpha_value(alpha)), g.values, x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _scan(_plan(grid, _alpha_value(alpha)), g.values, x0)
     return GridFunction(grid, _check_finite(x, grid.nodes, "solve_linear: solution"))
 
 

@@ -17,29 +17,29 @@ the same question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
 denominator D frozen per pass, and an outer loop that finds the D whose
 trajectory reproduces it (within ``tol_fp``, relative to D when D < 1) by
-a secant step kept inside a sign bracket.  An expression source runs each
-pass as ``_RK4_PASS``, with ``f`` inlined and unchecked, and the checked
-``_rk4_pass`` redoes it when it raises or its one guard sum is not finite,
-so outputs and errors are the checked loop's bit for bit.
+a secant step kept inside a sign bracket.  Its one RK4 pass, ``_RK4_PASS``,
+runs with an expression's ``f`` inlined and unchecked, and is redone with
+``f`` bound to ``f.scalar`` when it raises or its guard sum is not finite,
+so outputs and errors are the checked pass's bit for bit.
 
 Both solvers start by nested iteration on a ladder of levels from one
 function, ``_levels``: the grids ``d * 10**k`` times coarser
 (``n -> (n - 1) // (d * 10**k) + 1`` nodes), for each of a solver's
 divisors ``d``, that have at least its floor of nodes.  A solver runs its
 loop on each level, coarsest first, and then on its own grid, and starts
-each from what the levels just below settled: with two, the Richardson
-extrapolation ``_richardson``, ``x1 + c * (x1 - x2)`` with
-``c = (h**2 - h1**2) / (h1**2 - h2**2)`` (0.01 at ratio 10), which
-cancels the O(h**2) error of the values ``x1`` and ``x2`` settled on
-spacings ``h1`` and ``h2``; with one, its value; with none, the solver's
-plain start.  A level that fails settles nothing and clears what the
-levels below it settled.  ``picard_solve`` settles iterates, prolonged by
-``np.interp``, on the grids 10, 100, ... times coarser with at least 101
-nodes, and nests only when there are two of them (n >= 10001).
-``oracle_solve`` settles D on the grids 10, 50, 100, 500, ... times
-coarser with at least 21 nodes (n >= 201), and from three settled levels
-repeats the step, ``_extrapolate``, which cancels the O(h**4) error as
-well.  Each runs its levels in one loop: ``_picard_rows`` calls
+each from what the levels just below settled by one step,
+``_extrapolate``: with two, the Richardson extrapolation
+``x1 + c * (x1 - x2)`` with ``c = (h**2 - h1**2) / (h1**2 - h2**2)`` (0.01
+at ratio 10), which cancels the O(h**2) error of the values ``x1`` and
+``x2`` settled on spacings ``h1`` and ``h2``; with three, the same step
+repeated, which cancels the O(h**4) error as well; with one, its value;
+with none, the solver's plain start.  A level that fails settles nothing
+and clears what the levels below it settled.  ``picard_solve`` settles
+iterates, prolonged by ``np.interp``, on the grids 10, 100, ... times
+coarser with at least 101 nodes, and nests only when there are two of
+them (n >= 10001).  ``oracle_solve`` settles D on the grids 10, 50, 100,
+500, ... times coarser with at least 21 nodes (n >= 201), from up to
+three levels.  Each runs its levels in one loop: ``_picard_rows`` calls
 ``_iterate`` once per level on plain ``(rows, n)`` arrays,
 ``oracle_solve`` calls ``_oracle_settle``.  The oracle shares no
 stencils, quadrature weights, or exponential identities with the main
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformable import Grid, GridFunction, _check_finite, _check_integer, conformable_derivative
-from .expressions import Expr
+from .expressions import Expr, _Body
 from .model import (
     SourceBounds,
     SourcePositivityError,
@@ -195,7 +195,7 @@ def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> 
     On a grid of at least 10001 nodes the start is nested: the loop first
     runs, with no report, on each of the ``_levels`` of floor 101, coarsest
     first, in the ``np.interp`` of the tube (its radius clamped at zero),
-    and the tube's grid starts from the ``_richardson`` step of the fixed
+    and the tube's grid starts from the ``_extrapolate`` step of the fixed
     points on the two levels just below, prolonged by ``np.interp``.  A row
     that raises or does not converge on a level starts the next one from
     ``v``.  The report counts the iterations on the tube's grid, and
@@ -340,16 +340,14 @@ def _iterate(
 
 def _from_coarse(settled: list[tuple[Grid, np.ndarray]], grid: Grid, v: np.ndarray) -> np.ndarray:
     """A row's first iterate on ``grid`` from its settled iterates on the one or two
-    levels below, finest first: with two, their ``_richardson`` step (``u2``
-    prolonged to the grid of ``u1``), prolonged; with one, that iterate
-    prolonged; with none, ``v``.  Iterates are prolonged by ``np.interp``."""
+    levels below, finest first: their ``_extrapolate`` step (``u2`` prolonged to
+    the grid of ``u1``), prolonged; with none, ``v``.  Iterates are prolonged by
+    ``np.interp``."""
     if not settled:
         return v
     (grid1, u1), *rest = settled
-    if rest:
-        ((grid2, u2),) = rest
-        u1 = _richardson(u1, np.interp(grid1.nodes, grid2.nodes, u2), grid.h, grid1.h, grid2.h)
-    return np.interp(grid.nodes, grid1.nodes, u1)
+    prolonged = [(level, np.interp(grid1.nodes, level.nodes, u)) for level, u in rest]
+    return np.interp(grid.nodes, grid1.nodes, _extrapolate([(grid1, u1), *prolonged], grid.h))
 
 
 def _levels(grid: Grid, floor: float, divisors: tuple[int, ...]) -> list[Grid]:
@@ -364,11 +362,20 @@ def _levels(grid: Grid, floor: float, divisors: tuple[int, ...]) -> list[Grid]:
     return [Grid(grid.a, grid.T, n) for n in sorted(sizes)]
 
 
-def _richardson(x1: float | np.ndarray, x2: float | np.ndarray, h: float, h1: float, h2: float) -> float | np.ndarray:
-    """``x1 + c * (x1 - x2)``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``: the value
-    on spacing ``h`` extrapolated from the values ``x1``, ``x2`` on spacings
-    ``h1``, ``h2`` with an O(h**2) error (``c = 0.01`` at ratio 10)."""
-    return x1 + (h**2 - h1**2) / (h1**2 - h2**2) * (x1 - x2)
+def _extrapolate(settled: list[tuple[Grid, float | np.ndarray]], h: float) -> float | np.ndarray:
+    """The value at spacing ``h`` of the polynomial in ``h**2`` through the
+    ``(grid, value)`` of the ``settled`` levels, finest first, with float values
+    or arrays on one grid: Neville's recursion of the Richardson step
+    ``x1 + c * (x1 - x2)``, ``c = (h**2 - h1**2) / (h1**2 - h2**2)``, which the
+    module docstring describes.  One level gives its value."""
+    spacings = [level.h for level, _ in settled]
+    values = [value for _, value in settled]
+    for k in range(1, len(settled)):
+        values = [
+            x1 + (h**2 - spacings[i] ** 2) / (spacings[i] ** 2 - spacings[i + k] ** 2) * (x1 - x2)
+            for i, (x1, x2) in enumerate(zip(values, values[1:]))
+        ]
+    return values[0]
 
 
 def _k_rows(
@@ -397,51 +404,16 @@ def _k_rows(
 _ORACLE_DIVISORS = (10, 50)
 _NEST_FLOOR = 21
 _COARSE_PASSES = 25
-# a settled oracle level: its grid, its frozen D, and the differences in D
-# and in F(D) that give its last secant slope; a level starts from up to
-# three of them
-_Settled = tuple[Grid, float, float, float]
 
 
-def _extrapolate(below: list[_Settled], h: float) -> float:
-    """The D at spacing ``h`` of the polynomial in ``h**2`` through the settled
-    levels ``below``, finest first: Neville's recursion of ``_richardson``, so
-    that two levels give ``_richardson(D1, D2, h, h1, h2)`` and three give
-    ``_richardson(_richardson(D1, D2, h, h1, h2), _richardson(D2, D3, h, h2, h3), h, h1, h3)``."""
-    spacings = [level.h for level, _, _, _ in below]
-    values = [d for _, d, _, _ in below]
-    for k in range(1, len(below)):
-        values = [
-            _richardson(x1, x2, h, spacings[i], spacings[i + k]) for i, (x1, x2) in enumerate(zip(values, values[1:]))
-        ]
-    return values[0]
-
-
-def _rk4_pass(f, starts: list[float], h: float, scale: float, exponent: float, yi: float) -> list[float]:
-    """One RK4 pass of ``u' = scale * t**exponent * f(t, u)`` from ``u = yi``
-    over the steps that start at the times ``starts``, each of length ``h``:
-    the trajectory, one float per node.  ``f`` raises its own errors."""
-    half = 0.5 * h
-    traj = [yi]
-    for ti in starts:
-        tm = ti + half
-        te = ti + h
-        w_mid = scale * tm**exponent
-        k1 = scale * ti**exponent * f(ti, yi)
-        k2 = w_mid * f(tm, yi + half * k1)
-        k3 = w_mid * f(tm, yi + half * k2)
-        k4 = scale * te**exponent * f(te, yi + h * k3)
-        yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        traj.append(yi)
-    return traj
-
-
-# _rk4_pass as the template of Expr.inlined: the same operations in the same
-# order, with f's float-mode code unchecked at the four stages.  It returns the
-# trajectory and the guard plus the last value: once a stage value is not
+# One RK4 pass of u' = scale * t**exponent * f(t, u) from u = yi over the steps
+# that start at the times starts, each of length h: the trajectory, one float
+# per node, and the guard plus the last value.  It runs as Expr.inlined, with
+# f's float-mode code unchecked at the four stages, or with f bound to a
+# callable that raises its own errors (_Body.bound).  Once a stage value is not
 # finite, every later one and the last value are not either, as inf and NaN
-# survive + and *.  So a finite result means that _rk4_pass would return the
-# same trajectory and raise nothing.
+# survive + and *.  So a finite result of the inlined pass means that the pass
+# with f bound to f.scalar would return the same trajectory and raise nothing.
 _RK4_PASS = """\
 def fn(starts, h, scale, exponent, yi):
     half = 0.5 * h
@@ -480,9 +452,10 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     When ``f`` is an ``Expr`` it runs ``f.inlined(_RK4_PASS)``, whose stages
     are ``f``'s float-mode code without its checks, and tests the pass's
     guard sum once at the end; if that is not finite, or the pass raised,
-    ``_rk4_pass`` redoes it with the stages calling ``f.scalar``, which
+    the same template redoes it with its stages calling ``f.scalar``, which
     returns the same trajectory or raises the failing node's EvalError.
-    A plain callable ``f`` always runs ``_rk4_pass``.
+    A plain callable ``f`` always runs that checked pass, with its stages
+    calling ``f``; it is built once per grid, on the first redo.
 
     The outer loop solves ``F(D) = D(traj(D)) - D = 0`` by a safeguarded
     secant method.  A sign bracket ``lo < D* < hi`` starts as ``(0, inf)``
@@ -513,29 +486,38 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     bracket has no midpoint strictly inside it (its ends are adjacent
     floats, or ``hi`` is still infinite): ``D(traj(D))`` then jumps across
     its root, which happens when the RK4 step is too coarse for the
-    problem.  Raises SourcePositivityError if a trajectory leaves the
-    positivity region of ``f``.
+    problem.  It is also raised when the first D from ``u_a`` underflows
+    to 0, and when a trajectory overflows, naming the first node that is
+    not finite and the frozen D.  Raises SourcePositivityError if a
+    trajectory leaves the positivity region of ``f``.
     """
     grid = problem.grid(opts.grid_n)
-    below: list[_Settled] = []  # the last one to three settled levels, finest first
+    below: list[tuple[Grid, float]] = []  # the last one to three settled levels, finest first
+    slope = (math.nan, math.nan)  # the last secant slope of below[0], as (dD, dF)
     for level in _levels(grid, _NEST_FLOOR, _ORACLE_DIVISORS):
         try:
-            _, *settled = _oracle_settle(problem, level, min(opts.max_iter, _COARSE_PASSES), opts, below)
-            below = [(level, *settled), *below[:2]]
+            _, d_sq, slope = _oracle_settle(problem, level, min(opts.max_iter, _COARSE_PASSES), opts, below, slope)
+            below = [(level, d_sq), *below[:2]]
         except (ConvergenceError, SourcePositivityError):
-            below = []
-    return _oracle_settle(problem, grid, opts.max_iter, opts, below)[0]
+            below, slope = [], (math.nan, math.nan)
+    return _oracle_settle(problem, grid, opts.max_iter, opts, below, slope)[0]
 
 
 def _oracle_settle(
-    problem: ThermistorProblem, grid: Grid, max_iter: int, opts: SolveOptions, below: list[_Settled]
-) -> tuple[GridFunction, float, float, float]:
+    problem: ThermistorProblem,
+    grid: Grid,
+    max_iter: int,
+    opts: SolveOptions,
+    below: list[tuple[Grid, float]],
+    slope: tuple[float, float],
+) -> tuple[GridFunction, float, tuple[float, float]]:
     """The secant loop of ``oracle_solve`` on ``grid``, within ``max_iter`` passes.
 
-    Starts from the ``(grid, D, dD, dF)`` of the one to three settled levels
-    ``below``, finest first, as ``oracle_solve`` says, and returns the settled
-    trajectory, its frozen D, and the differences in D and in ``F(D)`` that
-    give the last secant slope (NaN without one).
+    Starts from the ``(grid, D)`` of the one to three settled levels
+    ``below``, finest first, and the differences ``slope = (dD, dF)`` in D
+    and in ``F(D)`` that give the last secant slope of ``below[0]`` (NaN
+    without one), as ``oracle_solve`` says; returns the settled trajectory,
+    its frozen D, and its own last ``slope``.
     """
     starts = grid.nodes[:-1].tolist()  # each RK4 step's start time, as a float
     h = grid.h
@@ -544,20 +526,23 @@ def _oracle_settle(
     source = problem.f
     inlined = source.inlined(_RK4_PASS) if isinstance(source, Expr) else None
     f = source.scalar if isinstance(source, Expr) else source
+    checked = None  # _RK4_PASS with f bound, built on the first redo
 
     def denominator(u: np.ndarray) -> float:
         # squared as a Python float, which overflows to inf without a warning
         integral = float(np.trapezoid(sample_source(problem, GridFunction(grid, u)), dx=h))
         return integral * integral
 
+    dd, df = slope
     if below:
-        _, d_sq, dd, df = below[0]
+        d_sq = below[0][1]
         extrapolated = _extrapolate(below, h)
         if math.isfinite(extrapolated) and extrapolated > 0.0:
             d_sq = extrapolated
     else:
         d_sq = denominator(np.full(grid.n, problem.u_a))
-        dd = df = math.nan
+        if not d_sq > 0.0:
+            raise ConvergenceError(f"oracle denominator underflowed to D = {d_sq!r} on the start u = u_a")
 
     lo, hi = 0.0, math.inf
     prev_d = prev_step = math.nan
@@ -568,15 +553,21 @@ def _oracle_settle(
         except (ZeroDivisionError, ValueError, OverflowError):
             guard = math.nan
         if not math.isfinite(guard):  # a plain callable, or a check may fail: redo it checked
-            traj = _rk4_pass(f, *args)
+            checked = checked or _Body.bound(_RK4_PASS, f)
+            traj, _ = checked(*args)
         u = np.array(traj, dtype=float)
+        if not math.isfinite(u[-1]):  # inf and NaN survive every later step
+            i = int(np.argmin(np.isfinite(u)))
+            raise ConvergenceError(
+                f"oracle trajectory overflowed at node {i} (t={float(grid.nodes[i])!r}) with D = {d_sq!r} frozen"
+            )
 
         new_d = denominator(u)
         step = new_d - d_sq
         if passes > 1:
             dd, df = d_sq - prev_d, step - prev_step
         if abs(step) <= opts.tol_fp * min(1.0, d_sq):
-            return GridFunction(grid, u), d_sq, dd, df
+            return GridFunction(grid, u), d_sq, (dd, df)
         if step > 0.0:
             lo = d_sq
         else:

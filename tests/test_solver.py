@@ -17,7 +17,7 @@ from thermistor.expressions import EvalError, Expr, _Body
 from thermistor.linear import _plan
 from thermistor.conformable import trapezoid
 from thermistor.model import sample_source
-from thermistor.solver import _RK4_PASS, _picard_rows, _rk4_pass, equation_residual
+from thermistor.solver import _RK4_PASS, _picard_rows, equation_residual
 
 from conftest import constant_problem, ramp_problem, sin_offset_source, sin_problem, u_star
 from test_expressions import _SCALARS, _reference_eval, _sources
@@ -59,6 +59,25 @@ def _reference_oracle_parts(problem, opts):
         return u
 
     return denominator, trajectory, np.full(grid.n, problem.u_a)
+
+
+def _reference_rk4_pass(f, starts, h, scale, exponent, yi):
+    """One RK4 pass of ``u' = scale * t**exponent * f(t, u)`` from ``u = yi``
+    over the steps that start at ``starts``, written out as ``trajectory`` in
+    ``_reference_oracle_parts`` is: the trajectory, one float per node."""
+
+    def rate(ti, yi):
+        return scale * ti**exponent * f(ti, yi)
+
+    traj = [yi]
+    for ti in starts:
+        k1 = rate(ti, yi)
+        k2 = rate(ti + 0.5 * h, yi + 0.5 * h * k1)
+        k3 = rate(ti + 0.5 * h, yi + 0.5 * h * k2)
+        k4 = rate(ti + h, yi + h * k3)
+        yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        traj.append(yi)
+    return traj
 
 
 def _reference_oracle(problem, opts, start=None):
@@ -1052,9 +1071,10 @@ class TestOracle:
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.7), 0.1, f)
         opts = th.SolveOptions(grid_n=2001)
         with pytest.raises(th.ConvergenceError, match="within 25 passes"):
-            th.solver._oracle_settle(p, p.grid(21), 25, opts, [])
+            th.solver._oracle_settle(p, p.grid(21), 25, opts, [], (math.nan, math.nan))
         middle = th.oracle_solve(p, replace(opts, grid_n=201, max_iter=25))
-        assert middle.values.tobytes() == th.solver._oracle_settle(p, p.grid(201), 25, opts, [])[0].values.tobytes()
+        settled = th.solver._oracle_settle(p, p.grid(201), 25, opts, [], (math.nan, math.nan))[0]
+        assert middle.values.tobytes() == settled.values.tobytes()
         constant_starts = collections.Counter()
 
         def counting_sample_source(problem, u):
@@ -1078,7 +1098,7 @@ class TestOracle:
         def d(h):
             return d0 + c2 * h**2 + c4 * h**4
 
-        below = [(level, d(level.h), math.nan, math.nan) for level in levels]
+        below = [(level, d(level.h)) for level in levels]
         scale = d0 + abs(c2) * levels[-1].h ** 2 + abs(c4) * levels[-1].h ** 4
         assert abs(th.solver._extrapolate(below, grid.h) - d(grid.h)) <= 16 * sys.float_info.epsilon * scale
 
@@ -1087,8 +1107,8 @@ class TestOracle:
     def test_two_level_extrapolation_is_the_richardson_step(self, d1, d2, n, ratio):
         level1, level2 = th.Grid(1.0, 2.0, (n - 1) * ratio + 1), th.Grid(1.0, 2.0, n)
         h = level1.h / ratio
-        below = [(level1, d1, math.nan, math.nan), (level2, d2, math.nan, math.nan)]
-        expected = th.solver._richardson(d1, d2, h, level1.h, level2.h)
+        below = [(level1, d1), (level2, d2)]
+        expected = d1 + (h**2 - level1.h**2) / (level1.h**2 - level2.h**2) * (d1 - d2)
         assert th.solver._extrapolate(below, h).hex() == expected.hex()
         assert th.solver._extrapolate(below[:1], h) == d1
 
@@ -1137,7 +1157,7 @@ class TestOracle:
         # region (exp(-u) underflows to 0); the fine grid raises its own error
         p = th.ThermistorProblem(1.0, 2.0, 4.0, th.Alpha(0.7), 0.1, th.parse_expr("exp(-u)"))
         opts = th.SolveOptions(grid_n=2001)
-        th.solver._oracle_settle(p, p.grid(21), 25, opts, [])
+        th.solver._oracle_settle(p, p.grid(21), 25, opts, [], (math.nan, math.nan))
         with pytest.raises(th.SourcePositivityError):
             th.oracle_solve(p, replace(opts, grid_n=201, max_iter=25))
         with pytest.raises(th.SourcePositivityError) as nested:
@@ -1157,11 +1177,12 @@ class TestOracle:
         scale = math.sqrt(sys.float_info.max * (1 - 3e-7)) / trapezoid(np.sqrt(grid.nodes), grid.h)
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.6), 0.1, th.parse_expr(f"{scale!r}*sqrt(t)"))
         opts = th.SolveOptions(grid_n=2001)
-        below = []
+        below, slope = [], (math.nan, math.nan)
         for n in (21, 41, 201):
-            below = [(p.grid(n), *th.solver._oracle_settle(p, p.grid(n), 25, opts, below)[1:]), *below]
+            _, d, slope = th.solver._oracle_settle(p, p.grid(n), 25, opts, below, slope)
+            below = [(p.grid(n), d), *below]
         d1 = below[0][1]
-        assert not math.isfinite(_reference_extrapolation(p.grid(2001).h, [(level.h, d) for level, d, _, _ in below]))
+        assert not math.isfinite(_reference_extrapolation(p.grid(2001).h, [(level.h, d) for level, d in below]))
         with pytest.raises(th.ConvergenceError, match=re.escape(f"bracket ({d1!r}, inf) collapsed after 1 passes")):
             th.oracle_solve(p, opts)
 
@@ -1265,6 +1286,38 @@ class TestOracle:
         assert nested.value.span == constant.value.span == (4, 7)
         assert str(nested.value) == str(constant.value)
 
+    def test_underflowing_denominator_leaves_the_fine_error(self, monkeypatch):
+        # (int f)^2 = 1e-400 underflows to 0 on the constant start of every
+        # level; each coarse level fails, and the fine grid raises its own
+        # error, the constant start's, not a ZeroDivisionError
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 0.1, th.parse_expr("1e-200 + 0*u"))
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.raises(th.ConvergenceError, match="underflowed to D = 0.0") as nested:
+            th.oracle_solve(p, opts)
+        monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
+        with pytest.raises(th.ConvergenceError) as constant:
+            th.oracle_solve(p, opts)
+        assert str(nested.value) == str(constant.value)
+
+    def test_overflowing_trajectory_names_a_fine_grid_node(self, monkeypatch):
+        # u' = 50 u / D overflows on every level (at node 74 when n = 201 is
+        # the fine grid); no coarse level settles, and the fine grid raises
+        # its own error, the constant start's, not a GridFunction ValueError
+        p = th.ThermistorProblem(1.0, 2.0, 50.0, th.Alpha(0.5), 0.1, th.parse_expr("u"))
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.raises(th.ConvergenceError, match="overflowed at node 74 "):
+            th.oracle_solve(p, replace(opts, grid_n=201))
+        with pytest.raises(th.ConvergenceError) as nested:
+            th.oracle_solve(p, opts)
+        monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
+        with pytest.raises(th.ConvergenceError) as constant:
+            th.oracle_solve(p, opts)
+        assert str(nested.value) == str(constant.value)
+        pattern = r"oracle trajectory overflowed at node (\d+) \(t=(\S+)\) with D = \S+ frozen"
+        m = re.fullmatch(pattern, str(nested.value))
+        assert m is not None, str(nested.value)
+        assert int(m[1]) > 200 and float(m[2]) == p.grid(2001).nodes[int(m[1])]
+
     def test_positivity_checked_along_trajectory(self):
         f = th.parse_expr("1 - u")
         p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 2.0, f)
@@ -1291,7 +1344,7 @@ _PASS_SOURCES = _sources("(u*1e308*100)", "exp(u*1000)", "(1e300*u)^2", "1/(u - 
 
 
 class TestInlinedPass:
-    """The RK4 pass with ``f`` inlined and unchecked against ``_rk4_pass``."""
+    """The RK4 pass with ``f`` inlined and unchecked against ``_reference_rk4_pass``."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -1317,7 +1370,7 @@ class TestInlinedPass:
         # oracle_solve keeps the inlined pass only where it is finite
         kept = math.isfinite(guard)
         try:
-            want = _rk4_pass(e.scalar, *args)
+            want = _reference_rk4_pass(e.scalar, *args)
         except EvalError:
             assert not kept
             return
@@ -1363,4 +1416,23 @@ class TestInlinedPass:
             th.oracle_solve(replace(sin_problem(), lam=lam, f=f), th.SolveOptions(grid_n=2001))
         # two solves of four levels and many passes each
         assert len(inlined) == 1 and inlined[0] is f
+
+    def test_checked_pass_is_bound_once_per_level(self, monkeypatch):
+        bound = []
+        bind = _Body.bound
+
+        def counting_bound(template, f):
+            bound.append(f)
+            return bind(template, f)
+
+        monkeypatch.setattr(_Body, "bound", counting_bound)
+        opts = th.SolveOptions(grid_n=2001)
+        # a plain callable runs every pass checked: one binding per level, for
+        # n = 21, 41, 201 and 2001
+        th.oracle_solve(replace(sin_problem(), f=sin_offset_source), opts)
+        assert bound == [sin_offset_source] * 4
+        # an expression whose inlined passes all stay finite redoes none
+        bound.clear()
+        th.oracle_solve(sin_problem(), opts)
+        assert bound == []
 
