@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, conformable_cumulative_integral, conformable_derivative
+from .conformable import Grid, GridFunction, _stencil_derivative, conformable_cumulative_integral, conformable_derivative
 from .linear import linear_residual, solve_linear
 
 __all__ = [
@@ -51,14 +51,6 @@ _ROUNDTRIP_SPAN = (1.0, 4.0)
 _LINEAR_SPAN = (1.0, 2.0)
 _LINEAR_X0 = 1.0
 _CONSTANT = 3.7
-
-
-def _plain_stencil(values: np.ndarray, h: float) -> np.ndarray:
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    d[0] = (4.0 * (values[1] - values[0]) - (values[2] - values[0])) / (2.0 * h)
-    d[-1] = (4.0 * (values[-1] - values[-2]) - (values[-1] - values[-3])) / (2.0 * h)
-    return d
 
 
 def _order(err_coarse: float, err_fine: float, h_coarse: float, h_fine: float) -> float:
@@ -101,7 +93,7 @@ def identity_table(
 
             classical = ""
             if alpha == 1.0:
-                plain = _plain_stencil(f.values, grid_rt.h)
+                plain = _stencil_derivative(f.values, grid_rt.h)
                 conf = conformable_derivative(f, 1.0).values
                 classical = float(np.max(np.abs(conf - plain)))
 

@@ -97,13 +97,16 @@ def _source(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _check_positive(t: np.ndarray, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
     """``fv``, the samples of ``f`` along ``u``; raises SourcePositivityError
-    at the first node, in row order, where one is not positive and finite."""
+    at the first node, in row order, where one is not positive and finite,
+    saying that ``f`` overflowed where the sample is inf."""
     if not (fv.min() > 0.0 and fv.max() < math.inf):
         j = int(np.flatnonzero(~(fv > 0.0) | ~np.isfinite(fv))[0])
         node = j % fv.shape[-1]
+        value = float(fv.flat[j])
+        fault = "overflowed" if value == math.inf else "must be strictly positive"
         raise SourcePositivityError(
-            f"H1 violated: f(t, u) must be strictly positive, got "
-            f"f({float(t.flat[j])!r}, {float(u.flat[j])!r}) = {float(fv.flat[j])!r} at node {node}",
+            f"H1 violated: f(t, u) {fault}, got "
+            f"f({float(t.flat[j])!r}, {float(u.flat[j])!r}) = {value!r} at node {node}",
             node=node,
         )
     return fv

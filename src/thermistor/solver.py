@@ -18,9 +18,11 @@ the same question through a completely separate route: classical RK4 on
 denominator D frozen per pass, and an outer loop that finds the D whose
 trajectory reproduces it (within ``tol_fp``, relative to D when D < 1) by
 a secant step kept inside a sign bracket.  Its one RK4 pass, ``_RK4_PASS``,
-runs with an expression's ``f`` inlined and unchecked, and is redone with
-``f`` bound to ``f.scalar`` when it raises or its guard sum is not finite,
-so outputs and errors are the checked pass's bit for bit.
+runs in Python floats and returns, with the trajectory, its own samples of
+``f`` at the nodes, from which the next D is formed; it runs with an
+expression's ``f`` inlined and unchecked, and is redone with ``f`` bound to
+``f.scalar`` when it raises or its guard sum is not finite, so each pass
+kept is the checked pass bit for bit.
 
 Both solvers start by nested iteration on a ladder of levels from one
 function, ``_levels``: the grids ``d * 10**k`` times coarser
@@ -407,32 +409,47 @@ _COARSE_PASSES = 25
 
 
 # One RK4 pass of u' = scale * t**exponent * f(t, u) from u = yi over the steps
-# that start at the times starts, each of length h: the trajectory, one float
-# per node, and the guard plus the last value.  It runs as Expr.inlined, with
-# f's float-mode code unchecked at the four stages, or with f bound to a
-# callable that raises its own errors (_Body.bound).  Once a stage value is not
-# finite, every later one and the last value are not either, as inf and NaN
-# survive + and *.  So a finite result of the inlined pass means that the pass
-# with f bound to f.scalar would return the same trajectory and raise nothing.
+# that start at the times starts, each of length h, up to the last node, end.
+# It returns the trajectory, one float per node; the samples of f along it, one
+# per node: each step's stage-1 value and f(end, u(end)); and the guard plus
+# the last value.  A step's stage-4 weight is the next step's stage-1 weight.
+# It runs as Expr.inlined, with f's float-mode code unchecked at its five
+# calls, or with f bound to a callable that raises its own errors
+# (_Body.bound).  Once a stage value is not finite, every later one and the
+# last value are not either, as inf and NaN survive + and *; only the last
+# sample does not reach the last value, and the caller tests it.  So a finite
+# result of the inlined pass with a finite last sample means that the pass with
+# f bound to f.scalar would return the same trajectory and samples and raise
+# nothing.
 _RK4_PASS = """\
-def fn(starts, h, scale, exponent, yi):
+def fn(starts, end, h, scale, exponent, yi):
     half = 0.5 * h
+    sixth = h / 6.0
     traj = [yi]
+    samples = []
+    traj_append = traj.append
+    samples_append = samples.append
     guard = 0.0
+    w_start = scale * starts[0]**exponent
     for ti in starts:
         tm = ti + half
         te = ti + h
         w_mid = scale * tm**exponent
-        k1 = scale * ti**exponent * f(ti, yi)
+        w_end = scale * te**exponent
+        s1 = f(ti, yi)
+        samples_append(s1)
+        k1 = w_start * s1
         y2 = yi + half * k1
         k2 = w_mid * f(tm, y2)
         y3 = yi + half * k2
         k3 = w_mid * f(tm, y3)
         y4 = yi + h * k3
-        k4 = scale * te**exponent * f(te, y4)
-        yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        traj.append(yi)
-    return traj, guard + yi
+        k4 = w_end * f(te, y4)
+        yi = yi + sixth * (k1 + k4 + 2.0 * (k2 + k3))
+        traj_append(yi)
+        w_start = w_end
+    samples_append(f(end, yi))
+    return traj, samples, guard + yi
 """
 
 
@@ -442,20 +459,26 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     Each pass integrates ``u' = lambda * t**(alpha-1) * f(t, u) / D`` from
     ``u(a) = u_a`` with classical fourth-order Runge-Kutta on a fresh
     uniform grid of ``opts.grid_n`` nodes, holding the squared integral D
-    fixed, then recomputes D from the new trajectory (trapezoid, with the
-    positivity check).  The trajectory is returned once its frozen D
-    reproduces itself within ``tol_fp * min(1, D)``: an absolute test for
-    ``D >= 1`` and a relative one below, so that a source close to zero
-    still settles to the same trajectory from any start.  No conformable
-    operators or exponential weights appear anywhere on this path.  A
-    pass steps over Python floats and lists and builds one array, for D.
-    When ``f`` is an ``Expr`` it runs ``f.inlined(_RK4_PASS)``, whose stages
-    are ``f``'s float-mode code without its checks, and tests the pass's
+    fixed, then recomputes D from the new trajectory: the square of the
+    trapezoid rule, in Python floats, over the pass's own samples of ``f``,
+    each step's stage-1 value and ``f`` at the last node.  Where a sample
+    is not positive or that integral is not finite, ``sample_source`` takes
+    ``f`` along the trajectory again, and raises its SourcePositivityError
+    or gives the samples of an overflowed D.  The first D, from the constant
+    ``u_a``, is ``sample_source``'s samples through the same trapezoid rule.
+    The trajectory is returned once its frozen D reproduces itself within
+    ``tol_fp * min(1, D)``: an absolute test for ``D >= 1`` and a relative
+    one below, so that a source close to zero still settles to the same
+    trajectory from any start.  No conformable operators or exponential
+    weights appear anywhere on this path.  A pass steps over Python floats
+    and lists, and the fine grid's answer is the one array built.  When
+    ``f`` is an ``Expr`` a pass runs ``f.inlined(_RK4_PASS)``, whose calls of
+    ``f`` are its float-mode code without its checks, and tests the pass's
     guard sum once at the end; if that is not finite, or the pass raised,
-    the same template redoes it with its stages calling ``f.scalar``, which
-    returns the same trajectory or raises the failing node's EvalError.
-    A plain callable ``f`` always runs that checked pass, with its stages
-    calling ``f``; it is built once per grid, on the first redo.
+    the same template redoes it with its calls of ``f`` running ``f.scalar``,
+    which returns the same trajectory and samples or raises the failing
+    node's EvalError.  A plain callable ``f`` always runs that checked pass,
+    calling ``f`` on floats; it is built once per grid, on the first redo.
 
     The outer loop solves ``F(D) = D(traj(D)) - D = 0`` by a safeguarded
     secant method.  A sign bracket ``lo < D* < hi`` starts as ``(0, inf)``
@@ -500,7 +523,7 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
             below = [(level, d_sq), *below[:2]]
         except (ConvergenceError, SourcePositivityError):
             below, slope = [], (math.nan, math.nan)
-    return _oracle_settle(problem, grid, opts.max_iter, opts, below, slope)[0]
+    return GridFunction(grid, np.array(_oracle_settle(problem, grid, opts.max_iter, opts, below, slope)[0]))
 
 
 def _oracle_settle(
@@ -510,16 +533,17 @@ def _oracle_settle(
     opts: SolveOptions,
     below: list[tuple[Grid, float]],
     slope: tuple[float, float],
-) -> tuple[GridFunction, float, tuple[float, float]]:
+) -> tuple[list[float], float, tuple[float, float]]:
     """The secant loop of ``oracle_solve`` on ``grid``, within ``max_iter`` passes.
 
     Starts from the ``(grid, D)`` of the one to three settled levels
     ``below``, finest first, and the differences ``slope = (dD, dF)`` in D
     and in ``F(D)`` that give the last secant slope of ``below[0]`` (NaN
     without one), as ``oracle_solve`` says; returns the settled trajectory,
-    its frozen D, and its own last ``slope``.
+    one float per node, its frozen D, and its own last ``slope``.
     """
     starts = grid.nodes[:-1].tolist()  # each RK4 step's start time, as a float
+    end = float(grid.nodes[-1])
     h = grid.h
     lam = problem.lam
     exponent = problem.alpha.value - 1.0
@@ -528,10 +552,15 @@ def _oracle_settle(
     f = source.scalar if isinstance(source, Expr) else source
     checked = None  # _RK4_PASS with f bound, built on the first redo
 
-    def denominator(u: np.ndarray) -> float:
-        # squared as a Python float, which overflows to inf without a warning
-        integral = float(np.trapezoid(sample_source(problem, GridFunction(grid, u)), dx=h))
-        return integral * integral
+    def integral(samples: list) -> float:
+        # the trapezoid rule in Python floats, which overflow to inf and turn
+        # inf - inf into NaN without a warning (a plain f may give numpy floats)
+        return h * (float(sum(samples)) - 0.5 * (float(samples[0]) + float(samples[-1])))
+
+    def denominator(u) -> float:
+        # f sampled along u by sample_source, which raises its named error
+        value = integral(sample_source(problem, GridFunction(grid, u)).tolist())
+        return value * value
 
     dd, df = slope
     if below:
@@ -547,27 +576,29 @@ def _oracle_settle(
     lo, hi = 0.0, math.inf
     prev_d = prev_step = math.nan
     for passes in range(1, max_iter + 1):
-        args = (starts, h, lam / d_sq, exponent, float(problem.u_a))
+        args = (starts, end, h, lam / d_sq, exponent, float(problem.u_a))
         try:
-            traj, guard = inlined(*args) if inlined else (None, math.nan)
+            traj, samples, guard = inlined(*args) if inlined else (None, None, math.nan)
         except (ZeroDivisionError, ValueError, OverflowError):
             guard = math.nan
         if not math.isfinite(guard):  # a plain callable, or a check may fail: redo it checked
             checked = checked or _Body.bound(_RK4_PASS, f)
-            traj, _ = checked(*args)
-        u = np.array(traj, dtype=float)
-        if not math.isfinite(u[-1]):  # inf and NaN survive every later step
-            i = int(np.argmin(np.isfinite(u)))
+            traj, samples, _ = checked(*args)
+        if not math.isfinite(traj[-1]):  # inf and NaN survive every later step
+            i = next(i for i, y in enumerate(traj) if not math.isfinite(y))
             raise ConvergenceError(
                 f"oracle trajectory overflowed at node {i} (t={float(grid.nodes[i])!r}) with D = {d_sq!r} frozen"
             )
 
-        new_d = denominator(u)
+        value = integral(samples)
+        # a sample that is not positive and finite, or an integral that
+        # overflowed: sample_source raises the error, or D overflows
+        new_d = value * value if min(samples) > 0.0 and math.isfinite(value) else denominator(traj)
         step = new_d - d_sq
         if passes > 1:
             dd, df = d_sq - prev_d, step - prev_step
         if abs(step) <= opts.tol_fp * min(1.0, d_sq):
-            return GridFunction(grid, u), d_sq, (dd, df)
+            return traj, d_sq, (dd, df)
         if step > 0.0:
             lo = d_sq
         else:

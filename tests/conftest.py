@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
+import pytest
 
 import thermistor as th
-from thermistor.expressions import parse_expr
+from thermistor.expressions import Expr, _Body, parse_expr
 
 
 def ones_source(t, u):
@@ -70,3 +73,23 @@ def tube_corpus(n: int = 201) -> list[tuple[str, th.ThermistorProblem, th.Tube]]
     m3 = th.GridFunction(g3, 0.3 * np.exp((g3.nodes**0.7 - 1.0) / 0.7))
     out.append(("weighted-radius", p3, th.Tube(v3, m3)))
     return out
+
+
+@pytest.fixture
+def rk4_passes(monkeypatch):
+    """A Counter of the oracle's RK4 passes per grid size, ``len(starts) + 1``
+    nodes, counted at the functions that ``Expr.inlined`` and ``_Body.bound``
+    return; a pass redone checked counts twice."""
+    counts = collections.Counter()
+
+    def counting(rk4_pass):
+        def counted(starts, *args):
+            counts[len(starts) + 1] += 1
+            return rk4_pass(starts, *args)
+
+        return counted
+
+    inlined, bound = Expr.inlined, _Body.bound
+    monkeypatch.setattr(Expr, "inlined", lambda expr, template: counting(inlined(expr, template)))
+    monkeypatch.setattr(_Body, "bound", lambda template, f: counting(bound(template, f)))
+    return counts

@@ -104,8 +104,9 @@ class TestSourceSampling:
         with pytest.raises(th.SourcePositivityError) as exc:
             sample_source(p, u)
         assert exc.value.node == node
+        fault = "overflowed" if bad == math.inf else "must be strictly positive"
         assert str(exc.value) == (
-            "H1 violated: f(t, u) must be strictly positive, got "
+            f"H1 violated: f(t, u) {fault}, got "
             f"f({float(grid.nodes[node])!r}, {float(u.values[node])!r}) = {bad!r} at node {node}"
         )
 

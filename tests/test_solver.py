@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import thermistor as th
 from thermistor.expressions import EvalError, Expr, _Body
@@ -23,10 +23,19 @@ from conftest import constant_problem, ramp_problem, sin_offset_source, sin_prob
 from test_expressions import _SCALARS, _reference_eval, _sources
 
 
-def _reference_oracle_parts(problem, opts):
-    """The denominator D and the RK4 pass of ``oracle_solve`` written out,
-    with expression sources evaluated by the reference tree walk instead of
-    compiled, and the starting trajectory ``u = u_a``."""
+def _reference_oracle_parts(problem, opts, numpy_d=False):
+    """The start D, from ``u = u_a``, and the RK4 pass of ``oracle_solve``
+    written out, with expression sources evaluated by the reference tree walk
+    instead of compiled.  ``rk4(D)`` gives the trajectory of a pass at the
+    frozen D and the D of the pass's own samples of f: the squared trapezoid
+    rule in Python floats over each step's stage-1 value and f at the last
+    node, or over ``sample_source`` along the trajectory when a sample is not
+    positive or that integral is not finite.
+
+    With ``numpy_d``, the pass is the one ``oracle_solve`` ran before it took
+    D from its samples: each stage's weight formed in place, the update
+    ``h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0``, and every D, the start's
+    too, from ``np.trapezoid`` of ``sample_source`` along the trajectory."""
     f = problem.f
     if isinstance(f, Expr):
         f = functools.partial(_reference_eval, f)
@@ -35,11 +44,15 @@ def _reference_oracle_parts(problem, opts):
     al = problem.alpha.value
     sampled = replace(problem, f=f)
 
-    def denominator(u):
-        integral = np.trapezoid(sample_source(sampled, th.GridFunction(grid, u)), dx=h)
-        return float(integral * integral)
+    def integral(samples):
+        return h * (float(sum(samples)) - 0.5 * (float(samples[0]) + float(samples[-1])))
 
-    def trajectory(d_sq):
+    def denominator(u):
+        fv = sample_source(sampled, th.GridFunction(grid, u))
+        value = np.trapezoid(fv, dx=h) if numpy_d else integral(fv.tolist())
+        return float(value * value)
+
+    def numpy_d_trajectory(d_sq):
         scale = problem.lam / d_sq
 
         def rate(ti, yi):
@@ -58,29 +71,44 @@ def _reference_oracle_parts(problem, opts):
             u[i + 1] = yi
         return u
 
-    return denominator, trajectory, np.full(grid.n, problem.u_a)
+    def rk4(d_sq):
+        if numpy_d:
+            u = numpy_d_trajectory(d_sq)
+            return u, denominator(u)
+        args = (t[:-1].tolist(), float(t[-1]), h, problem.lam / d_sq, al - 1.0, float(problem.u_a))
+        traj, samples = _reference_rk4_pass(f, *args)
+        u = np.array(traj)
+        value = integral(samples)
+        return u, value * value if min(samples) > 0.0 and math.isfinite(value) else denominator(u)
+
+    return denominator(np.full(grid.n, problem.u_a)), rk4
 
 
-def _reference_rk4_pass(f, starts, h, scale, exponent, yi):
+def _reference_rk4_pass(f, starts, end, h, scale, exponent, yi):
     """One RK4 pass of ``u' = scale * t**exponent * f(t, u)`` from ``u = yi``
-    over the steps that start at ``starts``, written out as ``trajectory`` in
-    ``_reference_oracle_parts`` is: the trajectory, one float per node."""
-
-    def rate(ti, yi):
-        return scale * ti**exponent * f(ti, yi)
-
-    traj = [yi]
+    over the steps that start at ``starts``, with the last node at ``end``:
+    the trajectory, one float per node, and the samples of f along it, each
+    step's stage-1 value and ``f(end, u(end))``.  A step's stage-4 weight is
+    the next step's stage-1 weight, and the update is
+    ``yi + h / 6.0 * (k1 + k4 + 2.0 * (k2 + k3))``."""
+    traj, samples = [yi], []
+    weight = scale * starts[0] ** exponent
     for ti in starts:
-        k1 = rate(ti, yi)
-        k2 = rate(ti + 0.5 * h, yi + 0.5 * h * k1)
-        k3 = rate(ti + 0.5 * h, yi + 0.5 * h * k2)
-        k4 = rate(ti + h, yi + h * k3)
-        yi = yi + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        te = ti + h
+        w_mid, w_end = scale * (ti + 0.5 * h) ** exponent, scale * te**exponent
+        samples.append(f(ti, yi))
+        k1 = weight * samples[-1]
+        k2 = w_mid * f(ti + 0.5 * h, yi + 0.5 * h * k1)
+        k3 = w_mid * f(ti + 0.5 * h, yi + 0.5 * h * k2)
+        k4 = w_end * f(te, yi + h * k3)
+        yi = yi + h / 6.0 * (k1 + k4 + 2.0 * (k2 + k3))
         traj.append(yi)
-    return traj
+        weight = w_end
+    samples.append(f(end, yi))
+    return traj, samples
 
 
-def _reference_oracle(problem, opts, start=None):
+def _reference_oracle(problem, opts, start=None, numpy_d=False):
     """The safeguarded secant loop of ``oracle_solve`` written out: the
     secant step if it is finite and strictly inside the sign bracket, else
     the plain step if that is, else the bracket's midpoint.
@@ -88,14 +116,14 @@ def _reference_oracle(problem, opts, start=None):
     Starts from ``u = u_a``, or from ``start = (D, (dD, dF))``: a frozen D
     and the differences behind a secant slope, which the first step uses.
     Returns the settled trajectory, its frozen D and the differences behind
-    the last secant (``None`` if there was none)."""
-    denominator, trajectory, u = _reference_oracle_parts(problem, opts)
-    d_sq, diffs = (denominator(u), None) if start is None else start
+    the last secant (``None`` if there was none).  ``numpy_d`` selects the
+    pass of ``_reference_oracle_parts``."""
+    start_d, rk4 = _reference_oracle_parts(problem, opts, numpy_d)
+    d_sq, diffs = (start_d, None) if start is None else start
     lo, hi = 0.0, math.inf
     last = None
     for _ in range(opts.max_iter):
-        u = trajectory(d_sq)
-        new_d = denominator(u)
+        u, new_d = rk4(d_sq)
         step = new_d - d_sq
         if last is not None:
             diffs = (d_sq - last[0], step - last[1])
@@ -115,9 +143,10 @@ def _reference_oracle(problem, opts, start=None):
     raise th.ConvergenceError("reference oracle did not settle")
 
 
-def _nested_reference_oracle(problem, opts):
-    """``_reference_oracle`` on the chain of grids 10, 50, 100, 500, ... times
-    coarser with at least 21 nodes, coarsest first, then on ``opts.grid_n`` nodes.
+def _nested_reference_oracle(problem, opts, numpy_d=False):
+    """``_reference_oracle``, with the pass that ``numpy_d`` selects, on the
+    chain of grids 10, 50, 100, 500, ... times coarser with at least 21
+    nodes, coarsest first, then on ``opts.grid_n`` nodes.
 
     A coarse level gets at most ``min(max_iter, 25)`` passes.  A level starts
     from ``u = u_a`` when the level below it raised or there is none; from
@@ -143,10 +172,10 @@ def _nested_reference_oracle(problem, opts):
             if math.isfinite(d) and d > 0.0:
                 start = (d, diffs)
         if m == n:
-            return _reference_oracle(problem, opts, start)
+            return _reference_oracle(problem, opts, start, numpy_d)
         try:
             level = replace(opts, grid_n=m, max_iter=min(opts.max_iter, 25))
-            _, d_sq, diffs = _reference_oracle(problem, level, start)
+            _, d_sq, diffs = _reference_oracle(problem, level, start, numpy_d)
         except (th.ConvergenceError, th.SourcePositivityError):
             below = []
         else:
@@ -176,14 +205,13 @@ def _reference_extrapolation(h, settled):
 def _plain_reference_oracle(problem, opts):
     """The plain substitution ``D <- D(traj(D))`` that ``oracle_solve`` ran
     before its secant loop."""
-    denominator, trajectory, u = _reference_oracle_parts(problem, opts)
-    d_sq = None
+    new_d, rk4 = _reference_oracle_parts(problem, opts)
+    u = d_sq = None
     for _ in range(opts.max_iter):
-        new_d = denominator(u)
         if d_sq is not None and abs(new_d - d_sq) <= opts.tol_fp:
             return u
         d_sq = new_d
-        u = trajectory(d_sq)
+        u, new_d = rk4(d_sq)
     raise AssertionError("plain reference oracle did not settle")
 
 
@@ -960,28 +988,49 @@ class TestOracle:
         out = th.oracle_solve(p, opts)
         assert out.values.tobytes() == _nested_reference_oracle(p, opts)[0].tobytes()
 
-    def test_rk4_stages_skip_the_expression_dispatch(self, monkeypatch):
-        # the RK4 stages call the generated scalar function; Expr.__call__
-        # sees only the array evaluation of each sample_source
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    @pytest.mark.parametrize("lam", [0.5, 8.0])
+    def test_agrees_with_the_numpy_d_loop(self, lam, alpha):
+        # D from the pass's own samples moves the answer by rounding only
+        p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
+        opts = th.SolveOptions(grid_n=2001)
+        out = th.oracle_solve(p, opts)
+        assert np.max(np.abs(out.values - _nested_reference_oracle(p, opts, numpy_d=True)[0])) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_a_source_bad_only_at_the_last_node_names_it(self, bad):
+        # only the pass's last sample, f(T, u(T)), sees the bad value: on
+        # [1, 2.2] the last step's stage 4 is at t = 2.1999999999999997
+        def source(t, u):
+            return np.where(np.asarray(t) == 2.2, bad, sin_offset_source(t, u))
+
+        p = th.ThermistorProblem(1.0, 2.2, 1.0, th.Alpha(0.6), 0.1, source)
+        grid = p.grid(2001)
+        assert grid.nodes[-2] + grid.h != grid.nodes[-1] == 2.2
+        with pytest.raises(th.SourcePositivityError) as exc:
+            th.oracle_solve(p, th.SolveOptions(grid_n=2001))
+        assert exc.value.node == 2000
+        fault = "overflowed" if bad == math.inf else "must be strictly positive"
+        assert str(exc.value).startswith(f"H1 violated: f(t, u) {fault}, got f(2.2, ")
+        assert str(exc.value).endswith(f") = {bad!r} at node 2000")
+
+    def test_rk4_stages_skip_the_expression_dispatch(self, monkeypatch, rk4_passes):
+        # the RK4 passes inline f and take D from their own samples;
+        # Expr.__call__ sees only the array evaluation of the one constant
+        # start, on the 21-node level
         calls = collections.Counter()
-        samples = []
         call = Expr.__call__
 
         def counting_call(e, t, u):
             calls["array" if isinstance(t, np.ndarray) or isinstance(u, np.ndarray) else "float"] += 1
             return call(e, t, u)
 
-        def counting_sample_source(problem, u):
-            samples.append(u.grid.n)
-            return sample_source(problem, u)
-
         monkeypatch.setattr(Expr, "__call__", counting_call)
-        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
         p = replace(sin_problem(), f=th.parse_expr("2 + sin(u)"))
         out = th.oracle_solve(p, th.SolveOptions(grid_n=2001))
         assert calls["float"] == 0
-        assert calls["array"] == len(samples) > 0
-        assert set(samples) == {21, 41, 201, 2001}
+        assert calls["array"] == 1
+        assert set(rk4_passes) == {21, 41, 201, 2001}
         assert out.values.tobytes() == _nested_reference_oracle(p, th.SolveOptions(grid_n=2001))[0].tobytes()
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
@@ -997,15 +1046,8 @@ class TestOracle:
         out = th.oracle_solve(p, opts)
         assert out.values.tobytes() == _reference_oracle(p, opts)[0].tobytes()
 
-    def test_nested_start_halves_the_fine_grid_passes(self, monkeypatch):
-        # each pass samples the source once, and so does each constant start
-        counts = collections.Counter()
-
-        def counting_sample_source(problem, u):
-            counts[u.grid.n] += 1
-            return sample_source(problem, u)
-
-        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
+    def test_nested_start_halves_the_fine_grid_passes(self, monkeypatch, rk4_passes):
+        counts = rk4_passes
         corners = [
             replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
             for lam in (0.5, 8.0)
@@ -1020,7 +1062,7 @@ class TestOracle:
         constant = [th.oracle_solve(p, opts).values for p in corners]
         assert set(counts) == {2001}
         # measured: 5 fine passes nested (7 from two levels), 30 from u_a
-        assert nested_fine <= 0.25 * (counts[2001] - len(corners))
+        assert nested_fine <= 0.25 * counts[2001]
         for u, v in zip(nested, constant):
             assert np.max(np.abs(u - v)) <= 1e-9
 
@@ -1044,23 +1086,16 @@ class TestOracle:
         out = th.oracle_solve(p, opts)
         assert np.max(np.abs(out.values - _reference_oracle(p, opts)[0])) <= 1e-7
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
-    def test_extrapolated_start_settles_in_two_fine_passes(self, lam, alpha):
-        # n = 2001 starts from the extrapolated D of n = 21, 41 and 201
-        fine = []
-
-        def counting_sample_source(problem, u):
-            if u.grid.n == 2001:
-                fine.append(u)
-            return sample_source(problem, u)
-
+    def test_extrapolated_start_settles_in_two_fine_passes(self, lam, alpha, rk4_passes):
+        # n = 2001 starts from the extrapolated D of n = 21, 41 and 201; the
+        # counter is shared by the examples, so each clears it first
+        rk4_passes.clear()
         p = replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha))
         opts = th.SolveOptions(grid_n=2001)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(th.solver, "sample_source", counting_sample_source)
-            out = th.oracle_solve(p, opts)
-        assert len(fine) <= 2
+        out = th.oracle_solve(p, opts)
+        assert rk4_passes[2001] <= 2
         assert np.max(np.abs(out.values - _reference_oracle(p, opts)[0])) <= 1e-9
 
     def test_failed_coarsest_level_starts_the_middle_one_from_u_a(self, monkeypatch):
@@ -1074,17 +1109,18 @@ class TestOracle:
             th.solver._oracle_settle(p, p.grid(21), 25, opts, [], (math.nan, math.nan))
         middle = th.oracle_solve(p, replace(opts, grid_n=201, max_iter=25))
         settled = th.solver._oracle_settle(p, p.grid(201), 25, opts, [], (math.nan, math.nan))[0]
-        assert middle.values.tobytes() == settled.values.tobytes()
-        constant_starts = collections.Counter()
+        assert middle.values.tobytes() == np.array(settled).tobytes()
+        # a level with no settled level below it starts from u = u_a
+        below = {}
+        settle = th.solver._oracle_settle
 
-        def counting_sample_source(problem, u):
-            if np.all(u.values == problem.u_a):
-                constant_starts[u.grid.n] += 1
-            return sample_source(problem, u)
+        def recording_settle(problem, grid, max_iter, opts, settled_below, slope):
+            below[grid.n] = [level.n for level, _ in settled_below]
+            return settle(problem, grid, max_iter, opts, settled_below, slope)
 
-        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
+        monkeypatch.setattr(th.solver, "_oracle_settle", recording_settle)
         out = th.oracle_solve(p, opts)
-        assert constant_starts == {21: 1, 41: 1}
+        assert below == {21: [], 41: [], 201: [41], 2001: [201, 41]}
         assert out.values.tobytes() == _nested_reference_oracle(p, opts)[0].tobytes()
 
     @settings(max_examples=50, deadline=None)
@@ -1112,43 +1148,26 @@ class TestOracle:
         assert th.solver._extrapolate(below, h).hex() == expected.hex()
         assert th.solver._extrapolate(below[:1], h) == d1
 
-    def test_three_level_start_takes_few_fine_passes_on_the_box(self, monkeypatch):
+    def test_three_level_start_takes_few_fine_passes_on_the_box(self, rk4_passes):
         # measured: 10 fine passes for the 9 problems (16 from two levels)
-        fine = []
-
-        def counting_sample_source(problem, u):
-            if u.grid.n == 2001:
-                fine.append(u)
-            return sample_source(problem, u)
-
-        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
         opts = th.SolveOptions(grid_n=2001)
         for lam in (0.5, 3.0, 8.0):
             for alpha in (0.3, 0.65, 1.0):
                 th.oracle_solve(replace(sin_problem(), lam=lam, alpha=th.Alpha(alpha)), opts)
-        assert len(fine) <= 10
+        assert rk4_passes[2001] <= 10
 
     @pytest.mark.parametrize(
         "a, T, lam, alpha",
         [(0.01, 10.0, 1.0, 0.05), (0.1, 10.0, 1.0, 0.7), (1.0, 2.0, 40.0, 1.0)],
         ids=["large-T/a-small-alpha", "large-T/a", "large-lambda"],
     )
-    def test_edge_box_agrees_with_constant_start_in_few_fine_passes(self, a, T, lam, alpha, monkeypatch):
+    def test_edge_box_agrees_with_constant_start_in_few_fine_passes(self, a, T, lam, alpha, monkeypatch, rk4_passes):
         # measured: 3 fine passes each (4, 3 and 3 from two levels), and
         # within 2.6e-15, 0 and 1.7e-11 of the constant start
-        fine = []
-
-        def counting_sample_source(problem, u):
-            if u.grid.n == 2001:
-                fine.append(u)
-            return sample_source(problem, u)
-
         p = th.ThermistorProblem(a, T, lam, th.Alpha(alpha), 0.1, th.parse_expr("2 + sin(u)"))
         opts = th.SolveOptions(grid_n=2001)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(th.solver, "sample_source", counting_sample_source)
-            nested = th.oracle_solve(p, opts)
-        assert len(fine) <= 3
+        nested = th.oracle_solve(p, opts)
+        assert rk4_passes[2001] <= 3
         monkeypatch.setattr(th.solver, "_NEST_FLOOR", math.inf)
         assert np.max(np.abs(nested.values - th.oracle_solve(p, opts).values)) <= 1e-10
 
@@ -1186,22 +1205,15 @@ class TestOracle:
         with pytest.raises(th.ConvergenceError, match=re.escape(f"bracket ({d1!r}, inf) collapsed after 1 passes")):
             th.oracle_solve(p, opts)
 
-    def test_coarse_levels_get_a_pass_budget(self, monkeypatch):
+    def test_coarse_levels_get_a_pass_budget(self, rk4_passes):
         # unbudgeted, n = 201 spends about 48 passes here before its bracket
         # collapses; with 25 it gives up sooner and n = 2001 starts from u_a
-        counts = collections.Counter()
-
-        def counting_sample_source(problem, u):
-            counts[u.grid.n] += 1
-            return sample_source(problem, u)
-
-        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
         f = th.parse_expr("0.01 + 0.005*sin(u)")
         p = th.ThermistorProblem(1.0, 2.0, 20.0, th.Alpha(0.3), 0.1, f)
         th.oracle_solve(p, th.SolveOptions(grid_n=2001))
-        assert counts[201] <= 26  # 25 passes and one constant start
-        assert counts[41] <= 26
-        assert counts[21] <= 26
+        assert rk4_passes[201] <= 25
+        assert rk4_passes[41] <= 25
+        assert rk4_passes[21] <= 25
 
     @settings(max_examples=25, deadline=None)
     @given(lam=st.floats(0.5, 8.0), alpha=st.floats(0.3, 1.0))
@@ -1240,24 +1252,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     @pytest.mark.parametrize("lam", [20.0, 40.0])
-    def test_collapsed_bracket_fails_fast(self, lam, alpha, monkeypatch):
+    def test_collapsed_bracket_fails_fast(self, lam, alpha, rk4_passes):
         # the RK4 step is outside its stability region here (n = 201), so
         # D(traj(D)) jumps across its root and bisection runs out of floats
-        # long before max_iter; each pass samples the source once, after
-        # one sample of the constant start (the 21-node level fails first)
-        samples = []
-
-        def counting_sample_source(problem, u):
-            if u.grid.n == 201:
-                samples.append(u)
-            return sample_source(problem, u)
-
-        monkeypatch.setattr(th.solver, "sample_source", counting_sample_source)
+        # long before max_iter
         f = th.parse_expr("0.01 + 0.005*sin(u)")
         p = th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(alpha), 0.1, f)
         with pytest.raises(th.ConvergenceError) as exc:
             th.oracle_solve(p, th.SolveOptions(grid_n=201, max_iter=100))
-        passes = len(samples) - 1
+        passes = rk4_passes[201]
         assert passes < 100
         m = re.fullmatch(
             r"oracle denominator bracket \((\S+), (\S+)\) collapsed after (\d+) passes without "
@@ -1362,20 +1365,22 @@ class TestInlinedPass:
     def test_agrees_with_the_checked_pass(self, src, a, n, scale, alpha, u_a):
         e = th.parse_expr(src)
         grid = th.Grid(a, a + 1.0, n)
-        args = (grid.nodes[:-1].tolist(), grid.h, scale, alpha - 1.0, u_a)
+        args = (grid.nodes[:-1].tolist(), float(grid.nodes[-1]), grid.h, scale, alpha - 1.0, u_a)
         try:
-            got, guard = e.inlined(_RK4_PASS)(*args)
+            got, got_samples, guard = e.inlined(_RK4_PASS)(*args)
         except (ZeroDivisionError, ValueError, OverflowError):
             guard = math.nan
-        # oracle_solve keeps the inlined pass only where it is finite
-        kept = math.isfinite(guard)
+        # oracle_solve keeps the inlined pass only where it is finite, and
+        # takes D from its samples only where the last one is finite too
+        kept = math.isfinite(guard) and math.isfinite(got_samples[-1])
         try:
-            want = _reference_rk4_pass(e.scalar, *args)
+            want, want_samples = _reference_rk4_pass(e.scalar, *args)
         except EvalError:
             assert not kept
             return
         if kept:
             assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert [x.hex() for x in got_samples] == [x.hex() for x in want_samples]
 
     @pytest.mark.parametrize(
         "src, span",
@@ -1385,7 +1390,7 @@ class TestInlinedPass:
     def test_a_masked_overflow_raises_the_checked_error(self, src, span):
         e = th.parse_expr(src)
         grid = th.Grid(1.0, 2.0, 2001)
-        traj, guard = e.inlined(_RK4_PASS)(grid.nodes[:-1].tolist(), grid.h, 0.25, -0.5, 1e-300)
+        traj, _, guard = e.inlined(_RK4_PASS)(grid.nodes[:-1].tolist(), 2.0, grid.h, 0.25, -0.5, 1e-300)
         # unguarded, the pass would return a finite trajectory
         assert all(map(math.isfinite, traj)) and max(traj) > 0.1
         assert not math.isfinite(guard)
