@@ -145,23 +145,19 @@ def conformable_derivative(u: GridFunction, alpha: Alpha | float) -> GridFunctio
     Computes ``t**(1 - alpha)`` times the second-order finite-difference
     derivative.  Constants are annihilated exactly, and at ``alpha = 1``
     the output is bitwise identical to the plain difference stencil.
-    Raises ValueError naming the first node, and its ``t``, where a
-    difference overflows; numpy warns of nothing.
+    Raises the ValueError of ``_derivative``, named "conformable
+    derivative", where a difference overflows.
     """
-    al = _alpha_value(alpha)
+    return GridFunction(u.grid, _derivative(u.values, u.grid, _alpha_value(alpha), "conformable derivative"))
+
+
+def _derivative(values: np.ndarray, grid: Grid, alpha: float, what: str) -> np.ndarray:
+    """The nodal values of ``conformable_derivative``, computed with numpy's
+    warnings off; raises ValueError naming ``what`` and the first node, and
+    its ``t``, where a difference overflows."""
     with np.errstate(all="ignore"):
-        values = _derivative(u.values, u.grid, al)
-    try:
-        return GridFunction(u.grid, values)
-    except ValueError:  # not finite: name the node in the derivative's own terms
-        _check_finite(values, u.grid.nodes, "conformable derivative")
-        raise
-
-
-def _derivative(values: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
-    """The nodal values of ``conformable_derivative``, inf or NaN where a
-    difference overflows; numpy warns there unless the caller quiets it."""
-    return np.power(grid.nodes, 1.0 - alpha) * _stencil_derivative(values, grid.h)
+        d = np.power(grid.nodes, 1.0 - alpha) * _stencil_derivative(values, grid.h)
+    return _check_finite(d, grid.nodes, what)
 
 
 def trapezoid(values: np.ndarray, h: float) -> float | np.ndarray:

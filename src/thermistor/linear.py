@@ -16,8 +16,8 @@ on the grid and ``alpha`` (the panel weights, the scan blocks with their
 rescaling factors, and the decay of ``x0``) as read-only arrays, and
 keeps the last three plans in a cache: the Picard iteration solves on one
 grid and order many times in a row, and a nested Picard solve runs on
-three grids in turn from 10001 nodes.  ``_scan`` does the work that
-depends on ``g``, on one row of values or on a ``(rows, n)`` array of them.
+three grids in turn from 10001 nodes.  ``_scan`` does the work that depends
+on ``g``, one row or a ``(rows, n)`` array, and names a node that overflows.
 """
 
 from __future__ import annotations
@@ -79,10 +79,11 @@ def _plan(grid: Grid, al: float) -> _Plan:
     return _Plan(a**al, _frozen(em), _frozen(slope), tuple(blocks), _frozen(decay))
 
 
-def _scan(plan: _Plan, g_values: np.ndarray, x0: float) -> np.ndarray:
-    """The ``g``-dependent part of ``solve_linear`` on the last axis of
-    ``g_values``, one row per leading index; overflow shows up as inf or nan
-    in the result, which the callers check.  Callers turn numpy's warnings off."""
+def _scan(grid: Grid, al: float, g_values: np.ndarray, x0: float) -> np.ndarray:
+    """``solve_linear`` on ``grid`` at order ``al``, through the cached ``_plan``, for
+    each row of ``g_values``; raises ValueError naming the first node, in row order,
+    where the solution is not finite.  Callers turn numpy's warnings off."""
+    plan = _plan(grid, al)
     # G is g rescaled so that d(phi) absorbs the t**(alpha-1) integration weight.
     big_g = plan.scale * g_values
     panel = np.diff(big_g, axis=-1)
@@ -102,7 +103,7 @@ def _scan(plan: _Plan, g_values: np.ndarray, x0: float) -> np.ndarray:
     x[..., 0] = x0
     np.multiply(plan.decay, x0, out=x[..., 1:])
     x[..., 1:] += panel
-    return x
+    return _check_finite(x, grid.nodes, "solve_linear: solution")
 
 
 def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFunction:
@@ -135,13 +136,11 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
         The solution as a GridFunction on the same grid.
 
     Raises:
-        ValueError: if the solution stops being finite (the first
-            offending node is named).
+        ValueError: the error of ``_scan`` if the solution stops being
+            finite (the first offending node is named).
     """
-    grid = g.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _scan(_plan(grid, _alpha_value(alpha)), g.values, x0)
-    return GridFunction(grid, _check_finite(x, grid.nodes, "solve_linear: solution"))
+        return GridFunction(g.grid, _scan(g.grid, _alpha_value(alpha), g.values, x0))
 
 
 def linear_residual(x: GridFunction, g: GridFunction, alpha: Alpha | float) -> float:

@@ -86,6 +86,12 @@ class ThermistorProblem:
         return Grid(self.a, self.T, n)
 
 
+def _check_span(problem: ThermistorProblem, grid: Grid, what: str) -> None:
+    """Raises ValueError, "``what`` does not span the problem interval", unless ``grid`` spans [a, T]."""
+    if grid.a != problem.a or grid.T != problem.T:
+        raise ValueError(f"{what} does not span the problem interval")
+
+
 def _source(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``f`` on the nodes ``t`` along ``u``, one row of values or a
     ``(rows, n)`` array of them, as an array of the shape of ``u``."""
@@ -134,9 +140,11 @@ def evaluate_g(problem: ThermistorProblem, u: GridFunction) -> GridFunction:
     Scaling ``f`` by a constant ``c`` scales the output by ``1/c``: the
     numerator gains ``c`` and the squared integral gains ``c**2``.  Where
     the integral or its square overflows, ``g = 0`` exactly: the true ``g``
-    is then below ``lambda * f / 1.8e308``.  The one-row call of ``_g_rows``,
-    with numpy's floating-point warnings off, whose errors it raises.
+    is then below ``lambda * f / 1.8e308``.  Raises ValueError for a grid off
+    [a, T]; otherwise the one-row call of ``_g_rows``, with numpy's
+    floating-point warnings off, whose errors it raises.
     """
+    _check_span(problem, u.grid, "evaluate_g: grid")
     with np.errstate(all="ignore"):
         g = _g_rows(problem.f, u.grid.nodes[None], u.values[None], problem.lam, u.grid.h)
     return GridFunction(u.grid, g[0])

@@ -45,9 +45,9 @@ three levels.  Each runs its levels in one loop: ``_picard_rows`` calls
 ``_iterate`` once per level on plain ``(rows, n)`` arrays,
 ``oracle_solve`` calls ``_oracle_settle``.  The oracle shares no
 stencils, quadrature weights, or exponential identities with the main
-path (the two share only the ladder and the step that pick a starting
-value), which is what makes the cross-checks in the test suite
-meaningful.
+path (only the ladder and the step that pick a starting value, and
+``sample_source`` and ``_check_positive`` for its start and error names),
+which is what makes the cross-checks in the test suite meaningful.
 """
 
 from __future__ import annotations
@@ -57,18 +57,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, _check_finite, _check_integer, conformable_derivative
+from .conformable import Grid, GridFunction, _check_integer, conformable_derivative
 from .expressions import Expr, _Body
 from .model import (
     SourceBounds,
     SourcePositivityError,
     ThermistorProblem,
+    _check_positive,
+    _check_span,
     _g_rows,
     bounds_estimate,
     evaluate_g,
     sample_source,
 )
-from .linear import _plan, _scan
+from .linear import _scan
 from .tube import Tube, TubeReport, _project, default_condition_tol, membership, verify_tube
 
 __all__ = [
@@ -159,8 +161,7 @@ def apply_k(u: GridFunction, tube: Tube, problem: ThermistorProblem) -> GridFunc
     """
     if u.grid != tube.grid:
         raise ValueError("apply_k: u is not on the tube's grid")
-    if tube.grid.a != problem.a or tube.grid.T != problem.T:
-        raise ValueError("apply_k: tube grid does not span the problem interval")
+    _check_span(problem, tube.grid, "apply_k: tube grid")
     rows = (row[None] for row in (u.grid.nodes, u.values, tube.v.values, tube.M.values))
     with np.errstate(all="ignore"):
         return GridFunction(u.grid, _k_rows(problem, u.grid, *rows, problem.lam)[0])
@@ -169,7 +170,9 @@ def apply_k(u: GridFunction, tube: Tube, problem: ThermistorProblem) -> GridFunc
 def equation_residual(u: GridFunction, problem: ThermistorProblem) -> tuple[np.ndarray, np.ndarray]:
     """``g(t, u)`` and the per-node residual ``u^(alpha) - g(t, u)``; both are
     NaN if ``f`` cannot be sampled along ``u`` (the final iterate of a solve is
-    not truncated, so it may leave the region where ``f`` is positive)."""
+    not truncated, so it may leave the region where ``f`` is positive), but a
+    grid off [a, T] raises the ValueError of ``evaluate_g``."""
+    _check_span(problem, u.grid, "evaluate_g: grid")  # an error, not NaN
     try:
         g = evaluate_g(problem, u).values
     except ValueError:
@@ -391,13 +394,12 @@ def _k_rows(
 ) -> np.ndarray:
     """``apply_k`` on each row of ``u``, with nodes ``t``, centers ``v``, radii
     ``m`` and couplings ``lam`` (shape ``(rows, 1)``).  Raises the error of
-    ``_g_rows``, or ValueError naming the node if the solve is not finite,
-    for the first row that fails.  Callers turn numpy's warnings off."""
+    ``_g_rows``, or that of ``_scan`` if the solve is not finite, for the
+    first row that fails.  Callers turn numpy's warnings off."""
     trunc = _project(u, v, m)
     g = _g_rows(problem.f, t, trunc, lam, grid.h)
     g += trunc / (problem.a**problem.alpha.value)  # the right-hand side g + u~ / a**alpha
-    x = _scan(_plan(grid, problem.alpha.value), g, problem.u_a)
-    return _check_finite(x, grid.nodes, "solve_linear: solution")
+    return _scan(grid, problem.alpha.value, g, problem.u_a)
 
 
 # The oracle settles D on the _levels of these divisors and this floor, the
@@ -461,11 +463,11 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     uniform grid of ``opts.grid_n`` nodes, holding the squared integral D
     fixed, then recomputes D from the new trajectory: the square of the
     trapezoid rule, in Python floats, over the pass's own samples of ``f``,
-    each step's stage-1 value and ``f`` at the last node.  Where a sample
-    is not positive or that integral is not finite, ``sample_source`` takes
-    ``f`` along the trajectory again, and raises its SourcePositivityError
-    or gives the samples of an overflowed D.  The first D, from the constant
-    ``u_a``, is ``sample_source``'s samples through the same trapezoid rule.
+    each step's stage-1 value and ``f`` at the last node.  A sample that is
+    not positive and finite raises ``_check_positive``'s SourcePositivityError
+    naming its node, and an integral of good samples that overflows gives an
+    overflowed D.  The first D, from the constant ``u_a``, is the samples of
+    ``sample_source``, its only call, through the same trapezoid rule.
     The trajectory is returned once its frozen D reproduces itself within
     ``tol_fp * min(1, D)``: an absolute test for ``D >= 1`` and a relative
     one below, so that a source close to zero still settles to the same
@@ -540,7 +542,8 @@ def _oracle_settle(
     ``below``, finest first, and the differences ``slope = (dD, dF)`` in D
     and in ``F(D)`` that give the last secant slope of ``below[0]`` (NaN
     without one), as ``oracle_solve`` says; returns the settled trajectory,
-    one float per node, its frozen D, and its own last ``slope``.
+    one float per node, its frozen D, and its own last ``slope``.  One
+    closure forms and checks every D; ``sample_source`` runs only at a start.
     """
     starts = grid.nodes[:-1].tolist()  # each RK4 step's start time, as a float
     end = float(grid.nodes[-1])
@@ -552,14 +555,14 @@ def _oracle_settle(
     f = source.scalar if isinstance(source, Expr) else source
     checked = None  # _RK4_PASS with f bound, built on the first redo
 
-    def integral(samples: list) -> float:
-        # the trapezoid rule in Python floats, which overflow to inf and turn
-        # inf - inf into NaN without a warning (a plain f may give numpy floats)
-        return h * (float(sum(samples)) - 0.5 * (float(samples[0]) + float(samples[-1])))
-
-    def denominator(u) -> float:
-        # f sampled along u by sample_source, which raises its named error
-        value = integral(sample_source(problem, GridFunction(grid, u)).tolist())
+    def denominator(u, samples: list) -> float:
+        # the squared trapezoid rule in Python floats, which overflow to inf
+        # and turn inf - inf into NaN without a warning (a plain f may give
+        # numpy floats); _check_positive raises the named error of a sample
+        # that is not positive and finite, and good samples may overflow D
+        value = h * (float(sum(samples)) - 0.5 * (float(samples[0]) + float(samples[-1])))
+        if not (min(samples) > 0.0 and math.isfinite(value)):
+            _check_positive(grid.nodes, np.array(u), np.array(samples, dtype=float))
         return value * value
 
     dd, df = slope
@@ -569,7 +572,8 @@ def _oracle_settle(
         if math.isfinite(extrapolated) and extrapolated > 0.0:
             d_sq = extrapolated
     else:
-        d_sq = denominator(np.full(grid.n, problem.u_a))
+        constant = GridFunction.constant(grid, problem.u_a)
+        d_sq = denominator(constant.values, sample_source(problem, constant).tolist())
         if not d_sq > 0.0:
             raise ConvergenceError(f"oracle denominator underflowed to D = {d_sq!r} on the start u = u_a")
 
@@ -590,10 +594,7 @@ def _oracle_settle(
                 f"oracle trajectory overflowed at node {i} (t={float(grid.nodes[i])!r}) with D = {d_sq!r} frozen"
             )
 
-        value = integral(samples)
-        # a sample that is not positive and finite, or an integral that
-        # overflowed: sample_source raises the error, or D overflows
-        new_d = value * value if min(samples) > 0.0 and math.isfinite(value) else denominator(traj)
+        new_d = denominator(traj, samples)
         step = new_d - d_sq
         if passes > 1:
             dd, df = d_sq - prev_d, step - prev_step

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, _check_finite, _derivative, conformable_cumulative_integral, trapezoid
-from .model import ThermistorProblem, evaluate_g, nonlocal_rhs, sample_source
+from .conformable import Grid, GridFunction, _derivative, conformable_cumulative_integral, trapezoid
+from .model import ThermistorProblem, _check_span, evaluate_g, nonlocal_rhs, sample_source
 
 __all__ = [
     "Tube",
@@ -139,25 +139,19 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
 
     Initial condition: ``|u_a - v(a)| <= M(a) + tol``.
 
-    Raises SourcePositivityError if ``f`` is nonpositive along the center
-    or either boundary sheet, since the model's hypothesis fails there,
-    and ValueError naming the center or the radius and the node where its
-    conformable derivative overflows.
+    Raises ValueError if the grid does not span [a, T] or a derivative
+    overflows (naming "tube center derivative" or "tube radius derivative"
+    and the node), and SourcePositivityError if ``f`` is nonpositive along
+    the center or either boundary sheet, where the model's hypothesis fails.
     """
-    if tube.grid.a != problem.a or tube.grid.T != problem.T:
-        raise ValueError("tube grid does not span the problem interval")
+    _check_span(problem, tube.grid, "tube grid")
     grid = tube.grid
     tol = default_condition_tol(grid)
 
-    al = problem.alpha
     v = tube.v
     m = tube.M
-    # quiet: a derivative that overflows is the error named below
-    with np.errstate(all="ignore"):
-        dv = _derivative(v.values, grid, al.value)
-        dm = _derivative(m.values, grid, al.value)
-    _check_finite(dv, grid.nodes, "tube center derivative")
-    _check_finite(dm, grid.nodes, "tube radius derivative")
+    dv = _derivative(v.values, grid, problem.alpha.value, "tube center derivative")
+    dm = _derivative(m.values, grid, problem.alpha.value, "tube radius derivative")
 
     weights = np.full(grid.n, grid.h)
     weights[0] = weights[-1] = 0.5 * grid.h
@@ -222,8 +216,7 @@ def closed_form_center(problem: ThermistorProblem, grid: Grid) -> GridFunction:
     source this returns the center of the frozen-trajectory linearisation
     instead of an exact solution.
     """
-    if grid.a != problem.a or grid.T != problem.T:
-        raise ValueError("closed_form_center: grid does not span the problem interval")
+    _check_span(problem, grid, "closed_form_center: grid")
     seed = GridFunction.constant(grid, problem.u_a)
     g = evaluate_g(problem, seed)
     integral = conformable_cumulative_integral(g, problem.alpha)

@@ -1,6 +1,7 @@
 """Problem container, source sampling, and the nonlocal right-hand side."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +157,29 @@ class TestEvaluateG:
         p = sin_problem()
         g = th.evaluate_g(p, th.GridFunction.constant(p.grid(51), 0.1))
         assert np.all(g.values > 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p, u, tube: th.evaluate_g(p, u), "evaluate_g: grid"),
+        (lambda p, u, tube: th.ode_residual(u, p), "evaluate_g: grid"),
+        (lambda p, u, tube: th.apply_k(u, tube, p), "apply_k: tube grid"),
+        (lambda p, u, tube: th.verify_tube(tube, p), "tube grid"),
+        (lambda p, u, tube: th.closed_form_center(p, u.grid), "closed_form_center: grid"),
+    ],
+    ids=["evaluate_g", "ode_residual", "apply_k", "verify_tube", "closed_form_center"],
+)
+@pytest.mark.parametrize("a, T", [(1.0, 3.0), (0.5, 2.0)])
+def test_each_caller_names_a_grid_off_the_interval(call, message, a, T):
+    # on [1, 3] the integral of f doubles, so g = lambda*f/D**2 along u = 0.1
+    # would read 0.119 instead of the 0.476 of the problem's own [1, 2]
+    p = sin_problem()
+    grid = th.Grid(a, T, 51)
+    u = th.GridFunction.constant(grid, 0.1)
+    tube = th.Tube(u, th.GridFunction.constant(grid, 1.0))
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)} does not span the problem interval$"):
+        call(p, u, tube)
 
 
 def band(grid, v_value, m_value):

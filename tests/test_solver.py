@@ -997,22 +997,95 @@ class TestOracle:
         out = th.oracle_solve(p, opts)
         assert np.max(np.abs(out.values - _nested_reference_oracle(p, opts, numpy_d=True)[0])) <= 1e-12
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_a_source_bad_only_at_the_last_node_names_it(self, bad):
-        # only the pass's last sample, f(T, u(T)), sees the bad value: on
-        # [1, 2.2] the last step's stage 4 is at t = 2.1999999999999997
+    @staticmethod
+    def _bad_sample_error(bad, node, reference, monkeypatch):
+        """The SourcePositivityError of ``oracle_solve`` at n = 2001 on [1, 2.2]
+        for ``f = 2 + sin(u)``, but ``bad`` at the ``node``-th time off the
+        constant start ``u = u_a``, so that an RK4 pass's own sample sees it
+        first.  It must name the node, say what the ``reference`` loop says,
+        which takes f along the trajectory again by ``sample_source``, and
+        take no such sample itself: every ``sample_source`` call is along a
+        constant start."""
+        grid = th.Grid(1.0, 2.2, 2001)
+        t_bad = float(grid.nodes[node])
+
         def source(t, u):
-            return np.where(np.asarray(t) == 2.2, bad, sin_offset_source(t, u))
+            off_start = (np.asarray(t) == t_bad) & (np.asarray(u) != 0.1)
+            with np.errstate(invalid="ignore"):  # sin(inf) after a coarse stage 4 at t = 2.2
+                return np.where(off_start, bad, sin_offset_source(t, u))
 
         p = th.ThermistorProblem(1.0, 2.2, 1.0, th.Alpha(0.6), 0.1, source)
-        grid = p.grid(2001)
-        assert grid.nodes[-2] + grid.h != grid.nodes[-1] == 2.2
+        opts = th.SolveOptions(grid_n=2001)
+        with pytest.raises(th.SourcePositivityError) as expected:
+            reference(p, opts)
+        along = []
+        sample = th.solver.sample_source
+
+        def recording_sample(problem, u):
+            along.append(set(u.values.tolist()))
+            return sample(problem, u)
+
+        monkeypatch.setattr(th.solver, "sample_source", recording_sample)
         with pytest.raises(th.SourcePositivityError) as exc:
-            th.oracle_solve(p, th.SolveOptions(grid_n=2001))
-        assert exc.value.node == 2000
+            th.oracle_solve(p, opts)
+        assert exc.value.node == node
+        assert str(exc.value) == str(expected.value)
+        assert along and all(values == {p.u_a} for values in along)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_a_source_bad_only_at_the_last_node_names_it(self, bad, monkeypatch):
+        # only a pass's last sample, f(T, u(T)), sees the bad value: on
+        # [1, 2.2] the last step's stage 4 is at t = 2.1999999999999997; every
+        # coarse level fails there too, so n = 2001 starts from u = u_a
+        grid = th.Grid(1.0, 2.2, 2001)
+        assert grid.nodes[-2] + grid.h != grid.nodes[-1] == 2.2
+        message = self._bad_sample_error(bad, 2000, _reference_oracle, monkeypatch)
         fault = "overflowed" if bad == math.inf else "must be strictly positive"
-        assert str(exc.value).startswith(f"H1 violated: f(t, u) {fault}, got f(2.2, ")
-        assert str(exc.value).endswith(f") = {bad!r} at node 2000")
+        assert message.startswith(f"H1 violated: f(t, u) {fault}, got f(2.2, ")
+        assert message.endswith(f") = {bad!r} at node 2000")
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_a_source_bad_only_at_a_middle_node_names_it(self, bad, monkeypatch):
+        # only the stage-1 sample of node 1004 sees the bad value: the stage 4
+        # of the step before it ends just off that node, and no coarse level
+        # has a node there; an inf or NaN stage would overflow the trajectory
+        grid = th.Grid(1.0, 2.2, 2001)
+        assert grid.nodes[1003] + grid.h != grid.nodes[1004]
+        message = self._bad_sample_error(bad, 1004, _nested_reference_oracle, monkeypatch)
+        assert message.startswith(f"H1 violated: f(t, u) must be strictly positive, got f({float(grid.nodes[1004])!r}, ")
+        assert message.endswith(f") = {bad!r} at node 1004")
+
+    @pytest.mark.parametrize(
+        "f, lam, alpha, constant_starts",
+        [
+            (sin_offset_source, 1.0, 0.7, [21]),
+            (th.parse_expr("0.01 + 0.005*sin(u)"), 1.0, 0.7, [21, 41]),
+            (th.parse_expr("0.01 + 0.005*sin(u)"), 20.0, 0.3, [21, 41, 201, 2001]),
+        ],
+        ids=["all-settle", "coarsest-fails", "all-coarse-fail"],
+    )
+    def test_sample_source_is_called_once_per_constant_start(self, f, lam, alpha, constant_starts, monkeypatch):
+        # a level with no settled level below starts from u = u_a; the
+        # benchmark counts the oracle's passes by these sample_source calls
+        p = th.ThermistorProblem(1.0, 2.0, lam, th.Alpha(alpha), 0.1, f)
+        starts, sampled = [], []
+        settle, sample = th.solver._oracle_settle, th.solver.sample_source
+
+        def recording_settle(problem, grid, max_iter, opts, below, slope):
+            if not below:
+                starts.append(grid.n)
+            return settle(problem, grid, max_iter, opts, below, slope)
+
+        def recording_sample(problem, u):
+            sampled.append(u.grid.n)
+            return sample(problem, u)
+
+        monkeypatch.setattr(th.solver, "_oracle_settle", recording_settle)
+        monkeypatch.setattr(th.solver, "sample_source", recording_sample)
+        th.oracle_solve(p, th.SolveOptions(grid_n=2001))
+        assert starts == constant_starts
+        assert sampled == starts
 
     def test_rk4_stages_skip_the_expression_dispatch(self, monkeypatch, rk4_passes):
         # the RK4 passes inline f and take D from their own samples;
