@@ -245,7 +245,9 @@ class Expr:
         If ``fn`` raises no ZeroDivisionError, ValueError or OverflowError and
         ``guard`` and every value of a call stay finite, the float-mode
         function would have raised nothing and given the same values
-        (``_MASKING`` says why).
+        (``_MASKING`` says why).  The oracle's ``solver._RK4_PASS`` returns
+        ``guard`` plus its last value and its last sample, which every value
+        of a call reaches, so that one finite sum covers the whole pass.
         """
         cached = self._inlined_fn
         if cached is None or cached[0] is not template:

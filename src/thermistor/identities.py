@@ -2,17 +2,19 @@
 
 Four identities, each with a grid-resolution story:
 
-* constant rule: the derivative of a constant is exactly zero;
-* roundtrip: differentiating the running integral recovers the integrand
+* constant rule: the conformable derivative of a constant is exactly zero;
+* roundtrip: differentiating the running conformable integral of ``sin``
+  recovers ``sin`` at second order;
+* linear residual: the closed-form linear solve's equation residual decays
   at second order;
-* closed form: the linear solve's equation residual decays at second
-  order;
-* classical limit: at ``alpha = 1`` the conformable derivative equals the
-  plain difference stencil output bitwise.
+* classical limit: at ``alpha = 1`` the conformable derivative equals
+  numpy's central difference, ``np.gradient``, bitwise at the interior
+  nodes.  That stencil is numpy's own, so a changed stencil here shows; the
+  ends, where numpy uses another one-sided formula, are left out.
 
-``identity_table`` evaluates all of them over an (alpha, n) lattice and
-``table_passes`` applies the acceptance thresholds (orders >= 1.8,
-constant rule <= 1e-12, exact classical match).
+``identity_table`` evaluates all of them over an (alpha, n) lattice, one
+ladder of grid sizes per alpha, and ``table_passes`` applies the acceptance
+thresholds (orders >= 1.8, constant rule <= 1e-12, exact classical match).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, _stencil_derivative, conformable_cumulative_integral, conformable_derivative
+from .conformable import Grid, GridFunction, conformable_cumulative_integral, conformable_derivative
 from .linear import linear_residual, solve_linear
 
 __all__ = [
@@ -51,6 +53,11 @@ _ROUNDTRIP_SPAN = (1.0, 4.0)
 _LINEAR_SPAN = (1.0, 2.0)
 _LINEAR_X0 = 1.0
 _CONSTANT = 3.7
+# each order's error column, its own column and the span of its grids
+_ORDERS = (
+    ("roundtrip_error", "roundtrip_order", _ROUNDTRIP_SPAN),
+    ("linear_residual", "linear_residual_order", _LINEAR_SPAN),
+)
 
 
 def _order(err_coarse: float, err_fine: float, h_coarse: float, h_fine: float) -> float:
@@ -59,14 +66,44 @@ def _order(err_coarse: float, err_fine: float, h_coarse: float, h_fine: float) -
     return math.log(err_coarse / err_fine) / math.log(h_coarse / h_fine)
 
 
+def _rung(alpha: float, n: int) -> dict[str, object]:
+    """One row of the table: the four identity errors on ``n`` nodes, with
+    empty order cells and, off ``alpha = 1``, an empty classical cell."""
+    grid = Grid(*_ROUNDTRIP_SPAN, n)
+    f = GridFunction(grid, np.sin(grid.nodes))
+    recovered = conformable_derivative(conformable_cumulative_integral(f, alpha), alpha)
+    constant = conformable_derivative(GridFunction.constant(grid, _CONSTANT), alpha)
+    grid_lin = Grid(*_LINEAR_SPAN, n)
+    g = GridFunction(grid_lin, np.sin(grid_lin.nodes))
+    residual = linear_residual(solve_linear(g, _LINEAR_X0, alpha), g, alpha)
+    classical = ""
+    if alpha == 1.0:
+        # numpy's stencil, not this package's; at the ends numpy's formula is another one
+        interior = (conformable_derivative(f, 1.0).values - np.gradient(f.values, grid.h))[1:-1]
+        classical = float(np.max(np.abs(interior)))
+    return {
+        "alpha": alpha,
+        "n": n,
+        "h": grid.h,
+        "constant_rule_error": float(np.max(np.abs(constant.values))),
+        "roundtrip_error": float(np.max(np.abs(recovered.values - f.values))),
+        "roundtrip_order": "",
+        "linear_residual": residual,
+        "linear_residual_order": "",
+        "classical_match_error": classical,
+    }
+
+
 def identity_table(
     alphas: tuple[float, ...] = DEFAULT_ALPHAS,
     sizes: tuple[int, ...] = DEFAULT_SIZES,
 ) -> list[dict[str, object]]:
     """One row per (alpha, n) with errors and empirical orders.
 
-    Order cells are empty strings on the first rung of each ladder; the
-    classical-match column is filled only at ``alpha = 1``.
+    Each alpha's rows are one ladder over ``sizes``; a rung's orders come
+    from its errors and those of the rung before, on each identity's own
+    grids.  Order cells are empty strings on the first rung of each ladder;
+    the classical-match column is filled only at ``alpha = 1``.
     """
     if len(sizes) < 2:
         raise ValueError("identity table needs at least two grid sizes for orders")
@@ -75,53 +112,11 @@ def identity_table(
         raise ValueError(f"identity table grid sizes must be distinct, got {tuple(sizes)}")
     rows: list[dict[str, object]] = []
     for alpha in alphas:
-        prev: dict[str, float] | None = None
-        for n in sizes:
-            grid_rt = Grid(_ROUNDTRIP_SPAN[0], _ROUNDTRIP_SPAN[1], n)
-            f = GridFunction(grid_rt, np.sin(grid_rt.nodes))
-            running = conformable_cumulative_integral(f, alpha)
-            recovered = conformable_derivative(running, alpha)
-            roundtrip_err = float(np.max(np.abs(recovered.values - f.values)))
-
-            const = GridFunction.constant(grid_rt, _CONSTANT)
-            const_err = float(np.max(np.abs(conformable_derivative(const, alpha).values)))
-
-            grid_lin = Grid(_LINEAR_SPAN[0], _LINEAR_SPAN[1], n)
-            g = GridFunction(grid_lin, np.sin(grid_lin.nodes))
-            x = solve_linear(g, _LINEAR_X0, alpha)
-            lin_err = linear_residual(x, g, alpha)
-
-            classical = ""
-            if alpha == 1.0:
-                plain = _stencil_derivative(f.values, grid_rt.h)
-                conf = conformable_derivative(f, 1.0).values
-                classical = float(np.max(np.abs(conf - plain)))
-
-            row: dict[str, object] = {
-                "alpha": alpha,
-                "n": n,
-                "h": grid_rt.h,
-                "constant_rule_error": const_err,
-                "roundtrip_error": roundtrip_err,
-                "roundtrip_order": "",
-                "linear_residual": lin_err,
-                "linear_residual_order": "",
-                "classical_match_error": classical,
-            }
-            if prev is not None:
-                row["roundtrip_order"] = _order(
-                    prev["roundtrip_error"], roundtrip_err, prev["h_rt"], grid_rt.h
-                )
-                row["linear_residual_order"] = _order(
-                    prev["linear_residual"], lin_err, prev["h_lin"], grid_lin.h
-                )
-            prev = {
-                "roundtrip_error": roundtrip_err,
-                "linear_residual": lin_err,
-                "h_rt": grid_rt.h,
-                "h_lin": grid_lin.h,
-            }
-            rows.append(row)
+        ladder = [_rung(alpha, n) for n in sizes]
+        for coarse, fine in zip(ladder, ladder[1:]):
+            for error, order, span in _ORDERS:
+                fine[order] = _order(coarse[error], fine[error], Grid(*span, coarse["n"]).h, Grid(*span, fine["n"]).h)
+        rows += ladder
     return rows
 
 

@@ -413,14 +413,14 @@ _COARSE_PASSES = 25
 # One RK4 pass of u' = scale * t**exponent * f(t, u) from u = yi over the steps
 # that start at the times starts, each of length h, up to the last node, end.
 # It returns the trajectory, one float per node; the samples of f along it, one
-# per node: each step's stage-1 value and f(end, u(end)); and the guard plus
-# the last value.  A step's stage-4 weight is the next step's stage-1 weight.
-# It runs as Expr.inlined, with f's float-mode code unchecked at its five
-# calls, or with f bound to a callable that raises its own errors
-# (_Body.bound).  Once a stage value is not finite, every later one and the
-# last value are not either, as inf and NaN survive + and *; only the last
-# sample does not reach the last value, and the caller tests it.  So a finite
-# result of the inlined pass with a finite last sample means that the pass with
+# per node: each step's stage-1 value and f(end, u(end)), the last sample; and
+# the guard plus the last value and the last sample.  A step's stage-4 weight
+# is the next step's stage-1 weight.  It runs as Expr.inlined, with f's
+# float-mode code unchecked at its five calls, or with f bound to a callable
+# that raises its own errors (_Body.bound).  Once a stage value is not finite,
+# every later one and the last value are not either, as inf and NaN survive +
+# and *; the last sample does not reach the last value, so the returned sum
+# adds it too.  So a finite sum from the inlined pass means that the pass with
 # f bound to f.scalar would return the same trajectory and samples and raise
 # nothing.
 _RK4_PASS = """\
@@ -450,8 +450,9 @@ def fn(starts, end, h, scale, exponent, yi):
         yi = yi + sixth * (k1 + k4 + 2.0 * (k2 + k3))
         traj_append(yi)
         w_start = w_end
-    samples_append(f(end, yi))
-    return traj, samples, guard + yi
+    last = f(end, yi)
+    samples_append(last)
+    return traj, samples, guard + yi + last
 """
 
 

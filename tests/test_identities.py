@@ -1,7 +1,9 @@
 """Identity ladder table: shape, thresholds, and the pass verdict."""
 
+import numpy as np
 import pytest
 
+from thermistor.conformable import _stencil_derivative
 from thermistor.identities import (
     CSV_COLUMNS,
     DEFAULT_ALPHAS,
@@ -35,6 +37,22 @@ def test_classical_column_only_at_alpha_one():
         by_alpha.setdefault(row["alpha"], []).append(row)
     assert all(r["classical_match_error"] == "" for r in by_alpha[0.5])
     assert all(r["classical_match_error"] == 0.0 for r in by_alpha[1.0])
+
+
+def test_classical_limit_fails_on_a_changed_stencil(monkeypatch):
+    # the same central difference rounded another way, swapped into the
+    # stencil's own code so that every caller of it sees the change
+    def rounded_otherwise(values, h):
+        d = np.empty_like(values)
+        d[1:-1] = (values[2:] - values[:-2]) * (0.5 / h)
+        d[0] = (4.0 * (values[1] - values[0]) - (values[2] - values[0])) / (2.0 * h)
+        d[-1] = (4.0 * (values[-1] - values[-2]) - (values[-1] - values[-3])) / (2.0 * h)
+        return d
+
+    monkeypatch.setattr(_stencil_derivative, "__code__", rounded_otherwise.__code__)
+    rows = identity_table((1.0,), (101, 201, 401))
+    assert all(row["classical_match_error"] > 0.0 for row in rows)
+    assert not table_passes(rows)
 
 
 def test_constant_rule_exact_on_every_row():

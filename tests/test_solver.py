@@ -1443,9 +1443,9 @@ class TestInlinedPass:
             got, got_samples, guard = e.inlined(_RK4_PASS)(*args)
         except (ZeroDivisionError, ValueError, OverflowError):
             guard = math.nan
-        # oracle_solve keeps the inlined pass only where it is finite, and
-        # takes D from its samples only where the last one is finite too
-        kept = math.isfinite(guard) and math.isfinite(got_samples[-1])
+        # oracle_solve keeps the inlined pass only where its guard sum is
+        # finite, which covers the last sample too
+        kept = math.isfinite(guard)
         try:
             want, want_samples = _reference_rk4_pass(e.scalar, *args)
         except EvalError:
@@ -1471,6 +1471,22 @@ class TestInlinedPass:
         with pytest.raises(EvalError) as err:
             th.oracle_solve(p, th.SolveOptions(grid_n=2001))
         assert str(err.value) == f"evaluation error at bytes {span} ('(u*1e308*100)'): multiplication overflowed"
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.3])
+    def test_a_last_sample_that_overflows_raises_the_checked_error(self, alpha):
+        # f is 2 at every stage, and overflows only at the last node on u_end,
+        # the answer for f = 2, so that only the last sample f(T, u_end) sees it
+        p = th.ThermistorProblem(1.0, 2.2, 1.0, th.Alpha(alpha), 0.1, th.parse_expr("2"))
+        opts = th.SolveOptions(grid_n=201)
+        u_end = float(th.oracle_solve(p, opts).values[-1])
+        e = th.parse_expr(f"2 + 1e308*exp(-abs((u - {u_end!r})*1e14))*exp(-abs((t - 2.2)*1e17))*2")
+        # a plain callable, not an Expr, runs every pass checked
+        with pytest.raises(EvalError) as checked:
+            th.oracle_solve(replace(p, f=lambda t, u: e(t, u)), opts)
+        with pytest.raises(EvalError) as err:
+            th.oracle_solve(replace(p, f=e), opts)
+        assert str(err.value) == str(checked.value)
+        assert str(err.value).endswith("): multiplication overflowed")
 
     def test_the_deepest_division_chain_solves_as_its_value(self):
         # (2 + sin(u))/(1 + 0*u)/... is 2 + sin(u) bit for bit, 700 levels
