@@ -241,28 +241,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         groups.setdefault(point.alpha.value, []).append(i)
 
     # per point, the sweep.csv row and the tube report, or the error that
-    # solving the points one by one raises there; no point after the first
-    # error is built or solved
+    # solving the point alone raises there; every point is built and solved
+    # in its batch, and the outcomes are replayed below
     outcomes: list = [None] * len(points)
-    first_error = len(points)
     cap = max(1, _BATCH_NODES // grid.n)
     for members in groups.values():
         for start in range(0, len(members), cap):
             batch, tubes = [], []
             for i in members[start : start + cap]:
-                if i > first_error:
-                    break
                 try:
                     tubes.append(_build_tube(args, cfg, points[i], grid))
+                    batch.append(i)
                 except Exception as err:  # raised below, after the points before it
-                    outcomes[i], first_error = err, i
-                    break
-                batch.append(i)
-            if not batch:
-                continue
+                    outcomes[i] = err
             for i, report in zip(batch, _picard_rows([points[i] for i in batch], tubes, options)):
                 if isinstance(report, Exception):
-                    outcomes[i], first_error = report, min(first_error, i)
+                    outcomes[i] = report
                 else:
                     row = (points[i].lam, points[i].alpha.value, report.converged,
                            report.iterations, report.ode_residual, report.member_of_tube)

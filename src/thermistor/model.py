@@ -56,11 +56,12 @@ class ThermistorProblem:
         f: source term; called with (t, u) arrays of equal shape, of
             any number of dimensions, and expected to act node by node:
             the value at a node may depend only on ``t`` and ``u`` there
-            (config expressions qualify).  ``picard_solve`` and the
-            other public functions pass one row of nodes, or a lattice
-            (``bounds_estimate``); the CLI's sweep passes a ``(rows, n)``
-            array of iterates, one row per point, where a reduction such
-            as ``u.max()`` would mix the points.
+            (config expressions qualify).  ``picard_solve``, ``apply_k``
+            and ``evaluate_g`` pass a ``(1, n)`` array, ``sample_source``
+            one row of nodes, and ``bounds_estimate`` a lattice; the CLI's
+            sweep passes a ``(rows, n)`` array of iterates, one row per
+            point, where a reduction such as ``u.max()`` would mix the
+            points.
     """
 
     a: float
@@ -156,11 +157,11 @@ def _g_rows(f: SourceFn, t: np.ndarray, u: np.ndarray, lam: float | np.ndarray, 
 
     Raises, for the first row that fails the first check that fails, what
     ``f`` raises, SourcePositivityError if ``f`` is not positive and
-    finite, or ValueError naming the node if ``g`` is not finite.  A single
-    row is passed to ``f`` as one row of nodes.  Callers turn numpy's
-    warnings off, so that an integral that overflows is inf and gives 0.
+    finite, or ValueError naming the node if ``g`` is not finite.  Callers
+    turn numpy's warnings off, so that an integral that overflows is inf
+    and gives 0.
     """
-    fv = _check_positive(t, u, _source(f, t, u) if len(u) > 1 else _source(f, t[0], u[0])[None])
+    fv = _check_positive(t, u, _source(f, t, u))
     g = nonlocal_rhs(lam, fv, trapezoid(fv, h)[:, None])
     return _check_finite(g, t[0], "evaluate_g: g = lambda*f/D**2")
 

@@ -503,8 +503,9 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
     With no settled level below, the first D comes from the constant
     ``u_a`` and the first step is the plain one.  A coarse level settles
     nothing, and clears the levels settled below it, when it raises
-    ConvergenceError or SourcePositivityError (running out of passes
-    included).  Only the fine grid's outcome is returned or raised.
+    anything (running out of passes included), such as an EvalError at a
+    stage time that no fine pass samples.  Only the fine grid's outcome is
+    returned or raised.
 
     Raises ConvergenceError if D fails to settle within ``max_iter``
     passes, naming the last frozen D and the D its trajectory gave.  It is
@@ -524,7 +525,7 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
         try:
             _, d_sq, slope = _oracle_settle(problem, level, min(opts.max_iter, _COARSE_PASSES), opts, below, slope)
             below = [(level, d_sq), *below[:2]]
-        except (ConvergenceError, SourcePositivityError):
+        except Exception:  # a coarse level's failure; only the fine grid's is raised
             below, slope = [], (math.nan, math.nan)
     return GridFunction(grid, np.array(_oracle_settle(problem, grid, opts.max_iter, opts, below, slope)[0]))
 

@@ -11,7 +11,7 @@ import pytest
 
 import thermistor as th
 import thermistor.cli
-from thermistor.cli import SOLUTION_COLUMNS, SWEEP_COLUMNS, _build_tube, main
+from thermistor.cli import SOLUTION_COLUMNS, SWEEP_COLUMNS, main
 from thermistor.config import ConfigError, load_config
 from thermistor.identities import CSV_COLUMNS
 from thermistor.solver import _picard_rows
@@ -715,32 +715,33 @@ lambda = 0.01, 0.2, 1.0
         )
         assert not (tmp_path / "run").exists()
 
-    def test_no_point_after_the_first_error_is_built_or_solved(self, tmp_path, capsys, monkeypatch):
-        # with one row a batch, each tube is built just before its batch is
-        # solved, and the second point's error is known before the third
-        # point comes up, which is then skipped
-        calls = []
-
-        def building(args, cfg, problem, grid):
-            calls.append(("build", problem.lam))
-            return _build_tube(args, cfg, problem, grid)
+    def test_every_point_is_solved_before_the_first_error_is_raised(self, tmp_path, capsys, monkeypatch):
+        # with one row a batch, the third point is solved after the second
+        # point's error and fails as well; the replay still reports the first
+        # point's warning and then the second point's error
+        solved = []
 
         def solving(problems, tubes, opts):
-            calls.append(("solve", [p.lam for p in problems]))
+            solved.extend(p.lam for p in problems)
             return _picard_rows(problems, tubes, opts)
 
         monkeypatch.setattr(thermistor.cli, "_BATCH_NODES", 101)
-        monkeypatch.setattr(thermistor.cli, "_build_tube", building)
         monkeypatch.setattr(thermistor.cli, "_picard_rows", solving)
         cfg = write_cfg(tmp_path, self.DEAD_ZONE)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
-        assert capsys.readouterr().err.splitlines()[1].startswith("thermistor: error: iteration 7: ")
-        assert calls == [("build", 0.01), ("solve", [0.01]), ("build", 0.2), ("solve", [0.2])]
+        assert solved == [0.01, 0.2, 1.0]
+        assert capsys.readouterr().err.splitlines() == [
+            "thermistor: warning: tube conditions not satisfied "
+            "(boundary margin 0.010101010101010104 at node 0); solving anyway",
+            "thermistor: error: iteration 7: H1 violated: f(t, u) must be strictly positive, "
+            "got f(1.1, 0.46269451340722406) = -0.004433202680304859 at node 10",
+        ]
+        assert not (tmp_path / "run").exists()
 
     def test_tube_build_error_after_a_warned_point(self, tmp_path, capsys):
         # M decreases, so every tube fails verification; at lambda = 1e308
         # the closed-form center's lambda * f overflows and its tube cannot
-        # be built, which stops the sweep before lambda = 2
+        # be built, and the sweep reports that error before lambda = 2
         cfg = write_cfg(tmp_path, """\
 [problem]
 a = 1.0

@@ -24,9 +24,9 @@ from test_expressions import _SCALARS, _reference_eval, _sources
 
 
 def _reference_oracle_parts(problem, opts, numpy_d=False):
-    """The start D, from ``u = u_a``, and the RK4 pass of ``oracle_solve``
-    written out, with expression sources evaluated by the reference tree walk
-    instead of compiled.  ``rk4(D)`` gives the trajectory of a pass at the
+    """A function of no arguments that gives the start D, from ``u = u_a``,
+    and the RK4 pass of ``oracle_solve`` written out, with expression sources
+    evaluated by the reference tree walk instead of compiled.  ``rk4(D)`` gives the trajectory of a pass at the
     frozen D and the D of the pass's own samples of f: the squared trapezoid
     rule in Python floats over each step's stage-1 value and f at the last
     node, or over ``sample_source`` along the trajectory when a sample is not
@@ -81,7 +81,7 @@ def _reference_oracle_parts(problem, opts, numpy_d=False):
         value = integral(samples)
         return u, value * value if min(samples) > 0.0 and math.isfinite(value) else denominator(u)
 
-    return denominator(np.full(grid.n, problem.u_a)), rk4
+    return lambda: denominator(np.full(grid.n, problem.u_a)), rk4
 
 
 def _reference_rk4_pass(f, starts, end, h, scale, exponent, yi):
@@ -119,7 +119,7 @@ def _reference_oracle(problem, opts, start=None, numpy_d=False):
     the last secant (``None`` if there was none).  ``numpy_d`` selects the
     pass of ``_reference_oracle_parts``."""
     start_d, rk4 = _reference_oracle_parts(problem, opts, numpy_d)
-    d_sq, diffs = (start_d, None) if start is None else start
+    d_sq, diffs = (start_d(), None) if start is None else start
     lo, hi = 0.0, math.inf
     last = None
     for _ in range(opts.max_iter):
@@ -149,8 +149,8 @@ def _nested_reference_oracle(problem, opts, numpy_d=False):
     nodes, coarsest first, then on ``opts.grid_n`` nodes.
 
     A coarse level gets at most ``min(max_iter, 25)`` passes.  A level starts
-    from ``u = u_a`` when the level below it raised or there is none; from
-    the settled D and last secant of the level below when that level had no
+    from ``u = u_a`` when the level below it raised anything or there is none;
+    from the settled D and last secant of the level below when that level had no
     settled level below it; and otherwise from the same secant and the
     Richardson extrapolation of the settled D of the last two or three levels
     below, ``_reference_extrapolation``, unless that is not finite and
@@ -176,7 +176,7 @@ def _nested_reference_oracle(problem, opts, numpy_d=False):
         try:
             level = replace(opts, grid_n=m, max_iter=min(opts.max_iter, 25))
             _, d_sq, diffs = _reference_oracle(problem, level, start, numpy_d)
-        except (th.ConvergenceError, th.SourcePositivityError):
+        except Exception:
             below = []
         else:
             below = [(h, d_sq, diffs), *below[:2]]
@@ -205,7 +205,8 @@ def _reference_extrapolation(h, settled):
 def _plain_reference_oracle(problem, opts):
     """The plain substitution ``D <- D(traj(D))`` that ``oracle_solve`` ran
     before its secant loop."""
-    new_d, rk4 = _reference_oracle_parts(problem, opts)
+    start_d, rk4 = _reference_oracle_parts(problem, opts)
+    new_d = start_d()
     u = d_sq = None
     for _ in range(opts.max_iter):
         if d_sq is not None and abs(new_d - d_sq) <= opts.tol_fp:
@@ -628,27 +629,6 @@ class TestPicardRows:
             assert integral * integral == math.inf
             assert th.evaluate_g(problems[1], u).values.tolist() == [0.0] * grid.n
 
-    def test_one_row_passes_f_the_nodes_as_apply_k_does(self):
-        # u[-1] is the last node of a row of nodes but the whole row of a
-        # (1, n) array, so this f tells the two calls apart
-        p = replace(sin_problem(), lam=2.0, f=lambda t, u: 2.0 + np.sin(u) + 0.25 * u[-1])
-        grid = p.grid(201)
-        tube = th.Tube(th.closed_form_center(p, grid), th.GridFunction(grid, np.exp(grid.nodes - 1.0)))
-        opts = th.SolveOptions()
-        report = th.picard_solve(p, tube, opts)
-
-        u = tube.v
-        residuals = []
-        while len(residuals) < opts.max_iter:
-            nxt = th.apply_k(u, tube, p)
-            residuals.append(float(np.max(np.abs(nxt.values - u.values))))
-            u = nxt
-            if residuals[-1] <= opts.tol_fp:
-                break
-        assert report.converged
-        assert report.fp_residuals == residuals
-        assert report.u.values.tobytes() == u.values.tobytes()
-
 
 def _reference_loop(problem, tube, level, start, opts):
     """The damped ``apply_k`` loop on ``level``, in the tube's ``np.interp``
@@ -998,21 +978,21 @@ class TestOracle:
         assert np.max(np.abs(out.values - _nested_reference_oracle(p, opts, numpy_d=True)[0])) <= 1e-12
 
     @staticmethod
-    def _bad_sample_error(bad, node, reference, monkeypatch):
+    def _bad_sample_error(bad, node, reference, every_u=False):
         """The SourcePositivityError of ``oracle_solve`` at n = 2001 on [1, 2.2]
         for ``f = 2 + sin(u)``, but ``bad`` at the ``node``-th time off the
-        constant start ``u = u_a``, so that an RK4 pass's own sample sees it
-        first.  It must name the node, say what the ``reference`` loop says,
-        which takes f along the trajectory again by ``sample_source``, and
-        take no such sample itself: every ``sample_source`` call is along a
-        constant start."""
+        constant start ``u = u_a`` (for every ``u`` with ``every_u``), so that
+        an RK4 pass's own sample sees it first.  It must name the node, say
+        what the ``reference`` loop says, which takes f along the trajectory
+        again by ``sample_source``, and take no such sample itself: every
+        ``sample_source`` call is along a constant start."""
         grid = th.Grid(1.0, 2.2, 2001)
         t_bad = float(grid.nodes[node])
 
         def source(t, u):
-            off_start = (np.asarray(t) == t_bad) & (np.asarray(u) != 0.1)
+            at_bad = (np.asarray(t) == t_bad) & (every_u | (np.asarray(u) != 0.1))
             with np.errstate(invalid="ignore"):  # sin(inf) after a coarse stage 4 at t = 2.2
-                return np.where(off_start, bad, sin_offset_source(t, u))
+                return np.where(at_bad, bad, sin_offset_source(t, u))
 
         p = th.ThermistorProblem(1.0, 2.2, 1.0, th.Alpha(0.6), 0.1, source)
         opts = th.SolveOptions(grid_n=2001)
@@ -1025,8 +1005,8 @@ class TestOracle:
             along.append(set(u.values.tolist()))
             return sample(problem, u)
 
-        monkeypatch.setattr(th.solver, "sample_source", recording_sample)
-        with pytest.raises(th.SourcePositivityError) as exc:
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(th.SourcePositivityError) as exc:
+            patch.setattr(th.solver, "sample_source", recording_sample)
             th.oracle_solve(p, opts)
         assert exc.value.node == node
         assert str(exc.value) == str(expected.value)
@@ -1034,27 +1014,31 @@ class TestOracle:
         return str(exc.value)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-    def test_a_source_bad_only_at_the_last_node_names_it(self, bad, monkeypatch):
+    def test_a_source_bad_only_at_the_last_node_names_it(self, bad):
         # only a pass's last sample, f(T, u(T)), sees the bad value: on
         # [1, 2.2] the last step's stage 4 is at t = 2.1999999999999997; every
         # coarse level fails there too, so n = 2001 starts from u = u_a
         grid = th.Grid(1.0, 2.2, 2001)
         assert grid.nodes[-2] + grid.h != grid.nodes[-1] == 2.2
-        message = self._bad_sample_error(bad, 2000, _reference_oracle, monkeypatch)
+        message = self._bad_sample_error(bad, 2000, _reference_oracle)
         fault = "overflowed" if bad == math.inf else "must be strictly positive"
         assert message.startswith(f"H1 violated: f(t, u) {fault}, got f(2.2, ")
         assert message.endswith(f") = {bad!r} at node 2000")
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_a_source_bad_only_at_a_middle_node_names_it(self, bad, monkeypatch):
+    def test_a_source_bad_only_at_a_middle_node_names_it(self, bad):
         # only the stage-1 sample of node 1004 sees the bad value: the stage 4
         # of the step before it ends just off that node, and no coarse level
-        # has a node there; an inf or NaN stage would overflow the trajectory
+        # has a node there; an inf or NaN stage would overflow the trajectory.
+        # Bad for every u, it is still first seen by the fine grid's first
+        # pass: that grid starts from the settled coarse D, not from u = u_a
         grid = th.Grid(1.0, 2.2, 2001)
         assert grid.nodes[1003] + grid.h != grid.nodes[1004]
-        message = self._bad_sample_error(bad, 1004, _nested_reference_oracle, monkeypatch)
-        assert message.startswith(f"H1 violated: f(t, u) must be strictly positive, got f({float(grid.nodes[1004])!r}, ")
-        assert message.endswith(f") = {bad!r} at node 1004")
+        for every_u in (False, True):
+            message = self._bad_sample_error(bad, 1004, _nested_reference_oracle, every_u)
+            assert message.startswith(f"H1 violated: f(t, u) must be strictly positive, got f({float(grid.nodes[1004])!r}, ")
+            assert message.endswith(f") = {bad!r} at node 1004")
+            assert ", 0.1) = " not in message
 
     @pytest.mark.parametrize(
         "f, lam, alpha, constant_starts",
@@ -1118,6 +1102,29 @@ class TestOracle:
             th.oracle_solve(p, replace(opts, grid_n=201))
         out = th.oracle_solve(p, opts)
         assert out.values.tobytes() == _reference_oracle(p, opts)[0].tobytes()
+
+    @pytest.mark.parametrize("singular", ["1.1500000000000001", "1.4000000000000001", "1.6500000000000001"])
+    def test_a_coarse_level_that_raises_anything_settles_nothing(self, singular):
+        # 1/(t - singular) divides by zero only at a stage time of the 21-node
+        # level, which no 2001-node pass takes, so only that level raises:
+        # an EvalError from the expression, ZeroDivisionError from the callable
+        t_bad = float(singular)
+        expr = th.parse_expr(f"2 + 0*(1/(t - {singular}))")
+
+        def plain(t, u):
+            return 2.0 + 0.0 * (1.0 / (t - t_bad))
+
+        opts = th.SolveOptions(grid_n=2001)
+        for alpha in (0.3, 0.7, 1.0):
+            p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(alpha), 0.1, th.parse_expr("2"))
+            with pytest.raises(EvalError, match="division by zero"):
+                th.oracle_solve(replace(p, f=expr), replace(opts, grid_n=21))
+            with pytest.raises(ZeroDivisionError):
+                th.oracle_solve(replace(p, f=plain), replace(opts, grid_n=21))
+            want = th.oracle_solve(p, opts).values.tobytes()
+            for f in (expr, plain):
+                assert th.oracle_solve(replace(p, f=f), opts).values.tobytes() == want
+                assert _nested_reference_oracle(replace(p, f=f), opts)[0].tobytes() == want
 
     def test_nested_start_halves_the_fine_grid_passes(self, monkeypatch, rk4_passes):
         counts = rk4_passes
