@@ -37,7 +37,7 @@ from .config import ConfigError, LoadedConfig, float_list, load_config, prefixed
 from .conformable import Alpha, Grid
 from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, identity_table, table_passes
 from .model import ThermistorProblem
-from .solver import SolveOptions, SolveReport, _picard_rows, equation_residual, picard_solve
+from .solver import SolveOptions, SolveReport, _picard_rows, picard_solve
 from .tube import Tube, TubeReport, verify_tube
 
 __all__ = ["entry", "main"]
@@ -115,10 +115,9 @@ def _warn_if_invalid(report: TubeReport) -> None:
     print(f"thermistor: warning: tube conditions not satisfied ({failed}); solving anyway", file=sys.stderr)
 
 
-def _solution_rows(problem: ThermistorProblem, tube: Tube, report: SolveReport) -> list[tuple]:
+def _solution_rows(tube: Tube, report: SolveReport) -> list[tuple]:
     u = report.u
-    g, residual = equation_residual(u, problem)
-    return list(zip(u.grid.nodes, u.values, tube.v.values, tube.M.values, g, residual))
+    return list(zip(u.grid.nodes, u.values, tube.v.values, tube.M.values, report.g, report.residual))
 
 
 def iter_margin_lines(report: TubeReport) -> Iterator[str]:
@@ -166,7 +165,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "solution.csv", SOLUTION_COLUMNS, _solution_rows(problem, tube, report))
+    _write_csv(out / "solution.csv", SOLUTION_COLUMNS, _solution_rows(tube, report))
     lines = _report_lines(problem, options, grid, report)
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:

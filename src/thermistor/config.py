@@ -42,7 +42,7 @@ import numpy as np
 
 from .conformable import Alpha, Grid, GridFunction
 from .expressions import Expr, parse_expr
-from .model import ThermistorProblem
+from .model import ThermistorProblem, _source
 from .solver import SolveOptions
 from .tube import Tube, closed_form_center
 
@@ -84,8 +84,8 @@ class TubeSpec:
 
 
 def _sample_profile(grid: Grid, expr: Expr, key: str) -> GridFunction:
-    values = prefixed(f"[tube] {key}", expr, grid.nodes, np.zeros(grid.n))
-    return GridFunction(grid, np.asarray(values, dtype=float) * np.ones(grid.n))
+    # one value per node, as for a source; a constant is broadcast
+    return GridFunction(grid, prefixed(f"[tube] {key}", _source, expr, grid.nodes, np.zeros(grid.n)))
 
 
 @dataclass(frozen=True)

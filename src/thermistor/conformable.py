@@ -133,7 +133,8 @@ def _stencil_derivative(values: np.ndarray, h: float) -> np.ndarray:
     constant data yields exactly zero at every node regardless of h.
     """
     d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    np.subtract(values[2:], values[:-2], out=d[1:-1])
+    d[1:-1] /= 2.0 * h
     d[0] = (4.0 * (values[1] - values[0]) - (values[2] - values[0])) / (2.0 * h)
     d[-1] = (4.0 * (values[-1] - values[-2]) - (values[-1] - values[-3])) / (2.0 * h)
     return d
@@ -148,16 +149,22 @@ def conformable_derivative(u: GridFunction, alpha: Alpha | float) -> GridFunctio
     Raises the ValueError of ``_derivative``, named "conformable
     derivative", where a difference overflows.
     """
-    return GridFunction(u.grid, _derivative(u.values, u.grid, _alpha_value(alpha), "conformable derivative"))
+    (d,) = _derivative(u.grid, _alpha_value(alpha), (u.values, "conformable derivative"))
+    return GridFunction(u.grid, d)
 
 
-def _derivative(values: np.ndarray, grid: Grid, alpha: float, what: str) -> np.ndarray:
-    """The nodal values of ``conformable_derivative``, computed with numpy's
-    warnings off; raises ValueError naming ``what`` and the first node, and
-    its ``t``, where a difference overflows."""
+def _derivative(grid: Grid, alpha: float, *named: tuple[np.ndarray, str]) -> list[np.ndarray]:
+    """The nodal values of ``conformable_derivative`` of each ``(values, what)``
+    in ``named``, computed with numpy's warnings off and one ``t**(1 - alpha)``;
+    raises ValueError naming the first ``what``, in the order given, and the
+    first node, and its ``t``, where a difference overflows."""
+    out = []
     with np.errstate(all="ignore"):
-        d = np.power(grid.nodes, 1.0 - alpha) * _stencil_derivative(values, grid.h)
-    return _check_finite(d, grid.nodes, what)
+        weight = np.power(grid.nodes, 1.0 - alpha)
+        for values, _ in named:
+            d = _stencil_derivative(values, grid.h)
+            out.append(np.multiply(weight, d, out=d))
+    return [_check_finite(d, grid.nodes, what) for d, (_, what) in zip(out, named)]
 
 
 def trapezoid(values: np.ndarray, h: float) -> float | np.ndarray:

@@ -32,6 +32,10 @@ that call it many times without the dispatch of ``Expr.__call__``.
 RK4 pass, with the tree's code unchecked at each call and one guard sum
 for the caller to test at the end in place of the per-node checks;
 ``_Body.bound`` defines the same template calling a checked ``f`` instead.
+``Expr.unchecked`` is the array mode built the same way, the tree's code
+without its checks returning its value and such a guard sum, for a caller
+that turns numpy's warnings off itself and redoes the call checked when
+the guard or the value is not finite (``model._g_rows``, a Picard step).
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ _OPS = {
 }
 # The fixed names of a generated function, per evaluation mode: Python
 # floats through ``math`` (scalar) or numpy ufuncs (array).
-_ARRAY_NAMES = {"EvalError": EvalError, "isfinite": np.isfinite, "divide": np.divide, "power": np.power}
+_ARRAY_NAMES = {"EvalError": EvalError, "isfinite": np.isfinite, "divide": np.divide, "power": np.power, "total": np.sum}
 _SCALAR_NAMES = dict(_ARRAY_NAMES, isfinite=math.isfinite, nan=math.nan, divide=operator.truediv, power=math.pow)
 # The operations that can turn a non-finite operand into a finite value, and
 # which of their operands can (IEEE 754-2019, section 6): x / +-inf is +-0,
@@ -105,6 +109,9 @@ _SCALAR_NAMES = dict(_ARRAY_NAMES, isfinite=math.isfinite, nan=math.nan, divide=
 # value of each node above it up to the value of f, unless one raises or takes
 # it as an operand listed here, which the code adds to its guard sum.  Literals
 # and variables have no check of their own, so they need no place in the guard.
+# In the unchecked array mode the same holds node by node, as numpy's
+# operations act on each element alone and raise nothing with its warnings
+# off; the guard sum then adds up all the elements of each listed operand.
 _MASKING = {"/": (False, True), "^": (True, True), "exp": (True,)}
 # A call of the expression in an inlined template, f(t, u), with t and u plain names.
 _CALL = re.compile(r"\bf\((\w+), (\w+)\)")
@@ -116,13 +123,15 @@ class _Body:
     namespace, so no source text reaches ``exec``.
 
     In the scalar and array modes the function is ``fn(t, u)``, and each node
-    checks its own value.  Inlined (``at`` set, by ``inline``), the nodes are
-    the calls in a float-mode template, and ``mask`` stands in for the checks.
+    checks its own value.  Unchecked, ``mask`` stands in for the checks: in
+    the array mode (``Expr.unchecked``) and inlined (``at`` set, by
+    ``inline``), where the nodes are the calls in a float-mode template.
     """
 
-    def __init__(self, source: str, scalar: bool):
+    def __init__(self, source: str, scalar: bool, checked: bool = True):
         self.source = source
         self.scalar = scalar
+        self.checked = checked
         self.names = dict(_SCALAR_NAMES if scalar else _ARRAY_NAMES)
         self.lines: list[str] = []
         self.at: tuple[str, str] | None = None  # the names of t and u at an inlined call
@@ -153,12 +162,12 @@ class _Body:
 
     def check(self, node: Expr, expr: str, detail: str) -> str:
         """Emit ``node``'s operation in its own try, then its finiteness check
-        (the operation alone when inlined).
+        (the operation alone when unchecked).
 
         The children's lines come first, outside the try: their EvalErrors
         are ValueErrors and must not be taken for this node's own.
         """
-        if self.at:
+        if not self.checked:
             return self.let(expr)
         lo, hi = node.span
         error = self.bind(((lo, hi), self.source[lo:hi], detail))
@@ -178,11 +187,15 @@ class _Body:
         return name
 
     def mask(self, op: str, *operands: tuple[Expr, str]) -> None:
-        """When inlined, add to ``guard`` each of ``op``'s ``operands`` (node,
-        value name) that ``_MASKING`` lists and a node computes."""
-        if self.at:
+        """When unchecked, add to ``guard`` each of ``op``'s ``operands`` (node,
+        value name) that ``_MASKING`` lists and a node computes; in the array
+        mode, the sum of its elements."""
+        if not self.checked:
+            term = "{}" if self.scalar else "total({})"
             masked = zip(_MASKING.get(op, ()), operands)
-            self.lines += [f"guard += {name}" for m, (node, name) in masked if m and not isinstance(node, (Num, Var))]
+            self.lines += [
+                f"guard += {term.format(name)}" for m, (node, name) in masked if m and not isinstance(node, (Num, Var))
+            ]
 
     def inline(self, expr: Expr, template: str) -> list[str]:
         """The lines of ``template`` with each call ``f(t, u)`` replaced by the
@@ -202,7 +215,16 @@ class _Body:
 
 @dataclass(frozen=True)
 class Expr:
-    """Parsed expression in the variables t and u."""
+    """Parsed expression in the variables t and u.
+
+    A call checks each node's value and raises its EvalError.  The
+    ``unchecked`` array mode runs the same operations without the checks,
+    under its caller's ``np.errstate``, and returns with the value a guard:
+    the sum of the elements of every operand that could turn a non-finite
+    value finite (``_MASKING``).  Where the guard and the value are finite,
+    the checked call gives the same value bit for bit; elsewhere the caller
+    calls it, for its error.
+    """
 
     # where the node sits in the parsed text, for error messages only
     span: tuple[int, int] = field(default=(0, 0), compare=False, kw_only=True)
@@ -211,6 +233,7 @@ class Expr:
     # template with its function; see __getstate__
     _scalar_fn = None
     _array_fn = None
+    _unchecked_fn = None
     _inlined_fn = None
 
     def __call__(self, t, u):
@@ -227,12 +250,26 @@ class Expr:
         call on scalars runs, without the dispatch; built on first use."""
         return self._scalar_fn or self._generate(scalar=True)
 
-    def _generate(self, scalar: bool):
+    @property
+    def unchecked(self):
+        """The generated array-mode function ``fn(t, u)`` without its checks,
+        built on first use; it returns the value and a float guard sum.
+
+        Its caller turns numpy's warnings off.  Where the guard and every
+        element of the value are finite, the checked call ``self(t, u)``
+        would have raised nothing and given the same value bit for bit
+        (``_MASKING`` says why); elsewhere the caller redoes that call, which
+        raises the failing node's EvalError or gives the same value.
+        """
+        return self._unchecked_fn or self._generate(scalar=False, checked=False)
+
+    def _generate(self, scalar: bool, checked: bool = True):
         # error snippets slice the source of the expression being called
-        body = _Body(self.source, scalar)
-        body.lines.append(f"return {self._emit(body)}")
-        fn = body.define(["def fn(t, u):", *(f"    {line}" for line in body.lines)])
-        object.__setattr__(self, "_scalar_fn" if scalar else "_array_fn", fn)
+        body = _Body(self.source, scalar, checked)
+        value = self._emit(body)
+        lines = [*body.lines, f"return {value}"] if checked else ["guard = 0.0", *body.lines, f"return {value}, guard"]
+        fn = body.define(["def fn(t, u):", *(f"    {line}" for line in lines)])
+        object.__setattr__(self, "_scalar_fn" if scalar else "_array_fn" if checked else "_unchecked_fn", fn)
         return fn
 
     def inlined(self, template: str):
@@ -251,7 +288,7 @@ class Expr:
         """
         cached = self._inlined_fn
         if cached is None or cached[0] is not template:
-            body = _Body(self.source, scalar=True)
+            body = _Body(self.source, scalar=True, checked=False)
             cached = template, body.define(body.inline(self, template))
             object.__setattr__(self, "_inlined_fn", cached)
         return cached[1]
@@ -261,6 +298,7 @@ class Expr:
         state = dict(self.__dict__)
         state.pop("_scalar_fn", None)
         state.pop("_array_fn", None)
+        state.pop("_unchecked_fn", None)
         state.pop("_inlined_fn", None)
         return state
 

@@ -17,7 +17,8 @@ rescaling factors, and the decay of ``x0``) as read-only arrays, and
 keeps the last three plans in a cache: the Picard iteration solves on one
 grid and order many times in a row, and a nested Picard solve runs on
 three grids in turn from 10001 nodes.  ``_scan`` does the work that depends
-on ``g``, one row or a ``(rows, n)`` array, and names a node that overflows.
+on ``g``, one row or a ``(rows, n)`` array, in place in the array it is
+given, and names a node that overflows.
 """
 
 from __future__ import annotations
@@ -59,34 +60,43 @@ def _plan(grid: Grid, al: float) -> _Plan:
     a = grid.a
     phi = np.asarray(weight_exponent(grid.nodes, al, a), dtype=float)
     tail = phi[1:]
-    # Non-finite weights show up as inf or nan in x and are reported there.
+    # Non-finite weights show up as inf or nan in x and are reported there;
+    # each array is made once and then updated in place.
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = np.diff(phi)
-        em = np.expm1(-delta)  # exp(-delta) - 1, exact near zero
+        delta = np.subtract(tail, phi[:-1])
+        em = np.negative(delta)
+        np.expm1(em, out=em)  # exp(-delta) - 1, exact near zero
         # integral over each panel of (linear G in phi) * exp(phi - phi_{i+1})
-        slope = ((delta + 1.0) * em + delta) / delta
+        slope = np.add(delta, 1.0)
+        slope *= em
+        slope += delta
+        slope /= delta
         blocks = []
         start = 0
         while start < tail.size:
             stop = int(np.searchsorted(tail, tail[start] + _BLOCK_SPAN, side="right"))
             top = tail[stop - 1]
             block = tail[start:stop]
-            blocks.append(
-                (start, stop, _frozen(np.exp(block - top)), _frozen(np.exp(top - block)), math.exp(phi[start] - top))
-            )
+            down = np.subtract(block, top)
+            np.exp(down, out=down)
+            up = np.subtract(top, block)
+            np.exp(up, out=up)
+            blocks.append((start, stop, _frozen(down), _frozen(up), math.exp(phi[start] - top)))
             start = stop
-        decay = np.exp(phi[0] - tail)
+        decay = np.subtract(phi[0], tail)
+        np.exp(decay, out=decay)
     return _Plan(a**al, _frozen(em), _frozen(slope), tuple(blocks), _frozen(decay))
 
 
 def _scan(grid: Grid, al: float, g_values: np.ndarray, x0: float) -> np.ndarray:
     """``solve_linear`` on ``grid`` at order ``al``, through the cached ``_plan``, for
-    each row of ``g_values``; raises ValueError naming the first node, in row order,
-    where the solution is not finite.  Callers turn numpy's warnings off."""
+    each row of ``g_values``, which it overwrites with the solution; raises
+    ValueError naming the first node, in row order, where the solution is not
+    finite.  Callers turn numpy's warnings off."""
     plan = _plan(grid, al)
     # G is g rescaled so that d(phi) absorbs the t**(alpha-1) integration weight.
-    big_g = plan.scale * g_values
-    panel = np.diff(big_g, axis=-1)
+    big_g = np.multiply(g_values, plan.scale, out=g_values)
+    panel = np.subtract(big_g[..., 1:], big_g[..., :-1])
     panel *= plan.slope
     head = big_g[..., 1:]
     head *= plan.em
@@ -140,7 +150,7 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
             finite (the first offending node is named).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return GridFunction(g.grid, _scan(g.grid, _alpha_value(alpha), g.values, x0))
+        return GridFunction(g.grid, _scan(g.grid, _alpha_value(alpha), g.values.copy(), x0))
 
 
 def linear_residual(x: GridFunction, g: GridFunction, alpha: Alpha | float) -> float:

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .conformable import Alpha, Grid, GridFunction, _check_finite, trapezoid
+from .expressions import Expr
 
 __all__ = [
     "SourceBounds",
@@ -96,17 +97,27 @@ def _check_span(problem: ThermistorProblem, grid: Grid, what: str) -> None:
 def _source(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``f`` on the nodes ``t`` along ``u``, one row of values or a
     ``(rows, n)`` array of them, as an array of the shape of ``u``."""
-    fv = np.asarray(f(t, u), dtype=float)
+    return _shaped(f(t, u), u)
+
+
+def _shaped(fv, u: np.ndarray) -> np.ndarray:
+    """The values ``fv`` of ``f`` along ``u`` as a float array of the shape of ``u``."""
+    fv = np.asarray(fv, dtype=float)
     # broadcasting a constant or a scalar costs a pass, and an array of u's
     # shape needs none
     return fv if fv.shape == u.shape else fv * np.ones(u.shape)
+
+
+def _positive(fv: np.ndarray) -> bool:
+    """Whether every sample in ``fv`` is positive and finite (NaN is neither)."""
+    return fv.min() > 0.0 and fv.max() < math.inf
 
 
 def _check_positive(t: np.ndarray, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
     """``fv``, the samples of ``f`` along ``u``; raises SourcePositivityError
     at the first node, in row order, where one is not positive and finite,
     saying that ``f`` overflowed where the sample is inf."""
-    if not (fv.min() > 0.0 and fv.max() < math.inf):
+    if not _positive(fv):
         j = int(np.flatnonzero(~(fv > 0.0) | ~np.isfinite(fv))[0])
         node = j % fv.shape[-1]
         value = float(fv.flat[j])
@@ -121,7 +132,13 @@ def _check_positive(t: np.ndarray, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
 
 def sample_source(problem: ThermistorProblem, u: GridFunction) -> np.ndarray:
     """Evaluate ``f`` along the trajectory and enforce strict positivity."""
-    return _check_positive(u.grid.nodes, u.values, _source(problem.f, u.grid.nodes, u.values))
+    return _samples(problem.f, u.grid.nodes, u.values)
+
+
+def _samples(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sample_source`` on the nodes ``t`` along ``u``, one row or ``(rows, n)``:
+    ``f`` called as it is, its samples checked by ``_check_positive``."""
+    return _check_positive(t, u, _source(f, t, u))
 
 
 def nonlocal_rhs(lam: float, fv: np.ndarray, integral: float | np.ndarray) -> np.ndarray:
@@ -146,9 +163,15 @@ def evaluate_g(problem: ThermistorProblem, u: GridFunction) -> GridFunction:
     floating-point warnings off, whose errors it raises.
     """
     _check_span(problem, u.grid, "evaluate_g: grid")
+    return GridFunction(u.grid, _g_row(problem, u.grid, u.values))
+
+
+def _g_row(problem: ThermistorProblem, grid: Grid, u: np.ndarray) -> np.ndarray:
+    """The values of ``evaluate_g`` along the nodal values ``u`` on ``grid``,
+    which the caller has checked spans [a, T]: the one-row call of
+    ``_g_rows``, with numpy's warnings off, whose errors it raises."""
     with np.errstate(all="ignore"):
-        g = _g_rows(problem.f, u.grid.nodes[None], u.values[None], problem.lam, u.grid.h)
-    return GridFunction(u.grid, g[0])
+        return _g_rows(problem.f, grid.nodes[None], u[None], problem.lam, grid.h)[0]
 
 
 def _g_rows(f: SourceFn, t: np.ndarray, u: np.ndarray, lam: float | np.ndarray, h: float) -> np.ndarray:
@@ -159,9 +182,17 @@ def _g_rows(f: SourceFn, t: np.ndarray, u: np.ndarray, lam: float | np.ndarray, 
     ``f`` raises, SourcePositivityError if ``f`` is not positive and
     finite, or ValueError naming the node if ``g`` is not finite.  Callers
     turn numpy's warnings off, so that an integral that overflows is inf
-    and gives 0.
+    and gives 0.  An ``Expr`` runs its ``unchecked`` array mode, and is
+    called checked only where the guard or a sample is not positive and
+    finite, which raises what that call raises, or the same samples.
     """
-    fv = _check_positive(t, u, _source(f, t, u))
+    if isinstance(f, Expr):
+        value, guard = f.unchecked(t, u)
+        fv = _shaped(value, u)
+        if not (math.isfinite(guard) and _positive(fv)):
+            fv = _samples(f, t, u)  # checked: its error, or the same samples
+    else:
+        fv = _samples(f, t, u)
     g = nonlocal_rhs(lam, fv, trapezoid(fv, h)[:, None])
     return _check_finite(g, t[0], "evaluate_g: g = lambda*f/D**2")
 

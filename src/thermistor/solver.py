@@ -12,7 +12,11 @@ source, through the private array cores of ``truncate``, ``evaluate_g``
 and ``solve_linear``; each failure is a named error, never a numpy
 warning.  ``apply_k`` is its one-row call, and one loop, ``_iterate``,
 runs it: ``picard_solve`` is a batch of one row, and the CLI's sweep
-passes the points of one alpha as the rows.  ``oracle_solve`` answers
+passes the points of one alpha as the rows.  The loop turns numpy's
+warnings off once for all its steps, and a step makes few temporaries:
+``_scan`` solves in place in the right-hand side it is given, and a
+source that is an ``Expr`` runs its unchecked array mode, called checked
+only where that may fail (``model._g_rows``).  ``oracle_solve`` answers
 the same question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
 denominator D frozen per pass, and an outer loop that finds the D whose
@@ -57,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, _check_integer, conformable_derivative
+from .conformable import Grid, GridFunction, _check_integer, _derivative
 from .expressions import Expr, _Body
 from .model import (
     SourceBounds,
@@ -65,9 +69,9 @@ from .model import (
     ThermistorProblem,
     _check_positive,
     _check_span,
+    _g_row,
     _g_rows,
     bounds_estimate,
-    evaluate_g,
     sample_source,
 )
 from .linear import _scan
@@ -137,7 +141,11 @@ class SolveReport:
 
     Non-convergence is an outcome, not an exception: ``converged`` is set
     iff the final fixed-point residual dropped to ``tol_fp`` within the
-    iteration budget.
+    iteration budget.  ``g`` and ``residual`` are the read-only arrays that
+    ``equation_residual`` gives on ``u``, ``g(t, u)`` and ``u^(alpha) - g``
+    per node (both NaN where ``f`` cannot be sampled along ``u``), and
+    ``ode_residual`` is the sup of ``|residual|`` over the interior nodes,
+    as ``ode_residual(u, problem)`` gives it.
     """
 
     u: GridFunction
@@ -148,6 +156,8 @@ class SolveReport:
     member_of_tube: bool
     bounds: SourceBounds
     tube_report: TubeReport = field(repr=False)
+    g: np.ndarray = field(repr=False, compare=False)
+    residual: np.ndarray = field(repr=False, compare=False)
 
 
 def apply_k(u: GridFunction, tube: Tube, problem: ThermistorProblem) -> GridFunction:
@@ -174,16 +184,22 @@ def equation_residual(u: GridFunction, problem: ThermistorProblem) -> tuple[np.n
     grid off [a, T] raises the ValueError of ``evaluate_g``."""
     _check_span(problem, u.grid, "evaluate_g: grid")  # an error, not NaN
     try:
-        g = evaluate_g(problem, u).values
+        g = _g_row(problem, u.grid, u.values)
     except ValueError:
         nan = np.full(u.grid.n, math.nan)
         return nan, nan
-    return g, conformable_derivative(u, problem.alpha).values - g
+    (du,) = _derivative(u.grid, problem.alpha.value, (u.values, "conformable derivative"))
+    return g, du - g
 
 
 def ode_residual(u: GridFunction, problem: ThermistorProblem) -> float:
     """Sup norm of ``u^(alpha) - g(t, u)`` over the interior nodes, or NaN."""
-    return float(np.max(np.abs(equation_residual(u, problem)[1][1:-1])))
+    return _interior_sup(equation_residual(u, problem)[1])
+
+
+def _interior_sup(residual: np.ndarray) -> float:
+    """The sup of ``|residual|`` over the interior nodes; NaN if one is NaN."""
+    return float(np.max(np.abs(residual[1:-1])))
 
 
 def picard_solve(problem: ThermistorProblem, tube: Tube, opts: SolveOptions) -> SolveReport:
@@ -266,15 +282,19 @@ def _picard_rows(
         problem, tube = problems[i], tubes[i]
         try:
             u_i = GridFunction(tube.grid, values)
+            g, residual = equation_residual(u_i, problem)
+            g.flags.writeable = residual.flags.writeable = False
             outcomes[i] = SolveReport(
                 u=u_i,
                 iterations=len(residuals),
                 fp_residuals=residuals,
                 converged=converged,
-                ode_residual=ode_residual(u_i, problem),
+                ode_residual=_interior_sup(residual),
                 member_of_tube=membership(u_i, tube, default_condition_tol(tube.grid)),
                 bounds=bounds_estimate(problem, tube.v, tube.M),
                 tube_report=tube_reports[i],
+                g=g,
+                residual=residual,
             )
         except Exception as err:  # this row's outcome, as picard_solve would raise it
             outcomes[i] = err
@@ -304,15 +324,18 @@ def _iterate(
     spare = np.empty_like(u)  # a step writes its iterate into spare
     residuals: list[list[float]] = [[] for _ in live]
     results: list = [None] * len(live)
+    damping, tol_fp = opts.damping, opts.tol_fp
 
-    for k in range(1, opts.max_iter + 1):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for k in range(1, opts.max_iter + 1):
+            ended = False  # whether a row finished or failed on this step
             try:
                 ku = _k_rows(problem, grid, t[: len(live)], u, v, m, lam)
             except Exception:  # redone below one row at a time, outside this handler
                 ku = None
             if ku is None:
                 ku = np.empty_like(u)
+                ended = True
                 for j, i in enumerate(live):
                     row = slice(j, j + 1)
                     try:
@@ -322,22 +345,26 @@ def _iterate(
                         results[i].__cause__ = err
                     except Exception as err:  # this row's outcome, as picard_solve would raise it
                         results[i] = err
-            nxt = np.multiply(u, 1.0 - opts.damping, out=spare)
-            ku *= opts.damping
+            # ku * 1.0 is ku, so damping = 1.0 skips that pass; u * 0.0 stays, as it sets the sign of a zero
+            nxt = np.multiply(u, 1.0 - damping, out=spare)
+            if damping != 1.0:
+                ku *= damping
             nxt += ku
-            r = np.max(np.abs(np.subtract(nxt, u, out=ku), out=ku), axis=1)
-        for j, i in enumerate(live):
-            if results[i] is None:
-                residuals[i].append(float(r[j]))
-                if r[j] <= opts.tol_fp:
-                    results[i] = (nxt[j].copy(), residuals[i], True)
-        keep = np.array([results[i] is None for i in live])
-        if not keep.all():
-            live = [i for i, kept in zip(live, keep) if kept]
-            nxt, v, m, lam, u = nxt[keep], v[keep], m[keep], lam[keep], u[keep]
-        u, spare = nxt, u
-        if not live:
-            break
+            r = np.abs(np.subtract(nxt, u, out=ku), out=ku).max(axis=1).tolist()
+            for j, i in enumerate(live):
+                if results[i] is None:
+                    residuals[i].append(r[j])
+                    if r[j] <= tol_fp:
+                        results[i] = (nxt[j].copy(), residuals[i], True)
+                        ended = True
+            if ended:
+                keep = np.array([results[i] is None for i in live])
+                if not keep.all():
+                    live = [i for i, kept in zip(live, keep) if kept]
+                    nxt, v, m, lam, u = nxt[keep], v[keep], m[keep], lam[keep], u[keep]
+            u, spare = nxt, u
+            if not live:
+                break
     for j, i in enumerate(live):
         results[i] = (u[j], residuals[i], False)
     return results

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformable import Grid, GridFunction, _derivative, conformable_cumulative_integral, trapezoid
-from .model import ThermistorProblem, _check_span, evaluate_g, nonlocal_rhs, sample_source
+from .conformable import Grid, GridFunction, _check_finite, _derivative, conformable_cumulative_integral, trapezoid
+from .model import ThermistorProblem, _check_span, _g_row, _samples, nonlocal_rhs
 
 __all__ = [
     "Tube",
@@ -139,19 +139,21 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
 
     Initial condition: ``|u_a - v(a)| <= M(a) + tol``.
 
-    Raises ValueError if the grid does not span [a, T] or a derivative
+    Raises ValueError if the grid does not span [a, T], a derivative
     overflows (naming "tube center derivative" or "tube radius derivative"
-    and the node), and SourcePositivityError if ``f`` is nonpositive along
-    the center or either boundary sheet, where the model's hypothesis fails.
+    and the node) or a boundary sheet does (naming "tube sheet v + M" or
+    "tube sheet v - M" and the node), and SourcePositivityError if ``f`` is
+    nonpositive along the center or either boundary sheet, where the
+    model's hypothesis fails.
     """
     _check_span(problem, tube.grid, "tube grid")
     grid = tube.grid
+    nodes = grid.nodes
     tol = default_condition_tol(grid)
 
-    v = tube.v
-    m = tube.M
-    dv = _derivative(v.values, grid, problem.alpha.value, "tube center derivative")
-    dm = _derivative(m.values, grid, problem.alpha.value, "tube radius derivative")
+    v = tube.v.values
+    m = tube.M.values
+    dv, dm = _derivative(grid, problem.alpha.value, (v, "tube center derivative"), (m, "tube radius derivative"))
 
     weights = np.full(grid.n, grid.h)
     weights[0] = weights[-1] = 0.5 * grid.h
@@ -161,15 +163,19 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
     boundary_side = 0
     # quiet: a g that overflows is inf, and fails the boundary condition
     with np.errstate(all="ignore"):
-        f_center = sample_source(problem, v)
+        f_center = _samples(problem.f, nodes, v)
         base = trapezoid(f_center, grid.h)
-        g_center = nonlocal_rhs(problem.lam, f_center, base)
+        growth = m * dm
         for side in (1, -1):
-            y = GridFunction(grid, v.values + side * m.values)
-            f_side = sample_source(problem, y)
-            perturbed = base + weights * (f_side - f_center)
-            g_side = nonlocal_rhs(problem.lam, f_side, perturbed)
-            margins = side * m.values * (g_side - dv) - m.values * dm
+            y = _check_finite(v + side * m, nodes, f"tube sheet v {'+' if side > 0 else '-'} M")
+            f_side = _samples(problem.f, nodes, y)
+            perturbed = np.subtract(f_side, f_center)
+            perturbed *= weights
+            perturbed += base
+            margins = nonlocal_rhs(problem.lam, f_side, perturbed)  # g on this sheet
+            margins -= dv
+            margins *= side * m
+            margins -= growth
             margins[np.isnan(margins)] = math.inf  # a violation at its own node
             worst = int(np.argmax(margins))
             if margins[worst] > boundary_margin:
@@ -177,17 +183,18 @@ def verify_tube(tube: Tube, problem: ThermistorProblem) -> TubeReport:
                 boundary_node = worst
                 boundary_side = side
 
-    pinched = np.flatnonzero(m.values <= tol)
-    if pinched.size:
-        res = np.maximum(np.abs(dv - g_center), np.abs(dm))[pinched]
-        worst = int(np.argmax(res))
-        pinch_margin = float(res[worst])
-        pinch_node = int(pinched[worst])
-    else:
-        pinch_margin = -math.inf
-        pinch_node = -1
+        pinched = np.flatnonzero(m <= tol)
+        if pinched.size:
+            g_center = nonlocal_rhs(problem.lam, f_center, base)
+            res = np.maximum(np.abs(dv - g_center), np.abs(dm))[pinched]
+            worst = int(np.argmax(res))
+            pinch_margin = float(res[worst])
+            pinch_node = int(pinched[worst])
+        else:
+            pinch_margin = -math.inf
+            pinch_node = -1
 
-    initial_margin = abs(problem.u_a - float(v.values[0])) - float(m.values[0])
+    initial_margin = abs(problem.u_a - float(v[0])) - float(m[0])
 
     boundary_ok = boundary_margin <= tol
     pinch_ok = pinch_margin <= tol
@@ -217,8 +224,7 @@ def closed_form_center(problem: ThermistorProblem, grid: Grid) -> GridFunction:
     instead of an exact solution.
     """
     _check_span(problem, grid, "closed_form_center: grid")
-    seed = GridFunction.constant(grid, problem.u_a)
-    g = evaluate_g(problem, seed)
-    integral = conformable_cumulative_integral(g, problem.alpha)
+    g = _g_row(problem, grid, np.full(grid.n, float(problem.u_a)))
+    integral = conformable_cumulative_integral(GridFunction(grid, g), problem.alpha)
     return GridFunction(grid, problem.u_a + integral.values)
 

@@ -7,10 +7,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thermistor as th
 import thermistor.cli
+import thermistor.model
+import thermistor.solver
+import thermistor.tube
 from thermistor.cli import SOLUTION_COLUMNS, SWEEP_COLUMNS, main
 from thermistor.config import ConfigError, load_config
 from thermistor.identities import CSV_COLUMNS
@@ -293,6 +297,25 @@ class TestSolveCommand:
         assert "member of tube: true" in report
         assert "thermistor solve report" in capsys.readouterr().out
 
+    def test_f_is_sampled_once_on_the_final_iterate(self, tmp_path, monkeypatch):
+        # solution.csv writes the g and residual that the solve's report holds;
+        # every sample of f on an iterate goes through _g_rows
+        seen = []
+        real = thermistor.model._g_rows
+
+        def recording(f, t, u, lam, h):
+            seen.append(u.copy())
+            return real(f, t, u, lam, h)
+
+        for module in (thermistor.model, thermistor.solver, thermistor.tube):
+            monkeypatch.setattr(module, "_g_rows", recording, raising=False)
+        out = tmp_path / "run"
+        # GOOD's tube fails verification, and solve writes its files anyway
+        assert main(["solve", "--config", str(write_cfg(tmp_path, GOOD)), "--out", str(out)]) == 3
+        rows = (out / "solution.csv").read_text().splitlines()[1:]
+        final = np.array([float(row.split(",")[1]) for row in rows])
+        assert sum(u.shape == (1, final.size) and u[0].tobytes() == final.tobytes() for u in seen) == 1
+
     def test_starved_scenario_exits_two(self, tmp_path):
         out = tmp_path / "run"
         code = main(["solve", "--config", str(CONFIGS / "solve_starved.cfg"), "--out", str(out)])
@@ -539,6 +562,28 @@ grid_n = 201
 """)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == "thermistor: error: tube radius derivative overflowed at node 0 (t=1.0)\n"
+
+    @pytest.mark.parametrize("command", ["verify-tube", "solve"])
+    def test_overflowing_tube_sheet_is_one_error_line(self, tmp_path, capsys, command):
+        # v and M are finite, but the sheet v + M is not at any node
+        cfg = write_cfg(tmp_path, """\
+[problem]
+a = 1.0
+T = 2.0
+lambda = 1.0
+alpha = 0.5
+u_a = 0.1
+f = 2 + sin(u)
+
+[tube]
+v = 1e308
+M = 1e308
+
+[solve]
+grid_n = 201
+""")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "thermistor: error: tube sheet v + M overflowed at node 0 (t=1.0)\n"
 
     def test_nan_boundary_margin_is_a_violation(self, tmp_path, capsys):
         # M = 0 at t = 2, where the margin is 0 * inf: NaN counts as inf

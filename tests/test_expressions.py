@@ -403,6 +403,34 @@ class TestCompiledMatchesReference:
         assert got_arr.tobytes() == want_arr.tobytes()
 
 
+class TestUncheckedArrayMode:
+    """``Expr.unchecked`` against the checked call, as ``model._g_rows`` runs it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(src=_SOURCES, inputs=st.one_of(
+        st.tuples(_ARRAYS, _ARRAYS), st.tuples(_ARRAYS, _SCALARS), st.tuples(_SCALARS, _ARRAYS),
+    ))
+    # 1/inf and exp(-inf) mask an overflow that the guard holds
+    @example(src="2 + 1/exp(1000*u)", inputs=(np.ones(3), np.ones(3)))
+    @example(src="exp(0 - u*1e300*1e300)", inputs=(np.ones(3), np.ones(3)))
+    @example(src="(u*1e300*1e300)^0", inputs=(np.ones(3), np.ones(3)))
+    # a finite guard whose elements sum past the largest float
+    @example(src="1/(u*1e308)", inputs=(np.ones(3), np.ones(3)))
+    def test_finite_guard_and_value_mean_the_checked_value(self, src, inputs):
+        e = parse_expr(src)
+        t, u = inputs
+        with np.errstate(all="ignore"):
+            value, guard = e.unchecked(t, u)
+        want, want_err = _outcome(lambda e, t, u: e(t, u), e, t, u)
+        if want_err is not None:
+            assert isinstance(want_err, EvalError)
+            assert not (math.isfinite(guard) and np.isfinite(value).all())
+            return
+        # the same operations in the same order: the checked value, bit for bit
+        assert type(value) is type(want)
+        assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+
+
 _PY_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _PY_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "abs": abs}
 
@@ -459,6 +487,10 @@ class TestCompiledCache:
         e = parse_expr(self.SRC)
         scalar = e(1.5, 0.25)
         array = e(self.TS, self.US)
+        unchecked, guard = e.unchecked(self.TS, self.US)
+        assert unchecked.tobytes() == array.tobytes()
+        # the guard holds the divisor (1 + u^2) of each node
+        assert guard == np.sum(1.0 + np.power(self.US, 2.0))
         inlined = e.inlined(_TEMPLATE)(1.5, 0.25)
         # the guard holds the divisor (1 + u^2) of each call; u^2 has only leaves
         assert inlined == (scalar + e(1.5, 1.25), (1 + 0.25**2) + (1 + 1.25**2))
@@ -470,11 +502,13 @@ class TestCompiledCache:
         assert same == e and repr(same) == repr(e)
         for other in (same, copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             # each copy drops the generated functions and builds its own
-            assert (other._scalar_fn, other._array_fn, other._inlined_fn) == (None, None, None)
+            assert (other._scalar_fn, other._array_fn, other._unchecked_fn, other._inlined_fn) == (None,) * 4
             assert other == e and repr(other) == repr(e)
             assert (other.span, other.source) == (e.span, e.source)
             assert other(1.5, 0.25) == scalar
             assert other(self.TS, self.US).tobytes() == array.tobytes()
+            assert other.unchecked(self.TS, self.US)[0].tobytes() == array.tobytes()
+            assert other.unchecked is not e.unchecked
             assert other.inlined(_TEMPLATE)(1.5, 0.25) == inlined
             assert other.inlined(_TEMPLATE) is not e.inlined(_TEMPLATE)
 
@@ -564,7 +598,7 @@ class TestScalarFunction:
 # the names a generated function may use besides its own c<k> bindings
 _FIXED_NAMES = {
     "EvalError", "OverflowError", "ValueError", "ZeroDivisionError",
-    "all", "divide", "float", "isfinite", "nan", "power",
+    "all", "divide", "float", "isfinite", "nan", "power", "total",
 }
 
 
@@ -592,6 +626,10 @@ class TestGeneratedFunction:
             code = fn.__code__
             assert code.co_consts == (None,)
             assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
+        # unchecked, the code adds only its guard's start
+        code = e._generate(scalar=False, checked=False).__code__
+        assert set(code.co_consts) <= {None, 0.0}
+        assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
         # inlined, the code adds only the template's own constants and names
         code = e.inlined(_TEMPLATE).__code__
         assert set(code.co_consts) <= {None, 0.0, 1.0}

@@ -302,6 +302,40 @@ class TestApplyK:
             th.apply_k(th.GridFunction.constant(th.Grid(1.0, 3.0, 51), 0.1), off_interval, p)
 
 
+class TestUncheckedSource:
+    # exp(1000*u) overflows at u = 1, and 1/inf masks it: the checked call
+    # raises there, the unchecked array mode gives 2.0 with a guard sum of inf
+    MASKING = th.parse_expr("2 + 1/exp(1000*u)")
+    MESSAGE = "evaluation error at bytes 6..17 ('exp(1000*u)'): exp left its domain or overflowed"
+
+    def problem(self):
+        return th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 1.0, self.MASKING)
+
+    def test_unguarded_value_would_pass(self):
+        t = np.linspace(1.0, 2.0, 5)[None]
+        with np.errstate(all="ignore"):
+            value, guard = self.MASKING.unchecked(t, np.ones_like(t))
+        assert value.tolist() == [[2.0] * 5]
+        assert guard == math.inf
+
+    def test_picard_step_raises_the_checked_error(self):
+        p = self.problem()
+        grid = p.grid(11)
+        tube = th.Tube(th.GridFunction.constant(grid, 1.0), th.GridFunction.constant(grid, 0.5))
+        with pytest.raises(EvalError) as raised:
+            th.apply_k(tube.v, tube, p)
+        assert str(raised.value) == self.MESSAGE
+        v, m = tube.v.values[None], tube.M.values[None]
+        (outcome,) = th.solver._iterate(p, grid, np.ones((1, 1)), v, m, v.copy(), th.SolveOptions())
+        assert type(outcome) is EvalError and str(outcome) == self.MESSAGE
+
+    def test_closed_form_center_raises_the_checked_error(self):
+        p = self.problem()
+        with pytest.raises(EvalError) as raised:
+            th.closed_form_center(p, p.grid(11))
+        assert str(raised.value) == self.MESSAGE
+
+
 class TestOdeResidual:
     def test_constant_iterate_has_unit_residual(self):
         # u = u_a constant: derivative 0, g = 1, so the residual is exactly 1
@@ -865,6 +899,35 @@ class TestNestedStart:
         assert nested.iterations < plain.iterations
         assert (nested.converged, nested.member_of_tube) == (plain.converged, plain.member_of_tube) == (True, True)
         assert np.max(np.abs(nested.u.values - plain.u.values)) <= opts.tol_fp
+
+    def test_a_source_that_overflows_on_one_level_only_is_quiet(self, monkeypatch, capsys):
+        # c = 1.1219999999999999 is a node of the 1001-node level of a
+        # 10001-node solve on [1, 2], and of neither other grid: there the
+        # division by (t - c)^2 = 0 overflows, and an ulp away the term is
+        # below 1e-268.  The source's unchecked code runs in the errstate that
+        # _iterate enters once for its whole loop, so the level ends with the
+        # checked EvalError, the fine grid starts from v, and nothing warns
+        c = 1.1219999999999999
+        f = th.parse_expr(f"2 + sin(u) + 1e-300/(t - {c!r})^2")
+        problems, tubes = _sin_rows(0.7, 10001, [(1.0, 1.0)])
+        mid, coarse = _nested_levels(tubes[0].grid)
+        assert c in mid.nodes and c not in coarse.nodes and c not in tubes[0].grid.nodes
+        outcomes = {}
+        iterate = th.solver._iterate
+
+        def recording(problem, grid, *args):
+            outcomes[grid.n] = iterate(problem, grid, *args)
+            return outcomes[grid.n]
+
+        monkeypatch.setattr(th.solver, "_iterate", recording)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = th.picard_solve(replace(problems[0], f=f), tubes[0], th.SolveOptions())
+        assert caught == []
+        assert capsys.readouterr() == ("", "")
+        (failed,) = outcomes[mid.n]
+        assert type(failed) is EvalError and str(failed).endswith("division by zero or overflow")
+        assert outcomes[coarse.n][0][2] and report.converged and report.member_of_tube
 
     def test_unconverged_coarse_rows_start_from_the_center(self, monkeypatch):
         # at lambda = 8 and alpha = 1 the loop needs about 45 iterations on

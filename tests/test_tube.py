@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import thermistor as th
 from thermistor.solver import oracle_solve
 from thermistor.cli import iter_margin_lines
-from thermistor.tube import default_condition_tol
+from thermistor.conformable import _check_finite, trapezoid
+from thermistor.model import _check_span, nonlocal_rhs, sample_source
+from thermistor.tube import TubeReport, default_condition_tol
 
 from conftest import constant_problem, ramp_problem, sin_problem, u_star
 
@@ -237,3 +240,155 @@ class TestClosedFormCenter:
         p = constant_problem()
         with pytest.raises(ValueError):
             th.closed_form_center(p, th.Grid(1.0, 3.0, 51))
+
+
+class TestOverflowingSheet:
+    @pytest.mark.parametrize("v_value, sheet", [(1e308, "+"), (-1e308, "-")])
+    def test_sheet_that_overflows_is_named(self, v_value, sheet):
+        # v and M are finite, but v + M (or v - M) is not at any node
+        p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 0.1, th.parse_expr("2 + sin(u)"))
+        tube = make_tube(p.grid(21), v_value, 1e308)
+        with pytest.raises(ValueError) as raised:
+            th.verify_tube(tube, p)
+        assert str(raised.value) == f"tube sheet v {sheet} M overflowed at node 0 (t=1.0)"
+
+
+def _reference_stencil(values, h):
+    d = np.empty_like(values)
+    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    d[0] = (4.0 * (values[1] - values[0]) - (values[2] - values[0])) / (2.0 * h)
+    d[-1] = (4.0 * (values[-1] - values[-2]) - (values[-1] - values[-3])) / (2.0 * h)
+    return d
+
+
+def _reference_derivative(values, grid, alpha, what):
+    with np.errstate(all="ignore"):
+        d = np.power(grid.nodes, 1.0 - alpha) * _reference_stencil(values, grid.h)
+    return _check_finite(d, grid.nodes, what)
+
+
+def _reference_verify_tube(tube, problem):
+    """``verify_tube`` as it was before its arrays were formed in place: a
+    GridFunction per sheet, ``t**(1 - alpha)`` once per derivative, the sheet
+    arithmetic in temporaries and ``g`` on the center formed on every call.
+    Only the error of a sheet that overflows has changed since."""
+    _check_span(problem, tube.grid, "tube grid")
+    grid = tube.grid
+    tol = default_condition_tol(grid)
+
+    v = tube.v
+    m = tube.M
+    dv = _reference_derivative(v.values, grid, problem.alpha.value, "tube center derivative")
+    dm = _reference_derivative(m.values, grid, problem.alpha.value, "tube radius derivative")
+
+    weights = np.full(grid.n, grid.h)
+    weights[0] = weights[-1] = 0.5 * grid.h
+
+    boundary_margin = -math.inf
+    boundary_node = -1
+    boundary_side = 0
+    with np.errstate(all="ignore"):
+        f_center = sample_source(problem, v)
+        base = trapezoid(f_center, grid.h)
+        g_center = nonlocal_rhs(problem.lam, f_center, base)
+        for side in (1, -1):
+            y = th.GridFunction(grid, v.values + side * m.values)
+            f_side = sample_source(problem, y)
+            perturbed = base + weights * (f_side - f_center)
+            g_side = nonlocal_rhs(problem.lam, f_side, perturbed)
+            margins = side * m.values * (g_side - dv) - m.values * dm
+            margins[np.isnan(margins)] = math.inf
+            worst = int(np.argmax(margins))
+            if margins[worst] > boundary_margin:
+                boundary_margin = float(margins[worst])
+                boundary_node = worst
+                boundary_side = side
+
+    pinched = np.flatnonzero(m.values <= tol)
+    if pinched.size:
+        res = np.maximum(np.abs(dv - g_center), np.abs(dm))[pinched]
+        worst = int(np.argmax(res))
+        pinch_margin = float(res[worst])
+        pinch_node = int(pinched[worst])
+    else:
+        pinch_margin = -math.inf
+        pinch_node = -1
+
+    initial_margin = abs(problem.u_a - float(v.values[0])) - float(m.values[0])
+
+    boundary_ok = boundary_margin <= tol
+    pinch_ok = pinch_margin <= tol
+    initial_ok = initial_margin <= tol
+    return TubeReport(
+        valid=bool(boundary_ok and pinch_ok and initial_ok),
+        tol=tol,
+        boundary_ok=bool(boundary_ok),
+        boundary_margin=boundary_margin,
+        boundary_node=boundary_node,
+        boundary_side=boundary_side,
+        pinch_ok=bool(pinch_ok),
+        pinch_margin=pinch_margin,
+        pinch_node=pinch_node,
+        initial_ok=bool(initial_ok),
+        initial_margin=float(initial_margin),
+    )
+
+
+# Sources for the drawn tubes: bounded ones; one that turns nonpositive on a
+# sheet; one that overflows to inf for u above about 18; one whose integral
+# squared underflows to 0, so that g = inf and a margin is 0 * inf = NaN
+# where M = 0; one whose lam * f overflows while its integral squared does,
+# so that g = inf / inf = NaN; and a masking one, whose unchecked value is 2
+# where exp(1000*u) overflows and which raises the checked EvalError there.
+_TUBE_SOURCES = [
+    "2 + sin(u)", "1 + u^2", "exp(-u) + t", "u + 0.6", "1e300*exp(u)", "1e-170 + 0*u", "1e308 + 0*u",
+    "2 + 1/exp(1000*u)",
+]
+
+
+def _tube_case(src, v, m, a=1.0, T=2.0, lam=1.0, alpha=0.5, u_a=0.0):
+    p = th.ThermistorProblem(a, T, lam, th.Alpha(alpha), u_a, th.parse_expr(src))
+    grid = p.grid(len(v))
+    return p, th.Tube(th.GridFunction(grid, np.array(v, dtype=float)), th.GridFunction(grid, np.array(m, dtype=float)))
+
+
+@st.composite
+def _tube_cases(draw):
+    n = draw(st.integers(3, 40))
+    a = draw(st.floats(0.1, 2.0))
+    T = a + draw(st.floats(0.5, 3.0))
+    v = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    m = draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        m[i] = draw(st.sampled_from([0.0, 1e-300]))  # pinched: below any tol
+    if draw(st.sampled_from([False] * 7 + [True])):
+        # a radius whose differences overflow on up to 40 nodes; v + M stays finite
+        m[draw(st.integers(0, n - 1))] = 1.7e308
+    return _tube_case(
+        draw(st.sampled_from(_TUBE_SOURCES)), v, m, a, T,
+        lam=draw(st.floats(0.1, 10.0)), alpha=draw(st.floats(0.05, 1.0)), u_a=draw(st.floats(-3.0, 3.0)),
+    )
+
+
+def _verdict(check, tube, problem):
+    """``check(tube, problem)`` as comparable text: the report's repr, whose
+    floats are their reprs, or the error's type and message."""
+    try:
+        return repr(check(tube, problem))
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tube_cases())
+# pinched everywhere, on a center that solves the constant problem
+@example(case=_tube_case("1", 2.0 * (np.sqrt(np.linspace(1.0, 2.0, 11)) - 1.0), [0.0] * 11))
+# M = 0 where g = inf: NaN margins, and a pinch residual of inf
+@example(case=_tube_case("1e-170 + 0*u", [0.0] * 9, [0.0, 0.5, 0.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.0]))
+# g = inf / inf on both sheets and the center
+@example(case=_tube_case("1e308 + 0*u", [0.0] * 9, [0.5] * 4 + [0.0] + [0.5] * 4, lam=2.0))
+# the masking source, whose sheet u = 1 overflows exp(1000*u)
+@example(case=_tube_case("2 + 1/exp(1000*u)", [0.5] * 9, [0.5] * 9))
+def test_verify_tube_matches_the_reference(case):
+    problem, tube = case
+    assert _verdict(th.verify_tube, tube, problem) == _verdict(_reference_verify_tube, tube, problem)
