@@ -85,7 +85,8 @@ class TubeSpec:
 
 def _sample_profile(grid: Grid, expr: Expr, key: str) -> GridFunction:
     # one value per node, as for a source; a constant is broadcast
-    return GridFunction(grid, prefixed(f"[tube] {key}", _source, expr, grid.nodes, np.zeros(grid.n)))
+    with np.errstate(all="ignore"):
+        return GridFunction(grid, prefixed(f"[tube] {key}", _source, expr, grid.nodes, np.zeros(grid.n)))
 
 
 @dataclass(frozen=True)

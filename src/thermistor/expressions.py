@@ -25,17 +25,16 @@ Parse errors are positioned by byte offset; evaluation errors (division
 by zero, sqrt of a negative, overflow) carry the source span of the
 offending subexpression instead of leaking NaNs.  On its first call in
 each evaluation mode (Python floats or numpy arrays) a tree generates one
-Python function, in which each node checks its own value and raises its
-own error.  ``Expr.scalar`` is the float-mode function itself, for loops
-that call it many times without the dispatch of ``Expr.__call__``.
-``Expr.inlined`` generates a caller's float-mode template, the oracle's
-RK4 pass, with the tree's code unchecked at each call and one guard sum
-for the caller to test at the end in place of the per-node checks;
-``_Body.bound`` defines the same template calling a checked ``f`` instead.
-``Expr.unchecked`` is the array mode built the same way, the tree's code
-without its checks returning its value and such a guard sum, for a caller
-that turns numpy's warnings off itself and redoes the call checked when
-the guard or the value is not finite (``model._g_rows``, a Picard step).
+Python function.  In the float mode, ``Expr.scalar``, each node checks its
+own value and raises its own error.  The array mode, ``Expr.array``, which
+every array caller runs, does the operations unchecked and tests one sum,
+of the value and a guard (``_MASKING``); only when that is not finite does
+it run the nodes' checks, in the same order, and raise the first failing
+node's error.  ``Expr.inlined``
+generates a caller's float-mode template, the oracle's RK4 pass, with the
+tree's code unchecked at each call and one guard sum for the caller to test
+at the end in place of the per-node checks; ``_Body.bound`` defines the
+same template calling a checked ``f`` instead.
 """
 
 from __future__ import annotations
@@ -94,8 +93,12 @@ _OPS = {
     "^": ("power({}, {})", "power left the real domain or overflowed"),
 }
 # The fixed names of a generated function, per evaluation mode: Python
-# floats through ``math`` (scalar) or numpy ufuncs (array).
-_ARRAY_NAMES = {"EvalError": EvalError, "isfinite": np.isfinite, "divide": np.divide, "power": np.power, "total": np.sum}
+# floats through ``math`` (scalar) or numpy ufuncs (array).  ``total`` is
+# ``np.add.reduce``, called with axis None, which skips ``np.sum``'s dispatch.
+_ARRAY_NAMES = {
+    "EvalError": EvalError, "isfinite": np.isfinite, "finite": math.isfinite,
+    "divide": np.divide, "power": np.power, "total": np.add.reduce,
+}
 _SCALAR_NAMES = dict(_ARRAY_NAMES, isfinite=math.isfinite, nan=math.nan, divide=operator.truediv, power=math.pow)
 # The operations that can turn a non-finite operand into a finite value, and
 # which of their operands can (IEEE 754-2019, section 6): x / +-inf is +-0,
@@ -109,9 +112,10 @@ _SCALAR_NAMES = dict(_ARRAY_NAMES, isfinite=math.isfinite, nan=math.nan, divide=
 # value of each node above it up to the value of f, unless one raises or takes
 # it as an operand listed here, which the code adds to its guard sum.  Literals
 # and variables have no check of their own, so they need no place in the guard.
-# In the unchecked array mode the same holds node by node, as numpy's
-# operations act on each element alone and raise nothing with its warnings
-# off; the guard sum then adds up all the elements of each listed operand.
+# In the array mode the same holds element by element, as numpy's operations
+# act on each element alone and raise nothing with its warnings off; the guard
+# sum then adds up all the elements of each listed operand, and the value's
+# elements are added at the end.
 _MASKING = {"/": (False, True), "^": (True, True), "exp": (True,)}
 # A call of the expression in an inlined template, f(t, u), with t and u plain names.
 _CALL = re.compile(r"\bf\((\w+), (\w+)\)")
@@ -122,18 +126,20 @@ class _Body:
     and literals, functions and error arguments are bound as ``c<k>`` in its
     namespace, so no source text reaches ``exec``.
 
-    In the scalar and array modes the function is ``fn(t, u)``, and each node
-    checks its own value.  Unchecked, ``mask`` stands in for the checks: in
-    the array mode (``Expr.unchecked``) and inlined (``at`` set, by
-    ``inline``), where the nodes are the calls in a float-mode template.
+    In the ``"scalar"`` mode the function is ``fn(t, u)`` and each node
+    checks its own value.  Elsewhere ``mask`` builds the guard sum: in the
+    ``"array"`` mode, ``fn(t, u)`` on arrays, whose checks wait in ``checks``
+    behind the guard's test, and ``"inlined"``, unchecked, where the nodes
+    are the calls in a float-mode template (``at`` set, by ``inline``).
     """
 
-    def __init__(self, source: str, scalar: bool, checked: bool = True):
+    def __init__(self, source: str, mode: str):
         self.source = source
-        self.scalar = scalar
-        self.checked = checked
-        self.names = dict(_SCALAR_NAMES if scalar else _ARRAY_NAMES)
+        self.mode = mode
+        self.scalar = mode != "array"  # on Python floats: the scalar and inlined modes
+        self.names = dict(_ARRAY_NAMES if mode == "array" else _SCALAR_NAMES)
         self.lines: list[str] = []
+        self.checks: list[str] = []  # the array mode's checks, in the order the float mode makes them
         self.at: tuple[str, str] | None = None  # the names of t and u at an inlined call
 
     def define(self, lines: list[str]):
@@ -146,7 +152,7 @@ class _Body:
     def bound(cls, template: str, f):
         """``template``, as ``Expr.inlined`` takes it, with each call ``f(t, u)``
         a call of the callable ``f``, which checks its own values."""
-        body = cls("", scalar=True)
+        body = cls("", "scalar")
         body.names["f"] = f
         return body.define(template.splitlines())
 
@@ -161,37 +167,38 @@ class _Body:
         return name
 
     def check(self, node: Expr, expr: str, detail: str) -> str:
-        """Emit ``node``'s operation in its own try, then its finiteness check
-        (the operation alone when unchecked).
+        """Emit ``node``'s operation and its finiteness check: in the scalar
+        mode the operation in its own try, in the array mode the check into
+        ``checks``, and inlined the operation alone.
 
         The children's lines come first, outside the try: their EvalErrors
         are ValueErrors and must not be taken for this node's own.
         """
-        if not self.checked:
+        if self.mode == "inlined":
             return self.let(expr)
         lo, hi = node.span
         error = self.bind(((lo, hi), self.source[lo:hi], detail))
-        if self.scalar:
-            name = f"x{len(self.lines)}"
-            self.lines += [
-                "try:",
-                f"    {name} = {expr}",
-                "except (ZeroDivisionError, ValueError, OverflowError):",
-                f"    {name} = nan",
-                f"if not isfinite({name}):",
-            ]
-        else:
+        if self.mode == "array":
             name = self.let(expr)
-            self.lines.append(f"if not isfinite({name}).all():")
-        self.lines.append(f"    raise EvalError(*{error})")
+            self.checks += [f"if not isfinite({name}).all():", f"    raise EvalError(*{error})"]
+            return name
+        name = f"x{len(self.lines)}"
+        self.lines += [
+            "try:",
+            f"    {name} = {expr}",
+            "except (ZeroDivisionError, ValueError, OverflowError):",
+            f"    {name} = nan",
+            f"if not isfinite({name}):",
+            f"    raise EvalError(*{error})",
+        ]
         return name
 
     def mask(self, op: str, *operands: tuple[Expr, str]) -> None:
-        """When unchecked, add to ``guard`` each of ``op``'s ``operands`` (node,
-        value name) that ``_MASKING`` lists and a node computes; in the array
-        mode, the sum of its elements."""
-        if not self.checked:
-            term = "{}" if self.scalar else "total({})"
+        """Outside the scalar mode, add to ``guard`` each of ``op``'s
+        ``operands`` (node, value name) that ``_MASKING`` lists and a node
+        computes; in the array mode, the sum of its elements."""
+        if self.mode != "scalar":
+            term = "{}" if self.scalar else "total({}, None)"
             masked = zip(_MASKING.get(op, ()), operands)
             self.lines += [
                 f"guard += {term.format(name)}" for m, (node, name) in masked if m and not isinstance(node, (Num, Var))
@@ -217,13 +224,9 @@ class _Body:
 class Expr:
     """Parsed expression in the variables t and u.
 
-    A call checks each node's value and raises its EvalError.  The
-    ``unchecked`` array mode runs the same operations without the checks,
-    under its caller's ``np.errstate``, and returns with the value a guard:
-    the sum of the elements of every operand that could turn a non-finite
-    value finite (``_MASKING``).  Where the guard and the value are finite,
-    the checked call gives the same value bit for bit; elsewhere the caller
-    calls it, for its error.
+    A call gives the value, or raises the EvalError of the first node, in
+    evaluation order, whose value is not finite: on floats through
+    ``scalar``, on arrays through ``array``.
     """
 
     # where the node sits in the parsed text, for error messages only
@@ -233,43 +236,45 @@ class Expr:
     # template with its function; see __getstate__
     _scalar_fn = None
     _array_fn = None
-    _unchecked_fn = None
     _inlined_fn = None
 
     def __call__(self, t, u):
         """Evaluate at scalars or broadcastable numpy arrays."""
         if isinstance(t, np.ndarray) or isinstance(u, np.ndarray):
-            fn = self._array_fn or self._generate(scalar=False)
             with np.errstate(all="ignore"):
-                return fn(t, u)
+                return self.array(t, u)
         return self.scalar(t, u)
 
     @property
     def scalar(self):
         """The generated float-mode function ``fn(t, u)``, which is what a
         call on scalars runs, without the dispatch; built on first use."""
-        return self._scalar_fn or self._generate(scalar=True)
+        return self._scalar_fn or self._generate("scalar")
 
     @property
-    def unchecked(self):
-        """The generated array-mode function ``fn(t, u)`` without its checks,
-        built on first use; it returns the value and a float guard sum.
+    def array(self):
+        """The generated array-mode function ``fn(t, u)``, which is what a
+        call on arrays runs, without the dispatch; built on first use.
 
-        Its caller turns numpy's warnings off.  Where the guard and every
-        element of the value are finite, the checked call ``self(t, u)``
-        would have raised nothing and given the same value bit for bit
-        (``_MASKING`` says why); elsewhere the caller redoes that call, which
-        raises the failing node's EvalError or gives the same value.
+        Its caller turns numpy's warnings off, so that no operation raises
+        or warns.  When the guard sum plus the sum of the value is finite, no
+        node's check could fail (``_MASKING`` says why), and the value is
+        returned; otherwise the checks run, in the order the float mode makes
+        them, and the first to fail raises its node's EvalError.
         """
-        return self._unchecked_fn or self._generate(scalar=False, checked=False)
+        return self._array_fn or self._generate("array")
 
-    def _generate(self, scalar: bool, checked: bool = True):
+    def _generate(self, mode: str):
         # error snippets slice the source of the expression being called
-        body = _Body(self.source, scalar, checked)
+        body = _Body(self.source, mode)
         value = self._emit(body)
-        lines = [*body.lines, f"return {value}"] if checked else ["guard = 0.0", *body.lines, f"return {value}, guard"]
+        if mode == "scalar":
+            lines = [*body.lines, f"return {value}"]
+        else:
+            test = [f"if finite(guard + total({value}, None)):", f"    return {value}"]
+            lines = ["guard = 0.0", *body.lines, *test, *body.checks, f"return {value}"]
         fn = body.define(["def fn(t, u):", *(f"    {line}" for line in lines)])
-        object.__setattr__(self, "_scalar_fn" if scalar else "_array_fn" if checked else "_unchecked_fn", fn)
+        object.__setattr__(self, f"_{mode}_fn", fn)
         return fn
 
     def inlined(self, template: str):
@@ -288,7 +293,7 @@ class Expr:
         """
         cached = self._inlined_fn
         if cached is None or cached[0] is not template:
-            body = _Body(self.source, scalar=True, checked=False)
+            body = _Body(self.source, "inlined")
             cached = template, body.define(body.inline(self, template))
             object.__setattr__(self, "_inlined_fn", cached)
         return cached[1]
@@ -298,7 +303,6 @@ class Expr:
         state = dict(self.__dict__)
         state.pop("_scalar_fn", None)
         state.pop("_array_fn", None)
-        state.pop("_unchecked_fn", None)
         state.pop("_inlined_fn", None)
         return state
 

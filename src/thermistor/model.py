@@ -96,28 +96,22 @@ def _check_span(problem: ThermistorProblem, grid: Grid, what: str) -> None:
 
 def _source(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``f`` on the nodes ``t`` along ``u``, one row of values or a
-    ``(rows, n)`` array of them, as an array of the shape of ``u``."""
-    return _shaped(f(t, u), u)
+    ``(rows, n)`` array of them, as a float array of the shape of ``u``.
 
-
-def _shaped(fv, u: np.ndarray) -> np.ndarray:
-    """The values ``fv`` of ``f`` along ``u`` as a float array of the shape of ``u``."""
-    fv = np.asarray(fv, dtype=float)
+    An ``Expr`` runs its one array mode, ``f.array``, without the dispatch
+    of ``Expr.__call__``: every caller turns numpy's warnings off.
+    """
+    fv = np.asarray(f.array(t, u) if isinstance(f, Expr) else f(t, u), dtype=float)
     # broadcasting a constant or a scalar costs a pass, and an array of u's
     # shape needs none
     return fv if fv.shape == u.shape else fv * np.ones(u.shape)
 
 
-def _positive(fv: np.ndarray) -> bool:
-    """Whether every sample in ``fv`` is positive and finite (NaN is neither)."""
-    return fv.min() > 0.0 and fv.max() < math.inf
-
-
 def _check_positive(t: np.ndarray, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
     """``fv``, the samples of ``f`` along ``u``; raises SourcePositivityError
-    at the first node, in row order, where one is not positive and finite,
-    saying that ``f`` overflowed where the sample is inf."""
-    if not _positive(fv):
+    at the first node, in row order, where one is not positive and finite
+    (NaN is neither), saying that ``f`` overflowed where the sample is inf."""
+    if not (fv.min() > 0.0 and fv.max() < math.inf):
         j = int(np.flatnonzero(~(fv > 0.0) | ~np.isfinite(fv))[0])
         node = j % fv.shape[-1]
         value = float(fv.flat[j])
@@ -131,13 +125,16 @@ def _check_positive(t: np.ndarray, u: np.ndarray, fv: np.ndarray) -> np.ndarray:
 
 
 def sample_source(problem: ThermistorProblem, u: GridFunction) -> np.ndarray:
-    """Evaluate ``f`` along the trajectory and enforce strict positivity."""
-    return _samples(problem.f, u.grid.nodes, u.values)
+    """Evaluate ``f`` along the trajectory and enforce strict positivity,
+    with numpy's floating-point warnings off."""
+    with np.errstate(all="ignore"):
+        return _samples(problem.f, u.grid.nodes, u.values)
 
 
 def _samples(f: SourceFn, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``sample_source`` on the nodes ``t`` along ``u``, one row or ``(rows, n)``:
-    ``f`` called as it is, its samples checked by ``_check_positive``."""
+    ``f`` sampled by ``_source``, under the caller's ``np.errstate``, and its
+    samples checked by ``_check_positive``."""
     return _check_positive(t, u, _source(f, t, u))
 
 
@@ -181,18 +178,10 @@ def _g_rows(f: SourceFn, t: np.ndarray, u: np.ndarray, lam: float | np.ndarray, 
     Raises, for the first row that fails the first check that fails, what
     ``f`` raises, SourcePositivityError if ``f`` is not positive and
     finite, or ValueError naming the node if ``g`` is not finite.  Callers
-    turn numpy's warnings off, so that an integral that overflows is inf
-    and gives 0.  An ``Expr`` runs its ``unchecked`` array mode, and is
-    called checked only where the guard or a sample is not positive and
-    finite, which raises what that call raises, or the same samples.
+    turn numpy's warnings off, for the samples of ``f`` and so that an
+    integral that overflows is inf and gives 0.
     """
-    if isinstance(f, Expr):
-        value, guard = f.unchecked(t, u)
-        fv = _shaped(value, u)
-        if not (math.isfinite(guard) and _positive(fv)):
-            fv = _samples(f, t, u)  # checked: its error, or the same samples
-    else:
-        fv = _samples(f, t, u)
+    fv = _samples(f, t, u)
     g = nonlocal_rhs(lam, fv, trapezoid(fv, h)[:, None])
     return _check_finite(g, t[0], "evaluate_g: g = lambda*f/D**2")
 

@@ -15,8 +15,9 @@ runs it: ``picard_solve`` is a batch of one row, and the CLI's sweep
 passes the points of one alpha as the rows.  The loop turns numpy's
 warnings off once for all its steps, and a step makes few temporaries:
 ``_scan`` solves in place in the right-hand side it is given, and a
-source that is an ``Expr`` runs its unchecked array mode, called checked
-only where that may fail (``model._g_rows``).  ``oracle_solve`` answers
+source that is an ``Expr`` runs its one array mode, ``Expr.array``, as
+every array caller does, which runs its per-node checks only when its
+guard sum is not finite.  ``oracle_solve`` answers
 the same question through a completely separate route: classical RK4 on
 ``u' = lambda * t**(alpha-1) * f(t, u) / D`` with the nonlocal
 denominator D frozen per pass, and an outer loop that finds the D whose

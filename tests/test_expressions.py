@@ -38,7 +38,10 @@ class _Ctx:
 
 
 def _reference_eval(e, t, u):
-    """Walk the tree node by node: the evaluator the generated functions replaced.
+    """Walk the tree node by node, checking each node's value as it is made
+    and raising at the first one that is not finite: the evaluator the
+    generated functions replaced, and the checked array evaluation that
+    ``Expr.array`` defers its checks against.
 
     The compiled path must return bit-identical values, or raise the same
     error with the same span and message.
@@ -403,32 +406,52 @@ class TestCompiledMatchesReference:
         assert got_arr.tobytes() == want_arr.tobytes()
 
 
-class TestUncheckedArrayMode:
-    """``Expr.unchecked`` against the checked call, as ``model._g_rows`` runs it."""
+# sources rich in the operations that can hide a failure (_MASKING), and
+# samples of one row or (rows, n) holding inf, NaN and zeros
+_MASKING_SOURCES = _sources("1/u", "u^t", "exp(u)", "1/exp(1000*u)", "exp(0 - u*1e300*1e300)", "(u*1e300)^0")
+_EDGES = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 710.0]
+_ELEMENTS = st.one_of(st.sampled_from(_EDGES), st.floats(-10.0, 10.0))
 
-    @settings(max_examples=400, deadline=None)
-    @given(src=_SOURCES, inputs=st.one_of(
-        st.tuples(_ARRAYS, _ARRAYS), st.tuples(_ARRAYS, _SCALARS), st.tuples(_SCALARS, _ARRAYS),
-    ))
-    # 1/inf and exp(-inf) mask an overflow that the guard holds
-    @example(src="2 + 1/exp(1000*u)", inputs=(np.ones(3), np.ones(3)))
-    @example(src="exp(0 - u*1e300*1e300)", inputs=(np.ones(3), np.ones(3)))
-    @example(src="(u*1e300*1e300)^0", inputs=(np.ones(3), np.ones(3)))
-    # a finite guard whose elements sum past the largest float
-    @example(src="1/(u*1e308)", inputs=(np.ones(3), np.ones(3)))
-    def test_finite_guard_and_value_mean_the_checked_value(self, src, inputs):
+
+def _filled(shape):
+    size = math.prod(shape)
+    return st.lists(_ELEMENTS, min_size=size, max_size=size).map(lambda xs: np.array(xs).reshape(shape))
+
+
+_SHAPED = st.sampled_from([(5,), (2, 5), (3, 4)]).flatmap(lambda shape: st.tuples(_filled(shape), _filled(shape)))
+
+
+class TestArrayMode:
+    """``Expr.array``, as the model's sampling calls it, against the checked
+    node-by-node evaluation ``_reference_eval``."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(src=_MASKING_SOURCES, inputs=_SHAPED)
+    # exp(1000*u) overflows at u = 1 and 1/inf masks it to 2.0: the guard
+    # sum is inf, so the checks run and name exp
+    @example(src="2 + 1/exp(1000*u)", inputs=(np.linspace(1.0, 2.0, 5)[None], np.ones((1, 5))))
+    @example(src="exp(0 - u*1e300*1e300)", inputs=(np.ones(5), np.ones(5)))
+    @example(src="(u*1e300*1e300)^0", inputs=(np.ones((2, 5)), np.ones((2, 5))))
+    # a finite guard, or finite values, whose sum passes the largest float:
+    # the checks run and pass
+    @example(src="1/(u*1e308)", inputs=(np.ones(5), np.ones(5)))
+    @example(src="1/(u*1e-308)", inputs=(np.ones(5), np.ones(5)))
+    @example(src="u + 1", inputs=(np.ones(5), np.array([1.0, math.nan, 0.0, math.inf, -1.0])))
+    def test_matches_the_checked_reference(self, src, inputs):
         e = parse_expr(src)
         t, u = inputs
+        want, want_err = _outcome(_reference_eval, e, t, u)
         with np.errstate(all="ignore"):
-            value, guard = e.unchecked(t, u)
-        want, want_err = _outcome(lambda e, t, u: e(t, u), e, t, u)
+            got, got_err = _outcome(lambda e, t, u: e.array(t, u), e, t, u)
         if want_err is not None:
-            assert isinstance(want_err, EvalError)
-            assert not (math.isfinite(guard) and np.isfinite(value).all())
+            assert type(got_err) is type(want_err)
+            assert str(got_err) == str(want_err)
             return
-        # the same operations in the same order: the checked value, bit for bit
-        assert type(value) is type(want)
-        assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+        assert got_err is None, got_err
+        assert type(got) is type(want)
+        got_arr, want_arr = np.asarray(got), np.asarray(want)
+        assert got_arr.dtype == want_arr.dtype and got_arr.shape == want_arr.shape
+        assert got_arr.tobytes() == want_arr.tobytes()
 
 
 _PY_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -487,10 +510,8 @@ class TestCompiledCache:
         e = parse_expr(self.SRC)
         scalar = e(1.5, 0.25)
         array = e(self.TS, self.US)
-        unchecked, guard = e.unchecked(self.TS, self.US)
-        assert unchecked.tobytes() == array.tobytes()
-        # the guard holds the divisor (1 + u^2) of each node
-        assert guard == np.sum(1.0 + np.power(self.US, 2.0))
+        with np.errstate(all="ignore"):
+            assert e.array(self.TS, self.US).tobytes() == array.tobytes()
         inlined = e.inlined(_TEMPLATE)(1.5, 0.25)
         # the guard holds the divisor (1 + u^2) of each call; u^2 has only leaves
         assert inlined == (scalar + e(1.5, 1.25), (1 + 0.25**2) + (1 + 1.25**2))
@@ -502,13 +523,12 @@ class TestCompiledCache:
         assert same == e and repr(same) == repr(e)
         for other in (same, copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
             # each copy drops the generated functions and builds its own
-            assert (other._scalar_fn, other._array_fn, other._unchecked_fn, other._inlined_fn) == (None,) * 4
+            assert (other._scalar_fn, other._array_fn, other._inlined_fn) == (None,) * 3
             assert other == e and repr(other) == repr(e)
             assert (other.span, other.source) == (e.span, e.source)
             assert other(1.5, 0.25) == scalar
             assert other(self.TS, self.US).tobytes() == array.tobytes()
-            assert other.unchecked(self.TS, self.US)[0].tobytes() == array.tobytes()
-            assert other.unchecked is not e.unchecked
+            assert other.array is not e.array
             assert other.inlined(_TEMPLATE)(1.5, 0.25) == inlined
             assert other.inlined(_TEMPLATE) is not e.inlined(_TEMPLATE)
 
@@ -598,7 +618,7 @@ class TestScalarFunction:
 # the names a generated function may use besides its own c<k> bindings
 _FIXED_NAMES = {
     "EvalError", "OverflowError", "ValueError", "ZeroDivisionError",
-    "all", "divide", "float", "isfinite", "nan", "power", "total",
+    "all", "divide", "finite", "float", "isfinite", "nan", "power", "total",
 }
 
 
@@ -622,12 +642,11 @@ class TestGeneratedFunction:
 
     @staticmethod
     def _assert_only_fixed_names(e):
-        for fn in (e._generate(scalar=True), e._generate(scalar=False)):
-            code = fn.__code__
-            assert code.co_consts == (None,)
-            assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
-        # unchecked, the code adds only its guard's start
-        code = e._generate(scalar=False, checked=False).__code__
+        code = e._generate("scalar").__code__
+        assert code.co_consts == (None,)
+        assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
+        # the array mode adds only its guard's start
+        code = e._generate("array").__code__
         assert set(code.co_consts) <= {None, 0.0}
         assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
         # inlined, the code adds only the template's own constants and names

@@ -2,12 +2,14 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import thermistor as th
+from thermistor.config import TubeSpec
 from thermistor.conformable import trapezoid
 from thermistor.model import _g_rows, _source, nonlocal_rhs, sample_source
 
@@ -242,3 +244,42 @@ class TestBoundsEstimate:
         p = th.ThermistorProblem(1.0, 1e200, 1.0, th.Alpha(1.0), 0.0, th.parse_expr("2"))
         b = th.bounds_estimate(p, *band(p.grid(101), 0.0, 1.0))
         assert b == (2.0, 2.0, 0.0)
+
+
+_OVERFLOWED = "evaluation error at bytes 0..11 ('exp(1000*{})'): exp left its domain or overflowed"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda p, u, tube: sample_source(p, u), _OVERFLOWED.format("u")),
+        (lambda p, u, tube: th.verify_tube(tube, p), _OVERFLOWED.format("u")),
+        (lambda p, u, tube: th.bounds_estimate(p, tube.v, tube.M), None),
+        (lambda p, u, tube: th.evaluate_g(p, u), _OVERFLOWED.format("u")),
+        (lambda p, u, tube: th.closed_form_center(p, u.grid), _OVERFLOWED.format("u")),
+        (lambda p, u, tube: th.apply_k(u, tube, p), _OVERFLOWED.format("u")),
+        (
+            lambda p, u, tube: TubeSpec(None, th.parse_expr("1"), th.parse_expr("exp(1000*t)")).build(p, u.grid),
+            "[tube] M: " + _OVERFLOWED.format("t"),
+        ),
+    ],
+    ids=["sample_source", "verify_tube", "bounds_estimate", "evaluate_g", "closed_form_center", "apply_k", "TubeSpec.build"],
+)
+def test_each_source_caller_keeps_numpy_quiet(call, error):
+    # exp(1000*u) overflows along u = 1 and on the band 1 +/- 0.5, and the
+    # radius exp(1000*t) on [1, 2]: each caller turns numpy's warnings off
+    # around the array mode, which names the node, or reports NaN bounds
+    p = th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 1.0, th.parse_expr("exp(1000*u)"))
+    grid = p.grid(11)
+    u = th.GridFunction.constant(grid, 1.0)
+    tube = th.Tube(u, th.GridFunction.constant(grid, 0.5))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if error is None:
+            bounds = call(p, u, tube)
+            assert math.isnan(bounds.f_min) and math.isnan(bounds.f_max)
+        else:
+            with pytest.raises(ValueError) as raised:
+                call(p, u, tube)
+            assert str(raised.value) == error
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []

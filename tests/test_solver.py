@@ -303,20 +303,14 @@ class TestApplyK:
 
 
 class TestUncheckedSource:
-    # exp(1000*u) overflows at u = 1, and 1/inf masks it: the checked call
-    # raises there, the unchecked array mode gives 2.0 with a guard sum of inf
+    # exp(1000*u) overflows at u = 1, and 1/inf masks it: without its checks
+    # the array mode's value would be 2.0, but its guard sum is inf, so the
+    # checks run and raise at exp
     MASKING = th.parse_expr("2 + 1/exp(1000*u)")
     MESSAGE = "evaluation error at bytes 6..17 ('exp(1000*u)'): exp left its domain or overflowed"
 
     def problem(self):
         return th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 1.0, self.MASKING)
-
-    def test_unguarded_value_would_pass(self):
-        t = np.linspace(1.0, 2.0, 5)[None]
-        with np.errstate(all="ignore"):
-            value, guard = self.MASKING.unchecked(t, np.ones_like(t))
-        assert value.tolist() == [[2.0] * 5]
-        assert guard == math.inf
 
     def test_picard_step_raises_the_checked_error(self):
         p = self.problem()
@@ -904,9 +898,9 @@ class TestNestedStart:
         # c = 1.1219999999999999 is a node of the 1001-node level of a
         # 10001-node solve on [1, 2], and of neither other grid: there the
         # division by (t - c)^2 = 0 overflows, and an ulp away the term is
-        # below 1e-268.  The source's unchecked code runs in the errstate that
+        # below 1e-268.  The source's array mode runs in the errstate that
         # _iterate enters once for its whole loop, so the level ends with the
-        # checked EvalError, the fine grid starts from v, and nothing warns
+        # node's EvalError, the fine grid starts from v, and nothing warns
         c = 1.1219999999999999
         f = th.parse_expr(f"2 + sin(u) + 1e-300/(t - {c!r})^2")
         problems, tubes = _sin_rows(0.7, 10001, [(1.0, 1.0)])
@@ -1135,20 +1129,28 @@ class TestOracle:
         assert sampled == starts
 
     def test_rk4_stages_skip_the_expression_dispatch(self, monkeypatch, rk4_passes):
-        # the RK4 passes inline f and take D from their own samples;
-        # Expr.__call__ sees only the array evaluation of the one constant
-        # start, on the 21-node level
+        # the RK4 passes inline f and take D from their own samples; the
+        # generated functions see only the array evaluation of the one
+        # constant start, on the 21-node level
         calls = collections.Counter()
-        call = Expr.__call__
 
-        def counting_call(e, t, u):
-            calls["array" if isinstance(t, np.ndarray) or isinstance(u, np.ndarray) else "float"] += 1
-            return call(e, t, u)
+        def counting(mode, generated):
+            def fn(e):
+                run = generated.fget(e)
 
-        monkeypatch.setattr(Expr, "__call__", counting_call)
+                def counted(t, u):
+                    calls[mode] += 1
+                    return run(t, u)
+
+                return counted
+
+            return property(fn)
+
+        for mode in ("scalar", "array"):
+            monkeypatch.setattr(Expr, mode, counting(mode, Expr.__dict__[mode]))
         p = replace(sin_problem(), f=th.parse_expr("2 + sin(u)"))
         out = th.oracle_solve(p, th.SolveOptions(grid_n=2001))
-        assert calls["float"] == 0
+        assert calls["scalar"] == 0
         assert calls["array"] == 1
         assert set(rk4_passes) == {21, 41, 201, 2001}
         assert out.values.tobytes() == _nested_reference_oracle(p, th.SolveOptions(grid_n=2001))[0].tobytes()

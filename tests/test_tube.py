@@ -338,8 +338,8 @@ def _reference_verify_tube(tube, problem):
 # sheet; one that overflows to inf for u above about 18; one whose integral
 # squared underflows to 0, so that g = inf and a margin is 0 * inf = NaN
 # where M = 0; one whose lam * f overflows while its integral squared does,
-# so that g = inf / inf = NaN; and a masking one, whose unchecked value is 2
-# where exp(1000*u) overflows and which raises the checked EvalError there.
+# so that g = inf / inf = NaN; and a masking one, whose value without the
+# node checks is 2 where exp(1000*u) overflows and which raises its EvalError there.
 _TUBE_SOURCES = [
     "2 + sin(u)", "1 + u^2", "exp(-u) + t", "u + 0.6", "1e300*exp(u)", "1e-170 + 0*u", "1e308 + 0*u",
     "2 + 1/exp(1000*u)",
