@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import re
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -452,6 +453,51 @@ class TestArrayMode:
         got_arr, want_arr = np.asarray(got), np.asarray(want)
         assert got_arr.dtype == want_arr.dtype and got_arr.shape == want_arr.shape
         assert got_arr.tobytes() == want_arr.tobytes()
+
+
+def _with_guard_test(e, finite):
+    """``e.array``'s code with ``finite`` in place of its guard's test, which
+    it calls once with the guard sum plus the sum of the value."""
+    fn = e.array
+    return types.FunctionType(fn.__code__, dict(fn.__globals__, finite=finite))
+
+
+class TestUncheckedArrayMode:
+    """The array mode's value before its checks, as its guard's test sees it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(src=_SOURCES, inputs=st.one_of(
+        st.tuples(_ARRAYS, _ARRAYS), st.tuples(_ARRAYS, _SCALARS), st.tuples(_SCALARS, _ARRAYS),
+    ))
+    # 1/inf and exp(-inf) mask an overflow that the guard holds
+    @example(src="2 + 1/exp(1000*u)", inputs=(np.ones(3), np.ones(3)))
+    @example(src="exp(0 - u*1e300*1e300)", inputs=(np.ones(3), np.ones(3)))
+    @example(src="(u*1e300*1e300)^0", inputs=(np.ones(3), np.ones(3)))
+    # a finite guard whose elements sum past the largest float
+    @example(src="1/(u*1e308)", inputs=(np.ones(3), np.ones(3)))
+    def test_finite_guard_and_value_mean_the_checked_value(self, src, inputs):
+        e = parse_expr(src)
+        t, u = inputs
+        tests = []
+
+        def finite(total):
+            tests.append(math.isfinite(total))
+            return tests[-1]
+
+        with np.errstate(all="ignore"):
+            value, err = _outcome(lambda e, t, u: _with_guard_test(e, finite)(t, u), e, t, u)
+        want, want_err = _outcome(_reference_eval, e, t, u)
+        assert len(tests) == 1
+        if want_err is not None:
+            assert isinstance(want_err, EvalError)
+            assert not tests[0]
+            return
+        if tests[0]:
+            # the test passed, so the checks were skipped: the same
+            # operations in the same order give the checked value, bit for bit
+            assert err is None, err
+            assert type(value) is type(want)
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
 
 
 _PY_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")

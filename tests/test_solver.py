@@ -20,7 +20,7 @@ from thermistor.model import sample_source
 from thermistor.solver import _RK4_PASS, _picard_rows, equation_residual
 
 from conftest import constant_problem, ramp_problem, sin_offset_source, sin_problem, u_star
-from test_expressions import _SCALARS, _reference_eval, _sources
+from test_expressions import _SCALARS, _reference_eval, _sources, _with_guard_test
 
 
 def _reference_oracle_parts(problem, opts, numpy_d=False):
@@ -311,6 +311,20 @@ class TestUncheckedSource:
 
     def problem(self):
         return th.ThermistorProblem(1.0, 2.0, 1.0, th.Alpha(0.5), 1.0, self.MASKING)
+
+    def test_unguarded_value_would_pass(self):
+        # with its guard's test forced to pass, the array mode returns 2.0;
+        # the sum the test sees is inf, so the real test fails and raises
+        seen = []
+        unguarded = _with_guard_test(self.MASKING, lambda total: seen.append(total) or True)
+        t = np.linspace(1.0, 2.0, 5)[None]
+        with np.errstate(all="ignore"):
+            value = unguarded(t, np.ones_like(t))
+            with pytest.raises(EvalError) as raised:
+                self.MASKING.array(t, np.ones_like(t))
+        assert value.tolist() == [[2.0] * 5]
+        assert seen == [math.inf]
+        assert str(raised.value) == self.MESSAGE
 
     def test_picard_step_raises_the_checked_error(self):
         p = self.problem()
