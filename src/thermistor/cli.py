@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import ConfigError, LoadedConfig, float_list, load_config, prefixed, whole_number
 from .conformable import Alpha, Grid
-from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, identity_table, table_passes
+from .identities import CSV_COLUMNS, DEFAULT_ALPHAS, DEFAULT_SIZES, check_sizes, identity_table, table_passes
 from .model import ThermistorProblem
 from .solver import SolveOptions, SolveReport, _picard_rows, picard_solve
 from .tube import Tube, TubeReport, verify_tube
@@ -201,8 +201,9 @@ def cmd_identities(args: argparse.Namespace) -> int:
     for n in sizes:
         # the identities run on grids of these sizes; building one checks n
         prefixed("--grid-n", Grid, 1.0, 2.0, n)
-    # alphas and single sizes are checked above; what is left is the size list
-    rows = prefixed("--grid-n", identity_table, tuple(alphas), tuple(sizes))
+    prefixed("--grid-n", check_sizes, tuple(sizes))
+    # the flags are checked; an error of the table itself keeps its own text
+    rows = identity_table(tuple(alphas), tuple(sizes))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

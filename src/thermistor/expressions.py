@@ -24,17 +24,15 @@ literal that overflows a float, such as ``1e400``, is a parse error.
 Parse errors are positioned by byte offset; evaluation errors (division
 by zero, sqrt of a negative, overflow) carry the source span of the
 offending subexpression instead of leaking NaNs.  On its first call in
-each evaluation mode (Python floats or numpy arrays) a tree generates one
-Python function.  In the float mode, ``Expr.scalar``, each node checks its
-own value and raises its own error.  The array mode, ``Expr.array``, which
-every array caller runs, does the operations unchecked and tests one sum,
-of the value and a guard (``_MASKING``); only when that is not finite does
-it run the nodes' checks, in the same order, and raise the first failing
-node's error.  ``Expr.inlined``
-generates a caller's float-mode template, the oracle's RK4 pass, with the
-tree's code unchecked at each call and one guard sum for the caller to test
-at the end in place of the per-node checks; ``_Body.bound`` defines the
-same template calling a checked ``f`` instead.
+each evaluation mode, on Python floats (``Expr.scalar``) or numpy arrays
+(``Expr.array``), a tree generates one Python function.  It does the
+operations unchecked and tests one sum, of the value and a guard
+(``_MASKING``); only when that is not finite does it run the nodes'
+checks, in evaluation order, and raise the first failing node's error.
+``Expr.inlined`` generates a caller's float-mode template, the oracle's RK4
+pass, with the tree's unchecked code at each call and its guard sum for
+the caller to test at the end; ``_Body.bound`` defines the same template
+calling a checked ``f`` instead.
 """
 
 from __future__ import annotations
@@ -105,17 +103,17 @@ _SCALAR_NAMES = dict(_ARRAY_NAMES, isfinite=math.isfinite, nan=math.nan, divide=
 # pow(1, nan), pow(nan, 0) and pow(inf, -1) are finite, and exp(-inf) is 0.
 # Every other operation maps a non-finite operand to a non-finite value (inf
 # and NaN survive + - * and unary minus, abs, sqrt, sin and cos) or raises
-# (sin or cos of inf, sqrt of -inf, division by zero).  So inlined code,
-# which does the float-mode operations in the same order without the checks,
-# agrees with the checked code up to the first node whose check fails.  There
-# the operation raises in both, or its value is not finite, and so is the
-# value of each node above it up to the value of f, unless one raises or takes
-# it as an operand listed here, which the code adds to its guard sum.  Literals
-# and variables have no check of their own, so they need no place in the guard.
-# In the array mode the same holds element by element, as numpy's operations
+# (sin or cos of inf, sqrt of -inf, division by zero).  So the operations,
+# done unchecked in evaluation order, agree with a node-by-node checked
+# evaluation up to the first node whose check fails.  There the operation
+# raises, or its value is not finite, and so is the value of each node above
+# it up to the value of f, unless one raises or takes it as an operand listed
+# here, which the code adds to its guard sum.  Literals and variables have no
+# check of their own, so they need no place in the guard.  On floats, an
+# operation that raises ends the run with its value NaN, so its check fails
+# first.  On arrays the same holds element by element, as numpy's operations
 # act on each element alone and raise nothing with its warnings off; the guard
-# sum then adds up all the elements of each listed operand, and the value's
-# elements are added at the end.
+# sum adds up all the elements of each listed operand, and the value's too.
 _MASKING = {"/": (False, True), "^": (True, True), "exp": (True,)}
 # A call of the expression in an inlined template, f(t, u), with t and u plain names.
 _CALL = re.compile(r"\bf\((\w+), (\w+)\)")
@@ -126,21 +124,22 @@ class _Body:
     and literals, functions and error arguments are bound as ``c<k>`` in its
     namespace, so no source text reaches ``exec``.
 
-    In the ``"scalar"`` mode the function is ``fn(t, u)`` and each node
-    checks its own value.  Elsewhere ``mask`` builds the guard sum: in the
-    ``"array"`` mode, ``fn(t, u)`` on arrays, whose checks wait in ``checks``
-    behind the guard's test, and ``"inlined"``, unchecked, where the nodes
-    are the calls in a float-mode template (``at`` set, by ``inline``).
+    On Python floats (``floats``) or numpy arrays, each node's operation is
+    emitted unchecked, ``mask`` adds to the guard sum, and the node's check
+    waits in ``checks`` for the guard's test to fail.  ``inline`` drops the
+    checks: its nodes are the calls in a float-mode template, whose names for
+    t and u are ``at``.
     """
 
-    def __init__(self, source: str, mode: str):
+    def __init__(self, source: str, floats: bool):
         self.source = source
-        self.mode = mode
-        self.scalar = mode != "array"  # on Python floats: the scalar and inlined modes
-        self.names = dict(_ARRAY_NAMES if mode == "array" else _SCALAR_NAMES)
+        self.floats = floats
+        self.names = dict(_SCALAR_NAMES if floats else _ARRAY_NAMES)
+        self.term = "{}" if floats else "total({}, None)"  # a value's term in the guard sum
         self.lines: list[str] = []
-        self.checks: list[str] = []  # the array mode's checks, in the order the float mode makes them
-        self.at: tuple[str, str] | None = None  # the names of t and u at an inlined call
+        self.checks: list[tuple[str, str]] = []  # (value, error arguments), in evaluation order
+        self.at = _VARIABLES  # the names of t and u: the function's own or an inlined call's
+        self.variables: dict[str, None] = {}  # the names of ``at`` that Var nodes use, in order
 
     def define(self, lines: list[str]):
         """Execute ``lines``, the source of one function ``fn``, in the
@@ -152,7 +151,7 @@ class _Body:
     def bound(cls, template: str, f):
         """``template``, as ``Expr.inlined`` takes it, with each call ``f(t, u)``
         a call of the callable ``f``, which checks its own values."""
-        body = cls("", "scalar")
+        body = cls("", True)
         body.names["f"] = f
         return body.define(template.splitlines())
 
@@ -161,48 +160,23 @@ class _Body:
         self.names[name] = obj
         return name
 
-    def let(self, expr: str) -> str:
-        name = f"x{len(self.lines)}"
-        self.lines.append(f"{name} = {expr}")
-        return name
-
     def check(self, node: Expr, expr: str, detail: str) -> str:
-        """Emit ``node``'s operation and its finiteness check: in the scalar
-        mode the operation in its own try, in the array mode the check into
-        ``checks``, and inlined the operation alone.
-
-        The children's lines come first, outside the try: their EvalErrors
-        are ValueErrors and must not be taken for this node's own.
-        """
-        if self.mode == "inlined":
-            return self.let(expr)
+        """Emit ``node``'s operation, unchecked, and keep its finiteness check."""
         lo, hi = node.span
         error = self.bind(((lo, hi), self.source[lo:hi], detail))
-        if self.mode == "array":
-            name = self.let(expr)
-            self.checks += [f"if not isfinite({name}).all():", f"    raise EvalError(*{error})"]
-            return name
         name = f"x{len(self.lines)}"
-        self.lines += [
-            "try:",
-            f"    {name} = {expr}",
-            "except (ZeroDivisionError, ValueError, OverflowError):",
-            f"    {name} = nan",
-            f"if not isfinite({name}):",
-            f"    raise EvalError(*{error})",
-        ]
+        self.lines.append(f"{name} = {expr}")
+        self.checks.append((name, error))
         return name
 
     def mask(self, op: str, *operands: tuple[Expr, str]) -> None:
-        """Outside the scalar mode, add to ``guard`` each of ``op``'s
-        ``operands`` (node, value name) that ``_MASKING`` lists and a node
-        computes; in the array mode, the sum of its elements."""
-        if self.mode != "scalar":
-            term = "{}" if self.scalar else "total({}, None)"
-            masked = zip(_MASKING.get(op, ()), operands)
-            self.lines += [
-                f"guard += {term.format(name)}" for m, (node, name) in masked if m and not isinstance(node, (Num, Var))
-            ]
+        """Add to ``guard`` each of ``op``'s ``operands`` (node, value name)
+        that ``_MASKING`` lists and a node computes; on arrays, the sum of its
+        elements."""
+        masked = zip(_MASKING.get(op, ()), operands)
+        self.lines += [
+            f"guard += {self.term.format(name)}" for m, (node, name) in masked if m and not isinstance(node, (Num, Var))
+        ]
 
     def inline(self, expr: Expr, template: str) -> list[str]:
         """The lines of ``template`` with each call ``f(t, u)`` replaced by the
@@ -248,7 +222,10 @@ class Expr:
     @property
     def scalar(self):
         """The generated float-mode function ``fn(t, u)``, which is what a
-        call on scalars runs, without the dispatch; built on first use."""
+        call on scalars runs, without the dispatch; built on first use.  It
+        runs as ``array`` does, with ``t`` and ``u`` made floats first and its
+        operations in one try: one that raises ZeroDivisionError, ValueError
+        or OverflowError leaves its value NaN, for its node's check to fail."""
         return self._scalar_fn or self._generate("scalar")
 
     @property
@@ -259,20 +236,31 @@ class Expr:
         Its caller turns numpy's warnings off, so that no operation raises
         or warns.  When the guard sum plus the sum of the value is finite, no
         node's check could fail (``_MASKING`` says why), and the value is
-        returned; otherwise the checks run, in the order the float mode makes
-        them, and the first to fail raises its node's EvalError.
+        returned; otherwise the checks run, in evaluation order, and the
+        first to fail raises its node's EvalError.
         """
         return self._array_fn or self._generate("array")
 
     def _generate(self, mode: str):
         # error snippets slice the source of the expression being called
-        body = _Body(self.source, mode)
+        body = _Body(self.source, mode == "scalar")
         value = self._emit(body)
-        if mode == "scalar":
-            lines = [*body.lines, f"return {value}"]
-        else:
-            test = [f"if finite(guard + total({value}, None)):", f"    return {value}"]
-            lines = ["guard = 0.0", *body.lines, *test, *body.checks, f"return {value}"]
+        run = ["guard = 0.0", *body.lines, f"if finite(guard + {body.term.format(value)}):", f"    return {value}"]
+        test = "if not isfinite({}):" if body.floats else "if not isfinite({}).all():"
+        checks = [line for name, error in body.checks for line in (test.format(name), f"    raise EvalError(*{error})")]
+        if body.floats:
+            # an operation that raises ends the run and leaves its value NaN;
+            # the variables the tree uses are made floats before the try
+            preset = [" = ".join([*(name for name, _ in body.checks), "nan"])] if body.checks else []
+            run = [
+                *preset,
+                *(f"{name} = float({name})" for name in body.variables),
+                "try:",
+                *(f"    {line}" for line in run),
+                "except (ZeroDivisionError, ValueError, OverflowError):",
+                "    pass",
+            ]
+        lines = [*run, *checks, f"return {value}"]
         fn = body.define(["def fn(t, u):", *(f"    {line}" for line in lines)])
         object.__setattr__(self, f"_{mode}_fn", fn)
         return fn
@@ -285,15 +273,16 @@ class Expr:
         names ``x<k>``, ``c<k>`` or those of ``_SCALAR_NAMES``.
 
         If ``fn`` raises no ZeroDivisionError, ValueError or OverflowError and
-        ``guard`` and every value of a call stay finite, the float-mode
-        function would have raised nothing and given the same values
-        (``_MASKING`` says why).  The oracle's ``solver._RK4_PASS`` returns
-        ``guard`` plus its last value and its last sample, which every value
-        of a call reaches, so that one finite sum covers the whole pass.
+        ``guard`` and every value of a call stay finite, no node's check could
+        fail at any call (``_MASKING`` says why), so ``fn`` with each call of
+        ``f`` running ``scalar`` would give the same values.  The oracle's
+        ``solver._RK4_PASS`` returns ``guard`` plus its last value and its
+        last sample, which every value of a call reaches, so that one finite
+        sum covers the whole pass.
         """
         cached = self._inlined_fn
         if cached is None or cached[0] is not template:
-            body = _Body(self.source, "inlined")
+            body = _Body(self.source, True)
             cached = template, body.define(body.inline(self, template))
             object.__setattr__(self, "_inlined_fn", cached)
         return cached[1]
@@ -301,9 +290,8 @@ class Expr:
     def __getstate__(self):
         # the generated functions are a cache, and they do not pickle
         state = dict(self.__dict__)
-        state.pop("_scalar_fn", None)
-        state.pop("_array_fn", None)
-        state.pop("_inlined_fn", None)
+        for name in ("_scalar_fn", "_array_fn", "_inlined_fn"):
+            state.pop(name, None)
         return state
 
     def _emit(self, body: _Body) -> str:
@@ -326,7 +314,7 @@ class Num(Expr):
     value: float
 
     def _emit(self, body: _Body) -> str:
-        return body.bind(float(self.value) if body.scalar else np.float64(self.value))
+        return body.bind(float(self.value) if body.floats else np.float64(self.value))
 
 
 @dataclass(frozen=True)
@@ -334,10 +322,9 @@ class Var(Expr):
     name: str
 
     def _emit(self, body: _Body) -> str:
-        if body.at:  # the template's names, which hold floats
-            return body.at[self.name == "u"]
-        name = "t" if self.name == "t" else "u"
-        return body.let(f"float({name})") if body.scalar else name
+        name = body.at[self.name == "u"]
+        body.variables[name] = None
+        return name
 
 
 @dataclass(frozen=True)
@@ -370,7 +357,7 @@ class Call(Expr):
     def _emit(self, body: _Body) -> str:
         arg = self.arg._emit(body)
         body.mask(self.func, (self.arg, arg))
-        fn = body.bind((_FUNCS_MATH if body.scalar else _FUNCS_NUMPY)[self.func])
+        fn = body.bind((_FUNCS_MATH if body.floats else _FUNCS_NUMPY)[self.func])
         return body.check(self, f"{fn}({arg})", f"{self.func} left its domain or overflowed")
 
 

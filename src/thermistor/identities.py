@@ -94,6 +94,15 @@ def _rung(alpha: float, n: int) -> dict[str, object]:
     }
 
 
+def check_sizes(sizes: tuple[int, ...]) -> None:
+    """Raise ValueError unless ``sizes`` are two or more distinct grid sizes."""
+    if len(sizes) < 2:
+        raise ValueError("identity table needs at least two grid sizes for orders")
+    if len(set(sizes)) != len(sizes):
+        # a repeated rung adds nothing, and next to its twin the order's log(h/h) is 0
+        raise ValueError(f"identity table grid sizes must be distinct, got {tuple(sizes)}")
+
+
 def identity_table(
     alphas: tuple[float, ...] = DEFAULT_ALPHAS,
     sizes: tuple[int, ...] = DEFAULT_SIZES,
@@ -105,11 +114,7 @@ def identity_table(
     grids.  Order cells are empty strings on the first rung of each ladder;
     the classical-match column is filled only at ``alpha = 1``.
     """
-    if len(sizes) < 2:
-        raise ValueError("identity table needs at least two grid sizes for orders")
-    if len(set(sizes)) != len(sizes):
-        # a repeated rung adds nothing, and next to its twin the order's log(h/h) is 0
-        raise ValueError(f"identity table grid sizes must be distinct, got {tuple(sizes)}")
+    check_sizes(sizes)
     rows: list[dict[str, object]] = []
     for alpha in alphas:
         ladder = [_rung(alpha, n) for n in sizes]

@@ -146,9 +146,12 @@ def solve_linear(g: GridFunction, x0: float, alpha: Alpha | float) -> GridFuncti
         The solution as a GridFunction on the same grid.
 
     Raises:
-        ValueError: the error of ``_scan`` if the solution stops being
-            finite (the first offending node is named).
+        ValueError: if ``x0`` is not finite, or the error of ``_scan`` if
+            the solution stops being finite (the first offending node is
+            named).
     """
+    if not math.isfinite(x0):
+        raise ValueError(f"initial value must be finite, got {x0!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         return GridFunction(g.grid, _scan(g.grid, _alpha_value(alpha), g.values.copy(), x0))
 

@@ -629,6 +629,13 @@ class TestIdentitiesCommand:
         assert main(["identities", "--out", str(tmp_path), "--grid-n", "101,101", "--alpha", "1.0"]) == 4
         assert "distinct" in capsys.readouterr().err
 
+    def test_table_error_does_not_name_the_size_flag(self, tmp_path, capsys):
+        # a tiny alpha overflows the linear solve; no size was given
+        assert main(["identities", "--out", str(tmp_path), "--alpha", "1e-20"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("thermistor: error: solve_linear: solution overflowed")
+        assert "--grid-n" not in err
+
     @pytest.mark.parametrize("flag, value", [("--alpha", "0.5,,1.0"), ("--grid-n", "51,,101")])
     def test_empty_list_entry_exits_four(self, tmp_path, capsys, flag, value):
         assert main(["identities", "--out", str(tmp_path), flag, value]) == 4

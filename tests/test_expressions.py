@@ -21,6 +21,7 @@ from thermistor.expressions import (
     Num,
     ParseError,
     Var,
+    _Body,
     parse_expr,
 )
 
@@ -455,10 +456,38 @@ class TestArrayMode:
         assert got_arr.tobytes() == want_arr.tobytes()
 
 
-def _with_guard_test(e, finite):
-    """``e.array``'s code with ``finite`` in place of its guard's test, which
-    it calls once with the guard sum plus the sum of the value."""
-    fn = e.array
+class TestFloatMode:
+    """``Expr.scalar``, as a call on floats and the oracle's checked pass run
+    it, against the checked node-by-node evaluation ``_reference_eval``."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(src=_MASKING_SOURCES, t=_ELEMENTS, u=_ELEMENTS)
+    # exp(1000*u) raises at u = 1 and 1/inf would mask it to 2.0
+    @example(src="2 + 1/exp(1000*u)", t=1.0, u=1.0)
+    # a node that is not finite comes before one that raises: it is named
+    @example(src="1/(u*1e308*10) + sqrt(0 - u)", t=1.0, u=1.0)
+    @example(src="exp(0 - u*1e300*1e300)", t=1.0, u=1.0)
+    @example(src="(u*1e300*1e300)^0", t=1.0, u=1.0)
+    # a finite guard whose sum with the value passes the largest float
+    @example(src="1/(u*1e308)", t=1.0, u=1.0)
+    @example(src="u + 1", t=1.0, u=math.nan)
+    def test_matches_the_checked_reference(self, src, t, u):
+        e = parse_expr(src)
+        want, want_err = _outcome(_reference_eval, e, t, u)
+        got, got_err = _outcome(lambda e, t, u: e.scalar(t, u), e, t, u)
+        if want_err is not None:
+            assert type(got_err) is type(want_err)
+            assert str(got_err) == str(want_err)
+            return
+        assert got_err is None, got_err
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def _with_guard_test(e, finite, mode="array"):
+    """The code of ``e.array``, or of ``e.scalar``, with ``finite`` in place
+    of its guard's test, which it calls once with the guard sum plus the
+    value (on arrays, the sum of its elements)."""
+    fn = getattr(e, mode)
     return types.FunctionType(fn.__code__, dict(fn.__globals__, finite=finite))
 
 
@@ -681,6 +710,15 @@ class TestGeneratedFunction:
         out = parse_expr(src)(np.float64(1.5), np.float64(1.5))
         assert type(out) is float and out == 1.5
 
+    def test_float_mode_holds_one_try(self, monkeypatch):
+        defined = []
+        define = _Body.define
+        monkeypatch.setattr(_Body, "define", lambda body, lines: defined.append(lines) or define(body, lines))
+        e = parse_expr("+".join(["u/(t+1)"] * 350))
+        assert e.scalar(1.0, 2.0) == 350.0
+        (lines,) = defined
+        assert sum(line.strip() == "try:" for line in lines) == 1
+
     def test_long_sum_evaluates_in_both_modes(self):
         e = parse_expr("+".join(["u"] * 600))
         assert e(0.0, 0.5) == 300.0
@@ -688,13 +726,11 @@ class TestGeneratedFunction:
 
     @staticmethod
     def _assert_only_fixed_names(e):
-        code = e._generate("scalar").__code__
-        assert code.co_consts == (None,)
-        assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
-        # the array mode adds only its guard's start
-        code = e._generate("array").__code__
-        assert set(code.co_consts) <= {None, 0.0}
-        assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
+        # each mode adds only its guard's start
+        for mode in ("scalar", "array"):
+            code = e._generate(mode).__code__
+            assert set(code.co_consts) <= {None, 0.0}
+            assert all(name in _FIXED_NAMES or re.fullmatch(r"c\d+", name) for name in code.co_names)
         # inlined, the code adds only the template's own constants and names
         code = e.inlined(_TEMPLATE).__code__
         assert set(code.co_consts) <= {None, 0.0, 1.0}

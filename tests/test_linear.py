@@ -179,6 +179,14 @@ def test_overflow_is_reported_with_node():
         th.solve_linear(th.GridFunction(grid, vals), 0.0, 0.5)
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_value_is_rejected(x0):
+    g = th.GridFunction.constant(th.Grid(1.0, 2.0, 11), 0.0)
+    with pytest.raises(ValueError) as raised:
+        th.solve_linear(g, x0, 0.5)
+    assert str(raised.value) == f"initial value must be finite, got {x0!r}"
+
+
 def test_residual_rejects_mismatched_grids():
     x = th.GridFunction.constant(th.Grid(1.0, 2.0, 11), 1.0)
     g = th.GridFunction.constant(th.Grid(1.0, 2.0, 21), 1.0)

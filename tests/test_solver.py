@@ -326,6 +326,22 @@ class TestUncheckedSource:
         assert seen == [math.inf]
         assert str(raised.value) == self.MESSAGE
 
+    def test_unguarded_float_value_would_pass(self):
+        # on floats exp(1000*u) is inf at u = inf, and 1/inf masks it to 2.0
+        # unless the guard's test fails; at u = 1 exp raises, so the checks
+        # run whatever the test says
+        seen = []
+        unguarded = _with_guard_test(self.MASKING, lambda total: seen.append(total) or True, "scalar")
+        assert unguarded(1.0, math.inf) == 2.0
+        assert seen == [math.inf]
+        with pytest.raises(EvalError) as raised:
+            self.MASKING.scalar(1.0, math.inf)
+        assert str(raised.value) == "evaluation error at bytes 10..16 ('1000*u'): multiplication overflowed"
+        with pytest.raises(EvalError) as raised:
+            unguarded(1.0, 1.0)
+        assert str(raised.value) == self.MESSAGE
+        assert seen == [math.inf]
+
     def test_picard_step_raises_the_checked_error(self):
         p = self.problem()
         grid = p.grid(11)
