@@ -4,21 +4,21 @@ Grammar (EBNF, whitespace between tokens ignored):
 
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
-    factor := "-" factor | power
-    power  := atom ("^" factor)?
+    factor := "-" factor | atom ("^" factor)?
     atom   := NUMBER | "t" | "u" | FUNC "(" expr ")" | "(" expr ")"
     FUNC   := "sin" | "cos" | "exp" | "sqrt" | "abs"
 
 "^" is right-associative and binds tighter than unary minus, so
 ``-2^2 = -4`` and ``2^3^2 = 512``.  There is no implicit multiplication.
-An expression's tree, each operator and function call one level above
-its operands, is at most 700 levels high (``_MAX_DEPTH``), so a sum has
-at most 700 terms; and no operand sits inside more than 140
+The parser reads ``expr`` and ``term`` with one rule, ``_Parser.expr``,
+at two levels.  An expression's tree, each operator and function call one
+level above its operands, is at most 700 levels high (``_MAX_DEPTH``), so
+a sum has at most 700 terms; and no operand sits inside more than 140
 (``_MAX_DEPTH // 5``) parentheses, function calls, unary minuses and
-"^", as the parser recurses through up to five rules for each.  A deeper
-expression is a ParseError at the byte offset of the token that crosses
-the limit, so parsing and evaluation nest at most about 700 Python calls,
-well inside the default recursion limit of 1000.
+"^"; the parser recurses through up to four rules for each, so about 560
+calls.  A deeper expression is a ParseError at the byte offset of
+the token that crosses the limit, so parsing and evaluation nest at most
+about 700 Python calls, well inside the default recursion limit of 1000.
 Numbers accept decimal and scientific notation and must be finite: a
 literal that overflows a float, such as ``1e400``, is a parse error.
 Parse errors are positioned by byte offset; evaluation errors (division
@@ -300,13 +300,14 @@ class Expr:
 
     @property
     def uses_u(self) -> bool:
-        return any(isinstance(node, Var) and node.name == "u" for node in self._walk())
-
-    def _walk(self):
-        yield self
-        for value in vars(self).values():
-            if isinstance(value, Expr):
-                yield from value._walk()
+        # an explicit stack: a left-deep sum is as high as it is long
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var) and node.name == "u":
+                return True
+            stack += [value for value in vars(node).values() if isinstance(value, Expr)]
+        return False
 
 
 @dataclass(frozen=True)
@@ -361,9 +362,12 @@ class Call(Expr):
         return body.check(self, f"{fn}({arg})", f"{self.func} left its domain or overflowed")
 
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPERATORS = set("+-*/^()")
+# One match per token, named by its kind, with the whitespace between tokens
+# and any other character, which no token starts with, as kinds of their own.
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<other>.)"
+)
 # How high an expression's tree may be; see the grammar above.
 _MAX_DEPTH = 700
 
@@ -386,27 +390,11 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPERATORS:
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(src, i)
-        if m:
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(i, "a number, name, operator, or parenthesis", f"character '{c}'")
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "other":
+            raise ParseError(m.start(), "a number, name, operator, or parenthesis", f"character '{m.group()}'")
+        if m.lastgroup != "space":
+            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
     tokens.append(_Token("end", "", len(src)))
     return tokens
 
@@ -453,28 +441,25 @@ class _Parser:
             raise ParseError(at.pos, f"at most {_MAX_DEPTH} levels of operators", at.describe())
         return height
 
-    # Each method returns its node and the height of the node's tree.
-    def expr(self) -> tuple[Expr, int]:
-        node, height = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance()
-            rhs, rhs_height = self.term()
-            height = self.above(op, height, rhs_height)
-            node = BinOp(op.text, node, rhs, span=(node.span[0], rhs.span[1]), source=self.src)
-        return node, height
+    def join(self, op: _Token, left: tuple[Expr, int], right: tuple[Expr, int]) -> tuple[Expr, int]:
+        """The node ``left op right`` and its height, from its operands' pairs."""
+        (lhs, lhs_height), (rhs, rhs_height) = left, right
+        height = self.above(op, lhs_height, rhs_height)
+        return BinOp(op.text, lhs, rhs, span=(lhs.span[0], rhs.span[1]), source=self.src), height
 
-    def term(self) -> tuple[Expr, int]:
-        node, height = self.factor()
-        while self.at_op("*", "/"):
+    # Each rule returns its node and the height of the node's tree.
+    def expr(self, level: int = 0) -> tuple[Expr, int]:
+        # both binary levels, left-associative: "+ -" (level 0) over "* /" (level 1)
+        ops = ("+-", "*/")[level]
+        result = self.factor() if level else self.expr(1)
+        while self.at_op(*ops):
             op = self.advance()
-            rhs, rhs_height = self.factor()
-            height = self.above(op, height, rhs_height)
-            node = BinOp(op.text, node, rhs, span=(node.span[0], rhs.span[1]), source=self.src)
-        return node, height
+            result = self.join(op, result, self.factor() if level else self.expr(1))
+        return result
 
     def factor(self) -> tuple[Expr, int]:
         # every recursion of the parser passes here, and each open call of
-        # factor holds at most five rules on the stack
+        # factor holds at most four rules on the stack
         if self.depth > _MAX_DEPTH // 5:
             raise self.fail(f"at most {_MAX_DEPTH // 5} levels of nesting")
         self.depth += 1
@@ -483,18 +468,12 @@ class _Parser:
             operand, height = self.factor()
             result = Neg(operand, span=(minus.pos, operand.span[1]), source=self.src), self.above(minus, height)
         else:
-            result = self.power()
+            result = self.atom()
+            if self.at_op("^"):
+                caret = self.advance()
+                result = self.join(caret, result, self.factor())
         self.depth -= 1
         return result
-
-    def power(self) -> tuple[Expr, int]:
-        base, height = self.atom()
-        if self.at_op("^"):
-            caret = self.advance()
-            exponent, exponent_height = self.factor()
-            span = (base.span[0], exponent.span[1])
-            return BinOp("^", base, exponent, span=span, source=self.src), self.above(caret, height, exponent_height)
-        return base, height
 
     def atom(self) -> tuple[Expr, int]:
         tok = self.peek()

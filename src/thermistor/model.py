@@ -216,7 +216,7 @@ def bounds_estimate(problem: ThermistorProblem, v: GridFunction, M: GridFunction
         uu = v.values[idx] + ss * M.values[idx]
         try:
             fv = _source(problem.f, tt, uu)
-        except ValueError:
+        except Exception:  # a plain callable f may raise anything on the band
             fv = np.full_like(uu, math.nan)
     f_min = float(fv.min())
     f_max = float(fv.max())

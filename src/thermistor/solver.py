@@ -186,7 +186,7 @@ def equation_residual(u: GridFunction, problem: ThermistorProblem) -> tuple[np.n
     _check_span(problem, u.grid, "evaluate_g: grid")  # an error, not NaN
     try:
         g = _g_row(problem, u.grid, u.values)
-    except ValueError:
+    except Exception:  # a plain callable f may raise anything off the truncated iterates
         nan = np.full(u.grid.n, math.nan)
         return nan, nan
     (du,) = _derivative(u.grid, problem.alpha.value, (u.values, "conformable derivative"))

@@ -330,6 +330,16 @@ class TestStructure:
         assert parse_expr("t + 0*u").uses_u
 
 
+@pytest.mark.parametrize("leaf, expected", [(Var("u"), True), (Var("t"), False)], ids=["u", "t"])
+def test_uses_u_on_a_tree_deeper_than_the_recursion_limit(leaf, expected):
+    # hand-built and left-deep, with the leaf at the bottom: the parser
+    # accepts no tree this high
+    tree = leaf
+    for _ in range(3000):
+        tree = BinOp("+", tree, Num(1.0))
+    assert tree.uses_u is expected
+
+
 # literals near the edges: subnormal, overflow-scale, the largest double,
 # and exp's overflow threshold
 _LITERALS = ["0", "1", "2", "0.5", "3", "1e-320", "1e-300", "1e300", "1.7976931348623157e308", "709.8"]

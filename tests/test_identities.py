@@ -1,5 +1,7 @@
 """Identity ladder table: shape, thresholds, and the pass verdict."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from thermistor.identities import (
     CSV_COLUMNS,
     DEFAULT_ALPHAS,
     DEFAULT_SIZES,
+    _order,
     identity_table,
     table_passes,
 )
@@ -71,6 +74,15 @@ def test_thresholds_reject_doctored_rows():
     bad = [dict(r) for r in rows]
     bad[1]["classical_match_error"] = 1e-14
     assert not table_passes(bad)
+
+
+@pytest.mark.parametrize("errors", [(0.0, 1e-3), (1e-3, 0.0), (0.0, 0.0)])
+def test_an_exact_rung_has_an_infinite_order_that_passes(errors):
+    order = _order(*errors, 0.02, 0.01)
+    assert order == math.inf
+    rows = [dict(r) for r in identity_table((0.5,), (51, 101))]
+    rows[1]["roundtrip_order"] = rows[1]["linear_residual_order"] = order
+    assert table_passes(rows)
 
 
 def test_needs_two_sizes():

@@ -231,6 +231,10 @@ REFERENCE_SOURCES = pytest.mark.parametrize(
 )
 
 
+class _Refused(Exception):
+    """What a plain callable source may raise: not a ValueError."""
+
+
 class TestSolveOptions:
     def test_defaults(self):
         opts = th.SolveOptions()
@@ -493,6 +497,41 @@ class TestPicardSolve:
         assert report.iterations == 3
         assert not report.converged and not report.member_of_tube
         assert math.isnan(report.ode_residual)
+
+    def test_callable_that_raises_off_the_iterates_leaves_the_diagnostics_nan(self):
+        # the same solve with a plain callable that refuses u > 100, as a
+        # library may: the untruncated last iterate is only a diagnostic
+        def exp_minus_u(t, u):
+            if np.max(u) > 100.0:
+                raise _Refused("u > 100")
+            return np.exp(-u)
+
+        p = th.ThermistorProblem(1.0, 2.0, 8.0, th.Alpha(1.0), 0.1, exp_minus_u)
+        grid = p.grid(401)
+        tube = th.Tube(th.closed_form_center(p, grid), th.GridFunction.constant(grid, 5.0))
+        report = th.picard_solve(p, tube, th.SolveOptions(max_iter=3))
+        assert report.tube_report.valid and report.iterations == 3
+        assert not report.converged and not report.member_of_tube
+        assert math.isnan(report.ode_residual)
+        assert np.isnan(report.g).all() and np.isnan(report.residual).all()
+
+    def test_callable_that_raises_on_the_band_leaves_the_bounds_nan(self):
+        # 2 + sin(u) refused where the 64 x 64 band lattice reaches u > 1;
+        # the solve never samples there, and it converges
+        def refusing_sin(t, u):
+            if np.shape(u) == (64, 64) and np.max(u) > 1.0:
+                raise _Refused("u > 1 on the band")
+            return 2.0 + np.sin(u)
+
+        p = replace(sin_problem(), f=refusing_sin)
+        grid = p.grid(201)
+        tube = th.Tube(th.closed_form_center(p, grid), th.GridFunction.constant(grid, 2.0))
+        report = th.picard_solve(p, tube, th.SolveOptions())
+        assert report.converged and report.member_of_tube
+        assert math.isnan(report.bounds.f_min) and math.isnan(report.bounds.f_max)
+        assert report.bounds.g_sup == math.inf
+        expected = th.picard_solve(sin_problem(), tube, th.SolveOptions())
+        assert np.array_equal(report.u.values, expected.u.values)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize("lam", [1.0, 8.0])

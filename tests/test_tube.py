@@ -107,6 +107,12 @@ class TestMembership:
         with pytest.raises(ValueError):
             th.membership(u, tube, slack=-1e-3)
 
+    def test_u_on_another_grid_is_rejected(self):
+        tube = make_tube(th.Grid(1.0, 2.0, 5), 0.0, 0.5)
+        u = th.GridFunction.constant(th.Grid(1.0, 2.0, 9), 0.0)
+        with pytest.raises(ValueError, match="^membership: u is not on the tube's grid$"):
+            th.membership(u, tube)
+
     def test_default_tol_is_ten_h_squared(self):
         grid = th.Grid(1.0, 2.0, 101)
         assert default_condition_tol(grid) == 10.0 * grid.h * grid.h
