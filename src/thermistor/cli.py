@@ -18,9 +18,10 @@ Exit codes, in order of precedence:
 ``thermistor: error:`` line and exit 4.
 
 This module writes all report text, the invalid-tube warning line
-included.  All CSV output is written with LF newlines and
-round-trip-exact decimal formatting, so repeated runs of the same
-configuration are byte identical.
+included.  Every output file is written by ``_publish``, as UTF-8 with
+LF newlines on every platform, and numbers use round-trip-exact decimal
+formatting, so repeated runs of the same configuration are byte
+identical.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,11 +67,23 @@ def _fmt(cell: object) -> str:
     return repr(float(cell))
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+def _csv(header: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
+    yield ",".join(header)
+    for row in rows:
+        yield ",".join(_fmt(cell) for cell in row)
+
+
+def _publish(args: argparse.Namespace, files: dict[str, Iterable[str]], lines: Iterable[str]) -> None:
+    """The one writer of a command's output: makes ``--out``, writes each of
+    ``files`` there in order as UTF-8 with one LF-ended line per item, then
+    prints ``lines`` on stdout."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, items in files.items():
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(f"{item}\n" for item in items)
+    for line in lines:
+        print(line)
 
 
 def _fail(message: str) -> int:
@@ -115,9 +128,9 @@ def _warn_if_invalid(report: TubeReport) -> None:
     print(f"thermistor: warning: tube conditions not satisfied ({failed}); solving anyway", file=sys.stderr)
 
 
-def _solution_rows(tube: Tube, report: SolveReport) -> list[tuple]:
+def _solution_rows(tube: Tube, report: SolveReport) -> Iterator[tuple]:
     u = report.u
-    return list(zip(u.grid.nodes, u.values, tube.v.values, tube.M.values, report.g, report.residual))
+    return zip(u.grid.nodes, u.values, tube.v.values, tube.M.values, report.g, report.residual)
 
 
 def iter_margin_lines(report: TubeReport) -> Iterator[str]:
@@ -163,14 +176,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report = picard_solve(problem, tube, options)
     _warn_if_invalid(report.tube_report)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "solution.csv", SOLUTION_COLUMNS, _solution_rows(tube, report))
     lines = _report_lines(problem, options, grid, report)
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for line in lines:
-        print(line)
-
+    _publish(args, {"solution.csv": _csv(SOLUTION_COLUMNS, _solution_rows(tube, report)), "report.txt": lines}, lines)
     if not report.tube_report.valid:
         return EXIT_TUBE_INVALID
     if not (report.converged and report.member_of_tube):
@@ -181,13 +188,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify_tube(args: argparse.Namespace) -> int:
     cfg, problem, _, grid = _prepare(args)
     report = verify_tube(_build_tube(args, cfg, problem, grid), problem)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = [*_report_header("tube", problem, grid), *iter_margin_lines(report)]
-    (out / "tube_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for line in lines:
-        print(line)
+    _publish(args, {"tube_report.txt": lines}, lines)
     return EXIT_OK if report.valid else EXIT_TUBE_INVALID
 
 
@@ -204,24 +206,17 @@ def cmd_identities(args: argparse.Namespace) -> int:
     prefixed("--grid-n", check_sizes, tuple(sizes))
     # the flags are checked; an error of the table itself keeps its own text
     rows = identity_table(tuple(alphas), tuple(sizes))
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "identities.csv",
-        CSV_COLUMNS,
-        [tuple(row[col] for col in CSV_COLUMNS) for row in rows],
-    )
     ok = table_passes(rows)
-    for row in rows:
-        print(
-            f"alpha={_fmt(row['alpha'])} n={row['n']} "
-            f"roundtrip={_fmt(row['roundtrip_error'])} "
-            f"order={_fmt(row['roundtrip_order']) or '-'} "
-            f"linear={_fmt(row['linear_residual'])} "
-            f"order={_fmt(row['linear_residual_order']) or '-'}"
-        )
-    print(f"identities: {'pass' if ok else 'FAIL'}")
+    lines = [
+        f"alpha={_fmt(row['alpha'])} n={row['n']} "
+        f"roundtrip={_fmt(row['roundtrip_error'])} "
+        f"order={_fmt(row['roundtrip_order']) or '-'} "
+        f"linear={_fmt(row['linear_residual'])} "
+        f"order={_fmt(row['linear_residual_order']) or '-'}"
+        for row in rows
+    ]
+    table = (tuple(row[col] for col in CSV_COLUMNS) for row in rows)
+    _publish(args, {"identities.csv": _csv(CSV_COLUMNS, table)}, [*lines, f"identities: {'pass' if ok else 'FAIL'}"])
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
@@ -270,10 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _warn_if_invalid(tube_report)
         rows.append(row)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
-    print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}")
+    _publish(args, {"sweep.csv": _csv(SWEEP_COLUMNS, rows)}, [f"sweep: {len(rows)} rows -> {Path(args.out) / 'sweep.csv'}"])
     return EXIT_OK
 
 

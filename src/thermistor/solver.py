@@ -513,10 +513,16 @@ def oracle_solve(problem: ThermistorProblem, opts: SolveOptions) -> GridFunction
 
     The outer loop solves ``F(D) = D(traj(D)) - D = 0`` by a safeguarded
     secant method.  A sign bracket ``lo < D* < hi`` starts as ``(0, inf)``
-    (F is positive for small D and negative for large D) and shrinks with
-    the sign of F after every pass.  The next D is the secant step through
-    the last two passes if it lies strictly inside the bracket, else the
-    plain step ``D(traj(D))`` if that does, else the bracket's midpoint.
+    and shrinks with the sign of F after every pass.  That start assumes F
+    is positive for small D and negative for large D, which holds for ``f``
+    non-decreasing in ``u``; for a decreasing ``f`` it need not.  For
+    ``exp(-u)`` below its fold F has two roots and is negative below the
+    lower one as well as above the upper one (at lambda = 0.3, alpha = 1:
+    -0.0074 at an integral of 0.01, under the lower root 0.0791), and the
+    loop settles on the upper root in every case of ``tests/test_exact.py``.
+    The next D is the secant step through the last two passes if it lies
+    strictly inside the bracket, else the plain step ``D(traj(D))`` if
+    that does, else the bracket's midpoint.
     The plain step alone diverges when ``f`` is close to zero.
 
     The loop starts by nested iteration: the same loop first runs on each

@@ -940,6 +940,36 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith(f"thermistor: error: cannot write output to {blocker}")
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "argv, report",
+        [
+            (["solve", "--config", str(CONFIGS / "solve_constant.cfg")], "report.txt"),
+            (["verify-tube", "--config", str(CONFIGS / "solve_constant.cfg")], "tube_report.txt"),
+            (["identities", "--grid-n", "11,21", "--alpha", "1.0"], None),
+            (["sweep", "--config", str(CONFIGS / "sweep_ramp.cfg")], None),
+        ],
+        ids=["solve", "verify-tube", "identities", "sweep"],
+    )
+    def test_every_file_is_utf8_with_lf_lines_and_stdout_follows_the_files(self, tmp_path, capsys, argv, report):
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        written = sorted(out.iterdir())
+        assert written
+        for path in written:
+            text = path.read_bytes().decode("utf-8")
+            assert "\r" not in text
+            assert text.endswith("\n") and not text.endswith("\n\n")
+        if report is not None:
+            assert (out / report).read_bytes().decode("utf-8") == stdout
+        # nothing reaches stdout when --out cannot be made
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the output directory should go\n")
+        assert main(argv + ["--out", str(blocker)]) == 4
+        assert capsys.readouterr().out == ""
+
+
 class TestUsage:
     def test_usage_errors_map_to_config_exit_code(self):
         assert main([]) == 4

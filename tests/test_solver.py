@@ -1147,7 +1147,7 @@ class TestOracle:
         grid = th.Grid(1.0, 2.2, 2001)
         assert grid.nodes[-2] + grid.h != grid.nodes[-1] == 2.2
         message = self._bad_sample_error(bad, 2000, _reference_oracle)
-        fault = "overflowed" if bad == math.inf else "must be strictly positive"
+        fault = {math.inf: "overflowed", 0.0: "is zero or underflowed"}.get(bad, "must be strictly positive")
         assert message.startswith(f"H1 violated: f(t, u) {fault}, got f(2.2, ")
         assert message.endswith(f") = {bad!r} at node 2000")
 
@@ -1162,7 +1162,8 @@ class TestOracle:
         assert grid.nodes[1003] + grid.h != grid.nodes[1004]
         for every_u in (False, True):
             message = self._bad_sample_error(bad, 1004, _nested_reference_oracle, every_u)
-            assert message.startswith(f"H1 violated: f(t, u) must be strictly positive, got f({float(grid.nodes[1004])!r}, ")
+            fault = "is zero or underflowed" if bad == 0.0 else "must be strictly positive"
+            assert message.startswith(f"H1 violated: f(t, u) {fault}, got f({float(grid.nodes[1004])!r}, ")
             assert message.endswith(f") = {bad!r} at node 1004")
             assert ", 0.1) = " not in message
 
